@@ -5,7 +5,7 @@ use diads_bench::harness::diagnose;
 use diads_bench::microbench::Criterion;
 use diads_bench::{criterion_group, criterion_main};
 use diads_core::workflow::DiagnosisCache;
-use diads_core::{DiagnosisContext, DiagnosisWorkflow, Testbed};
+use diads_core::{DiagnosisPipeline, DiagnosisWorkflow, Testbed};
 use diads_inject::scenarios::{scenario_1, ScenarioTimeline};
 use std::hint::black_box;
 
@@ -13,30 +13,22 @@ fn bench_workflow(c: &mut Criterion) {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = DiagnosisContext {
-        apg: &apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events: &events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    };
+    let ctx = outcome.context(&apg, &events);
     let workflow = DiagnosisWorkflow::new();
+    let pipeline = DiagnosisPipeline::with_workflow(workflow.clone());
 
     let mut group = c.benchmark_group("workflow");
     group.sample_size(20);
-    group.bench_function("batch_diagnosis", |b| b.iter(|| black_box(workflow.run(black_box(&ctx)))));
+    group.bench_function("batch_diagnosis", |b| b.iter(|| black_box(pipeline.run(black_box(&ctx)))));
     group.bench_function("batch_diagnosis_refit_baseline", |b| {
         b.iter(|| {
             let mut cache = DiagnosisCache::disabled();
-            black_box(workflow.run_with_cache(black_box(&ctx), &mut cache))
+            black_box(pipeline.run_with_cache(black_box(&ctx), &mut cache))
         })
     });
     group.bench_function("batch_diagnosis_warm_cache", |b| {
         let mut cache = DiagnosisCache::new();
-        b.iter(|| black_box(workflow.run_with_cache(black_box(&ctx), &mut cache)))
+        b.iter(|| black_box(pipeline.run_with_cache(black_box(&ctx), &mut cache)))
     });
     group.bench_function("module_co", |b| {
         b.iter(|| black_box(workflow.correlated_operators(&ctx, &mut DiagnosisCache::new())))

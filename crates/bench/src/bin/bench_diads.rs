@@ -34,7 +34,7 @@
 use diads_bench::hotpath;
 use diads_bench::microbench::{Criterion, Record};
 use diads_core::workflow::DiagnosisCache;
-use diads_core::{DiagnosisContext, DiagnosisEngine, DiagnosisWorkflow, Testbed};
+use diads_core::{DiagnosisEngine, DiagnosisPipeline, DiagnosisWorkflow, Testbed};
 use diads_gen::{check_plan, shrink_candidates, Generator, TimelineKind};
 use diads_inject::scenarios::{
     compound_config_and_contention_scenario, compound_lock_and_interloper_scenario, scenario_1, scenario_3,
@@ -83,17 +83,9 @@ fn main() {
     let mut outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = DiagnosisContext {
-        apg: &apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events: &events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    };
+    let ctx = outcome.context(&apg, &events);
     let workflow = DiagnosisWorkflow::new();
+    let pipeline = DiagnosisPipeline::with_workflow(workflow.clone());
     let cos = workflow.correlated_operators(&ctx, &mut DiagnosisCache::new());
 
     {
@@ -122,15 +114,15 @@ fn main() {
         group.bench_function("scenario1_refit_baseline", |b| {
             b.iter(|| {
                 let mut cache = DiagnosisCache::disabled();
-                black_box(workflow.run_with_cache(black_box(&ctx), &mut cache))
+                black_box(pipeline.run_with_cache(black_box(&ctx), &mut cache))
             })
         });
-        group.bench_function("scenario1_diagnosis", |b| b.iter(|| black_box(workflow.run(black_box(&ctx)))));
+        group.bench_function("scenario1_diagnosis", |b| b.iter(|| black_box(pipeline.run(black_box(&ctx)))));
         group.bench_function("scenario1_diagnosis_warm", |b| {
             // The interactive / what-if pattern: repeated diagnoses of one context
             // share a cache, so every KDE fit after the first diagnosis is skipped.
             let mut cache = DiagnosisCache::new();
-            b.iter(|| black_box(workflow.run_with_cache(black_box(&ctx), &mut cache)))
+            b.iter(|| black_box(pipeline.run_with_cache(black_box(&ctx), &mut cache)))
         });
         group.finish();
     }

@@ -6,7 +6,7 @@
 
 use diads_bench::harness::heading;
 use diads_core::screens::{apg_visualization_screen, query_selection_screen, workflow_screen};
-use diads_core::{DiagnosisContext, DiagnosisWorkflow, Testbed, WorkflowSession};
+use diads_core::{DiagnosisWorkflow, Testbed, WorkflowSession};
 use diads_inject::scenarios::{scenario_1, ScenarioTimeline};
 use diads_monitor::ComponentId;
 
@@ -15,16 +15,7 @@ fn main() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = DiagnosisContext {
-        apg: &apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events: &events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    };
+    let ctx = outcome.context(&apg, &events);
 
     heading("Figure 3: query selection screen");
     println!("{}", query_selection_screen("TPC-H Q2", &outcome.history));

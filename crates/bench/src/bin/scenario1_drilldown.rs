@@ -6,7 +6,7 @@
 //! Run with `cargo run --release -p diads-bench --bin scenario1_drilldown`.
 
 use diads_bench::harness::heading;
-use diads_core::{DiagnosisCache, DiagnosisContext, DiagnosisWorkflow, Testbed};
+use diads_core::{DiagnosisCache, DiagnosisWorkflow, Testbed};
 use diads_inject::scenarios::{scenario_1, ScenarioTimeline};
 use diads_monitor::ComponentKind;
 
@@ -15,16 +15,7 @@ fn main() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = DiagnosisContext {
-        apg: &apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events: &events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    };
+    let ctx = outcome.context(&apg, &events);
     let workflow = DiagnosisWorkflow::new();
     let mut cache = DiagnosisCache::new();
 

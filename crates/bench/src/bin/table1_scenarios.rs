@@ -6,7 +6,7 @@
 
 use diads_bench::harness::{diagnose, heading};
 use diads_core::baseline::{DbOnlyTool, SanOnlyTool};
-use diads_core::{ConfidenceLevel, DiagnosisContext, Testbed};
+use diads_core::{ConfidenceLevel, Testbed};
 use diads_inject::scenarios::{scenario_1, scenario_2, scenario_3, scenario_4, scenario_5, ScenarioTimeline};
 
 fn main() {
@@ -55,16 +55,7 @@ fn main() {
         // Silo-tool comparison (Section 5 discussion).
         let apg = outcome.apg();
         let events = outcome.testbed.all_events();
-        let ctx = DiagnosisContext {
-            apg: &apg,
-            history: &outcome.history,
-            store: &outcome.testbed.store,
-            events: &events,
-            catalog: &outcome.testbed.catalog,
-            config: &outcome.testbed.config,
-            topology: outcome.testbed.san.topology(),
-            workloads: outcome.testbed.san.workloads(),
-        };
+        let ctx = outcome.context(&apg, &events);
         let san_only = SanOnlyTool::new().diagnose(&ctx);
         let db_only = DbOnlyTool::new().diagnose(&ctx);
         println!("SAN-only tool would report:");

@@ -10,7 +10,7 @@
 //! Run with `cargo run --release -p diads-bench --bin table2_anomaly_scores`.
 
 use diads_bench::harness::heading;
-use diads_core::{DiagnosisCache, DiagnosisContext, DiagnosisWorkflow, Testbed};
+use diads_core::{DiagnosisCache, DiagnosisWorkflow, Testbed};
 use diads_inject::scenarios::{scenario_1, scenario_1b, ScenarioTimeline};
 use diads_monitor::{ComponentId, MetricName};
 
@@ -18,16 +18,7 @@ fn scores_for(scenario: &diads_inject::Scenario) -> Vec<((&'static str, &'static
     let outcome = Testbed::run_scenario(scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = DiagnosisContext {
-        apg: &apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events: &events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    };
+    let ctx = outcome.context(&apg, &events);
     let workflow = DiagnosisWorkflow::new();
     let mut cache = DiagnosisCache::new();
     let cos = workflow.correlated_operators(&ctx, &mut cache);

@@ -1,6 +1,6 @@
 //! Shared helpers for the experiment binaries.
 
-use diads_core::{DiagnosisContext, DiagnosisReport, DiagnosisWorkflow, ScenarioOutcome, Testbed};
+use diads_core::{DiagnosisPipeline, DiagnosisReport, ScenarioOutcome, Testbed};
 use diads_inject::Scenario;
 
 /// Runs a scenario end to end and diagnoses it with the default workflow.
@@ -14,17 +14,7 @@ pub fn run_and_diagnose(scenario: &Scenario) -> (ScenarioOutcome, DiagnosisRepor
 pub fn diagnose(outcome: &ScenarioOutcome) -> DiagnosisReport {
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = DiagnosisContext {
-        apg: &apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events: &events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    };
-    DiagnosisWorkflow::new().run(&ctx)
+    DiagnosisPipeline::standard().run(&outcome.context(&apg, &events))
 }
 
 /// Prints a horizontal rule with a title.

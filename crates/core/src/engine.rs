@@ -33,32 +33,24 @@
 //! interactive drivers use — and the emitted report's provenance records whether
 //! the slot checkout was warm or cold.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use diads_monitor::{Duration, EpochId, Interner};
 
-use crate::diagnosis::{DiagnosisProvenance, DiagnosisReport, EngineProvenance, StageProvenance};
-use crate::pipeline::{self, CancelToken, DiagnosisPipeline, DiagnosisState, EventSink, LedgerInputs, Stage};
+use crate::diagnosis::{DiagnosisProvenance, DiagnosisReport, EngineProvenance};
+use crate::pipeline::{
+    CancelToken, ContextSource, DiagnosisPipeline, Emitter, EventSink, Evidence, LedgerInputs,
+};
 use crate::testbed::ScenarioOutcome;
-use crate::workflow::{DiagnosisCache, DiagnosisContext, DiagnosisWorkflow, ScoreKey};
+use crate::workflow::{DiagnosisCache, ScoreKey};
 
 /// Default bound on the number of warm slots — generous (a slot per distinct
 /// labelled history; fleets rarely track this many live labellings at once), but
 /// finite, so an unbounded stream of fingerprints cannot grow the engine forever.
 pub const DEFAULT_SLOT_CAPACITY: usize = 1024;
-
-/// What a standard engine-routed diagnosis records into its slot: the evidence
-/// ledger (stamped with input fingerprints) and the assembled report. The ledger
-/// seeds stage-level staleness decisions; the report is what a later incremental
-/// re-diagnosis with *no* stale stage replays wholesale — without rebuilding the
-/// APG or re-assembling findings.
-#[derive(Debug, Clone)]
-struct Evidence {
-    state: DiagnosisState,
-    report: DiagnosisReport,
-}
 
 /// One warm slot: the cached fits, the evidence of the last standard diagnosis
 /// recorded into it (the seed of incremental re-diagnosis), plus the recency
@@ -66,13 +58,23 @@ struct Evidence {
 #[derive(Debug)]
 struct Slot {
     cache: DiagnosisCache,
-    /// The last standard-pipeline diagnosis checked into this slot — what
-    /// [`DiagnosisEngine::diagnose_incremental`] replays. `None` until a standard
-    /// engine-routed diagnosis records one.
+    /// The last completed engine-routed diagnosis checked into this slot: its
+    /// stamped ledger and report, which [`DiagnosisEngine::diagnose_incremental`]
+    /// replays. `None` until one is recorded.
     evidence: Option<Evidence>,
     /// Value of the engine's monotonic check-in counter when this slot was last
     /// checked in — higher is more recent.
     last_used: u64,
+}
+
+/// A slot removed from its stripe for the duration of one use: its fits, its
+/// recorded evidence, the generation the checkout observed, and whether it was
+/// warm.
+struct Checkout {
+    cache: DiagnosisCache,
+    evidence: Option<Evidence>,
+    generation: u64,
+    warm: bool,
 }
 
 /// Number of independent lock stripes the slot table is split into. A power of two
@@ -186,7 +188,7 @@ pub struct DiagnosisEngine {
     /// the sum over it, least-recently-used slots are recycled until the sum fits
     /// again — a memory bound proportional to actual fits rather than slot count.
     fit_budget: Option<usize>,
-    /// Bumped by every invalidation. A [`DiagnosisEngine::with_slot`] check-in whose
+    /// Bumped by every invalidation. A check-in whose
     /// checkout observed an older generation is dropped — conservative (an
     /// invalidation of *any* fingerprint discards concurrent in-flight fits, costing
     /// at most a re-fit later), but it can never re-insert invalidated fits.
@@ -296,22 +298,11 @@ impl DiagnosisEngine {
     /// Diagnoses a scenario outcome through this engine (rather than through the
     /// engine its testbed carries): the fleet-level entry point that lets one engine
     /// warm-serve outcomes from independently-built testbeds. Runs the standard
-    /// [`DiagnosisPipeline`].
+    /// [`DiagnosisPipeline`] and records its evidence ledger (stamped with the input
+    /// fingerprints it was computed from) into the engine slot — the seed a later
+    /// [`DiagnosisEngine::diagnose_incremental`] replays.
     pub fn diagnose(&self, outcome: &ScenarioOutcome) -> DiagnosisReport {
-        self.diagnose_with(&DiagnosisPipeline::standard(), outcome)
-    }
-
-    /// [`DiagnosisEngine::diagnose`] with a caller-composed pipeline (skipped,
-    /// inserted or custom stages); the engine slot and warm/cold provenance work the
-    /// same way.
-    ///
-    /// When the pipeline is the unmodified standard sequence, the run additionally
-    /// records its evidence ledger (stamped with the input fingerprints it was
-    /// computed from) into the engine slot — the seed a later
-    /// [`DiagnosisEngine::diagnose_incremental`] replays. Recomposed pipelines skip
-    /// the recording; their reports are unchanged.
-    pub fn diagnose_with(&self, pipeline: &DiagnosisPipeline, outcome: &ScenarioOutcome) -> DiagnosisReport {
-        self.diagnose_with_emitter(pipeline, outcome, None, None)
+        self.run(outcome, None, None, None)
     }
 
     /// [`DiagnosisEngine::diagnose`] streaming the run's full [`crate::pipeline::PipelineEvent`]
@@ -326,55 +317,7 @@ impl DiagnosisEngine {
         sink: &dyn EventSink,
         cancel: Option<&CancelToken>,
     ) -> DiagnosisReport {
-        self.diagnose_with_emitter(&DiagnosisPipeline::standard(), outcome, Some(sink), cancel)
-    }
-
-    /// The shared engine-routed execution: builds the context, then either the
-    /// recomposed-pipeline path ([`DiagnosisPipeline::run_with_engine`], which
-    /// streams through the pipeline's own sinks) or the standard
-    /// evidence-recording path with the per-run `extra` sink and `cancel` token
-    /// threaded through.
-    fn diagnose_with_emitter(
-        &self,
-        pipeline: &DiagnosisPipeline,
-        outcome: &ScenarioOutcome,
-        extra: Option<&dyn EventSink>,
-        cancel: Option<&CancelToken>,
-    ) -> DiagnosisReport {
-        let apg = outcome.apg();
-        let events = outcome.testbed.all_events();
-        let ctx = DiagnosisContext {
-            apg: &apg,
-            history: &outcome.history,
-            store: &outcome.testbed.store,
-            events: &events,
-            catalog: &outcome.testbed.catalog,
-            config: &outcome.testbed.config,
-            topology: outcome.testbed.san.topology(),
-            workloads: outcome.testbed.san.workloads(),
-        };
-        let fingerprint = outcome.engine_fingerprint();
-        if !pipeline.is_standard() {
-            return pipeline.run_with_engine(&ctx, self, fingerprint);
-        }
-        let emitter = pipeline.emitter_with(extra, cancel);
-        let inputs = LedgerInputs {
-            history: outcome.history.fingerprint(),
-            events: events.fingerprint(),
-            store: outcome.testbed.store.content_fingerprint(),
-        };
-        let (mut cache, _prior_evidence, generation, warm) = self.checkout(fingerprint);
-        let (mut report, state) =
-            pipeline::run_standard_recorded(pipeline.workflow(), &ctx, &mut cache, inputs, &emitter);
-        report.provenance.engine = Some(EngineProvenance { fingerprint, warm });
-        if report.provenance.cancelled_at.is_some() {
-            // Partial ledger: keep the warmed fits, record no evidence.
-            self.checkin(fingerprint, cache, None, generation);
-            return report;
-        }
-        emitter.run_completed(&report, &state);
-        self.checkin(fingerprint, cache, Some(Evidence { state, report: report.clone() }), generation);
-        report
+        self.run(outcome, None, Some(sink), cancel)
     }
 
     /// Re-diagnoses an outcome *incrementally* against the evidence recorded at
@@ -396,7 +339,7 @@ impl DiagnosisEngine {
         outcome: &ScenarioOutcome,
         since: &DiagnosisWatermark,
     ) -> DiagnosisReport {
-        self.diagnose_incremental_emitter(outcome, since, None, None)
+        self.run(outcome, Some(since), None, None)
     }
 
     /// [`DiagnosisEngine::diagnose_incremental`] streaming the run's full
@@ -413,35 +356,79 @@ impl DiagnosisEngine {
         sink: &dyn EventSink,
         cancel: Option<&CancelToken>,
     ) -> DiagnosisReport {
-        self.diagnose_incremental_emitter(outcome, since, Some(sink), cancel)
+        self.run(outcome, Some(since), Some(sink), cancel)
     }
 
-    fn diagnose_incremental_emitter(
+    /// Every engine-routed diagnosis: the standard pipeline over the outcome's slot,
+    /// replaying from the evidence `since` recorded when [`DiagnosisEngine::resume`]
+    /// accepts it, and with no prior otherwise. A completed run's evidence is
+    /// checked in under the outcome's current fingerprint; a cancelled run checks
+    /// in its fits alone.
+    fn run(
+        &self,
+        outcome: &ScenarioOutcome,
+        since: Option<&DiagnosisWatermark>,
+        sink: Option<&dyn EventSink>,
+        cancel: Option<&CancelToken>,
+    ) -> DiagnosisReport {
+        let events = outcome.testbed.all_events();
+        let apg = OnceCell::new();
+        let ctx = ContextSource::Outcome { outcome, events: &events, apg: &apg };
+        let fingerprint = outcome.engine_fingerprint();
+        let inputs = LedgerInputs {
+            history: outcome.history.fingerprint(),
+            events: events.fingerprint(),
+            store: outcome.testbed.store.content_fingerprint(),
+        };
+        let (mut slot, inputs, epochs_applied) =
+            match since.and_then(|since| self.resume(outcome, since, &ctx, inputs)) {
+                Some(resumed) => resumed,
+                None => (Checkout { evidence: None, ..self.checkout(fingerprint) }, inputs, 0),
+            };
+        let provenance = DiagnosisProvenance {
+            engine: Some(EngineProvenance { fingerprint, warm: slot.warm }),
+            epochs_applied,
+            ..DiagnosisProvenance::default()
+        };
+        let (report, state) = DiagnosisPipeline::standard().execute(
+            &ctx,
+            &mut slot.cache,
+            &Emitter::new(&[], sink, cancel),
+            slot.evidence,
+            Some(inputs),
+            provenance,
+        );
+        let evidence =
+            report.provenance.cancelled_at.is_none().then(|| Evidence { state, report: report.clone() });
+        self.checkin(fingerprint, slot.cache, evidence, slot.generation);
+        report
+    }
+
+    /// Checks out the slot `since` was sealed against when its recorded evidence
+    /// can seed a replay of `outcome`, with the slot's fits extended over any runs
+    /// appended since, the run's `inputs` (carrying the prior store fingerprint
+    /// forward when no run observes the appended metrics) and the number of
+    /// epochs applied. `None` — run with no prior — when the store no longer holds
+    /// the watermark's epoch or content, the recorded run prefix or the plan
+    /// changed, appended metrics land inside a pre-watermark run's monitored
+    /// window, the appended runs flip the metric-baseline scope, or the slot holds
+    /// no stamped evidence.
+    fn resume(
         &self,
         outcome: &ScenarioOutcome,
         since: &DiagnosisWatermark,
-        extra: Option<&dyn EventSink>,
-        cancel: Option<&CancelToken>,
-    ) -> DiagnosisReport {
-        // A cancellation requested before the first stage behaves exactly like a
-        // cancelled cold run: stop before PD, return the empty partial report.
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return self.diagnose_with_emitter(&DiagnosisPipeline::standard(), outcome, extra, cancel);
-        }
-        let fall_back = |engine: &Self| {
-            engine.diagnose_with_emitter(&DiagnosisPipeline::standard(), outcome, extra, cancel)
-        };
+        ctx: &ContextSource<'_, '_>,
+        inputs: LedgerInputs,
+    ) -> Option<(Checkout, LedgerInputs, u64)> {
         let store = &outcome.testbed.store;
         let history = &outcome.history;
         let valid = store.epoch_cumulative_fingerprint(since.epoch) == Some(since.store_fingerprint)
             && history.prefix_fingerprint(since.runs) == Some(since.history_fingerprint)
             && outcome.diagnosed_plan().fingerprint() == since.plan_fingerprint;
         if !valid {
-            return fall_back(self);
+            return None;
         }
-        let Some(delta) = store.delta_since(since.epoch) else {
-            return fall_back(self);
-        };
+        let delta = store.delta_since(since.epoch)?;
         // Runs are monitored over [start - pad, end + pad); cached per-run samples
         // (operator stats, per-run metric means) for the pre-watermark runs stay
         // valid only while appended points land strictly after every such window.
@@ -449,8 +436,19 @@ impl DiagnosisEngine {
         let prior_cutoff = history.runs[..since.runs].iter().map(|r| r.record.end.plus(pad)).max();
         if let (Some(earliest), Some(cutoff)) = (delta.earliest_time(), prior_cutoff) {
             if earliest < cutoff {
-                return fall_back(self);
+                return None;
             }
+        }
+        // Re-drill scope guard: metric fits are baselined on the plan-filtered
+        // satisfactory runs when any exist, else on the full satisfactory history
+        // ([`crate::workflow::DiagnosisContext::baseline_runs`]). If the appended
+        // runs flip that emptiness, the slot's cached fits were derived under the
+        // other scope and cannot be extended.
+        let plan_filtered_empty = |runs: &[crate::runs::LabeledRun]| {
+            !runs.iter().any(|r| r.satisfactory && r.record.plan_fingerprint == since.plan_fingerprint)
+        };
+        if plan_filtered_empty(&history.runs[..since.runs]) != plan_filtered_empty(&history.runs) {
+            return None;
         }
         let sealed_after = store.epoch_count() as u64 - (since.epoch.index() as u64 + 1);
         let epochs_applied = sealed_after.max(u64::from(!delta.is_empty()));
@@ -464,135 +462,21 @@ impl DiagnosisEngine {
             (None, _) => false,
         };
 
-        let events = outcome.testbed.all_events();
-
-        let (mut cache, evidence, generation, warm) = self.checkout(since.fingerprint);
-        let Some(prior) = evidence else {
-            // Nothing recorded (or the slot was recycled): put the fits back and
-            // run cold.
-            self.checkin(since.fingerprint, cache, None, generation);
-            return fall_back(self);
+        let mut slot = self.checkout(since.fingerprint);
+        let Some(prior_inputs) = slot.evidence.as_ref().and_then(|e| e.state.inputs) else {
+            // Nothing recorded (or the slot was recycled): put the fits back.
+            self.checkin(since.fingerprint, slot.cache, slot.evidence, slot.generation);
+            return None;
         };
-        let Some(prior_inputs) = prior.state.inputs else {
-            self.checkin(since.fingerprint, cache, Some(prior), generation);
-            return fall_back(self);
-        };
-
-        let inputs = LedgerInputs {
-            history: history.fingerprint(),
-            events: events.fingerprint(),
-            store: if delta_visible { store.content_fingerprint() } else { prior_inputs.store },
-        };
-
-        // Fast path — the steady-state "more metrics landed, nothing else moved"
-        // append: no run joined the history and no ledger input changed, so every
-        // stage would replay its prior slot verbatim and re-assemble the identical
-        // findings. Skip the APG rebuild, the stage loop and the report assembly
-        // and hand back the recorded report with fresh provenance.
-        if since.runs == history.len() && inputs == prior_inputs {
-            let emitter = pipeline::Emitter::new(&[], extra, cancel);
-            let fingerprint = outcome.engine_fingerprint();
-            let plan_changed = prior.state.plan_changed();
-            let mut report = prior.report.clone();
-            let mut state = prior.state;
-            state.inputs = Some(inputs);
-            // Replayed-wholesale runs still stream the pinned event sequence: the
-            // per-stage pairs walk the fully-populated ledger, so the derived
-            // events (`CausesRanked` after SD) fire exactly as a live run's would.
-            let mut stages = Vec::with_capacity(Stage::ALL.len());
-            for stage in &Stage::ALL {
-                let had_remediation = state.remediation.is_some();
-                emitter.stage_started(stage.name(), &state);
-                let provenance = StageProvenance {
-                    stage: stage.name().to_string(),
-                    elapsed_nanos: 0,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    reused: true,
-                    redrilled: plan_changed && pipeline::stage_redrills(stage.name()),
-                };
-                emitter.stage_completed(&provenance, &state, had_remediation);
-                stages.push(provenance);
-            }
-            report.provenance = DiagnosisProvenance {
-                stages,
-                engine: Some(EngineProvenance { fingerprint, warm }),
-                epochs_applied,
-                cancelled_at: None,
-            };
-            emitter.run_completed(&report, &state);
-            self.checkin(fingerprint, cache, Some(Evidence { state, report: report.clone() }), generation);
-            return report;
+        let inputs =
+            LedgerInputs { store: if delta_visible { inputs.store } else { prior_inputs.store }, ..inputs };
+        if since.runs < history.len() {
+            // Fold the satisfactory samples of the appended runs into the cached
+            // fits so warm scores match what a cold fit over the full history
+            // would produce.
+            crate::workflow::extend_cache_for_new_runs(&mut slot.cache, &ctx.get(), since.runs);
         }
-
-        let apg = outcome.apg();
-        let ctx = DiagnosisContext {
-            apg: &apg,
-            history,
-            store,
-            events: &events,
-            catalog: &outcome.testbed.catalog,
-            config: &outcome.testbed.config,
-            topology: outcome.testbed.san.topology(),
-            workloads: outcome.testbed.san.workloads(),
-        };
-
-        // Re-drill scope guard: metric fits are baselined on the plan-filtered
-        // satisfactory runs when any exist, else on the full satisfactory history
-        // ([`crate::workflow::DiagnosisContext::baseline_runs`]). If the appended
-        // runs flip that emptiness, the slot's cached fits were derived under the
-        // other scope and cannot be extended — fall back to a cold diagnosis.
-        let plan_filtered_empty = |runs: &[crate::runs::LabeledRun]| {
-            !runs.iter().any(|r| r.satisfactory && r.record.plan_fingerprint == since.plan_fingerprint)
-        };
-        if plan_filtered_empty(&history.runs[..since.runs]) != plan_filtered_empty(&history.runs) {
-            self.checkin(since.fingerprint, cache, Some(prior), generation);
-            return fall_back(self);
-        }
-
-        // Fold the satisfactory samples of any appended runs into the cached fits
-        // so warm scores match what a cold fit over the full history would produce.
-        crate::workflow::extend_cache_for_new_runs(&mut cache, &ctx, since.runs);
-
-        let workflow = DiagnosisWorkflow::new();
-        let emitter = pipeline::Emitter::new(&[], extra, cancel);
-        match pipeline::run_incremental_standard(&workflow, &ctx, &mut cache, &prior.state, inputs, &emitter)
-        {
-            Some((mut report, state)) => {
-                let fingerprint = outcome.engine_fingerprint();
-                report.provenance.engine = Some(EngineProvenance { fingerprint, warm });
-                report.provenance.epochs_applied = epochs_applied;
-                if report.provenance.cancelled_at.is_some() {
-                    // Cancelled mid-replay: the extended fits describe the *new*
-                    // inputs, so park them under the new fingerprint with no
-                    // evidence (re-extending them under `since.fingerprint` would
-                    // double-fold the appended runs on the next attempt). The
-                    // prior evidence is consumed; the next diagnosis of either
-                    // fingerprint falls back to a warm-fit cold run.
-                    self.checkin(fingerprint, cache, None, generation);
-                    return report;
-                }
-                emitter.run_completed(&report, &state);
-                self.checkin(
-                    fingerprint,
-                    cache,
-                    Some(Evidence { state, report: report.clone() }),
-                    generation,
-                );
-                report
-            }
-            None => {
-                self.checkin(since.fingerprint, cache, Some(prior), generation);
-                fall_back(self)
-            }
-        }
-    }
-
-    /// Runs `f` with the slot of `fingerprint` checked out (created empty on first
-    /// use) and returns `f`'s result. See [`DiagnosisEngine::with_slot_tracked`] for
-    /// the semantics; this variant hides the warm/cold flag.
-    pub fn with_slot<R>(&self, fingerprint: u64, f: impl FnOnce(&mut DiagnosisCache) -> R) -> R {
-        self.with_slot_tracked(fingerprint, |cache, _warm| f(cache))
+        Some((slot, inputs, epochs_applied))
     }
 
     /// Runs `f` with the slot of `fingerprint` checked out (created empty on first
@@ -607,37 +491,34 @@ impl DiagnosisEngine {
         fingerprint: u64,
         f: impl FnOnce(&mut DiagnosisCache, bool) -> R,
     ) -> R {
-        let (mut cache, evidence, generation, warm) = self.checkout(fingerprint);
-        let out = f(&mut cache, warm);
+        let mut slot = self.checkout(fingerprint);
+        let out = f(&mut slot.cache, slot.warm);
         // The evidence ledger rides along untouched: stage-level users (interactive
-        // sessions, custom pipelines) neither read nor invalidate it.
-        self.checkin(fingerprint, cache, evidence, generation);
+        // sessions) neither read nor invalidate it.
+        self.checkin(fingerprint, slot.cache, slot.evidence, slot.generation);
         out
     }
 
     /// Removes the slot of `fingerprint` from its stripe (creating an empty cache on
-    /// a cold checkout), returning its cache, its recorded evidence, the generation
-    /// the checkout observed, and whether it was warm. Locks only the owning stripe;
-    /// the stats counters are atomic, so even warm checkouts of different histories
-    /// share no lock at all.
-    fn checkout(&self, fingerprint: u64) -> (DiagnosisCache, Option<Evidence>, u64, bool) {
+    /// a cold checkout). Locks only the owning stripe; the stats counters are
+    /// atomic, so even warm checkouts of different histories share no lock at all.
+    fn checkout(&self, fingerprint: u64) -> Checkout {
         let mut stripe = self.stripe(fingerprint).lock().expect("stripe lock poisoned");
         // Read the generation under the stripe lock, so a same-fingerprint
         // invalidation (which bumps under this lock) is totally ordered with us.
         let generation = self.generation.load(Ordering::SeqCst);
-        let (cache, evidence, warm) = match stripe.map.remove(&fingerprint) {
+        match stripe.map.remove(&fingerprint) {
             Some(slot) => {
                 self.warm_checkouts.fetch_add(1, Ordering::Relaxed);
                 self.slot_count.fetch_sub(1, Ordering::SeqCst);
                 self.total_fits.fetch_sub(slot.cache.len(), Ordering::SeqCst);
-                (slot.cache, slot.evidence, true)
+                Checkout { cache: slot.cache, evidence: slot.evidence, generation, warm: true }
             }
             None => {
                 self.cold_checkouts.fetch_add(1, Ordering::Relaxed);
-                (DiagnosisCache::default(), None, false)
+                Checkout { cache: DiagnosisCache::default(), evidence: None, generation, warm: false }
             }
-        };
-        (cache, evidence, generation, warm)
+        }
     }
 
     /// Re-inserts a checked-out slot (possibly under a *different* fingerprint than
@@ -864,7 +745,7 @@ mod tests {
     use diads_db::OperatorId;
 
     fn warm_slot(engine: &DiagnosisEngine, fingerprint: u64) {
-        engine.with_slot(fingerprint, |c| {
+        engine.with_slot_tracked(fingerprint, |c, _| {
             c.fit_or_insert_with(ScoreKey::OperatorElapsed(OperatorId(1)), || {
                 Some(vec![1.0, 1.1, 0.9, 1.05, 0.95])
             });
@@ -876,7 +757,7 @@ mod tests {
         let engine = DiagnosisEngine::new();
         assert!(!engine.is_warm(1));
         assert_eq!(engine.capacity(), DEFAULT_SLOT_CAPACITY);
-        let fitted = engine.with_slot(1, |c| {
+        let fitted = engine.with_slot_tracked(1, |c, _| {
             c.fit_or_insert_with(ScoreKey::OperatorElapsed(OperatorId(1)), || {
                 Some(vec![1.0, 1.1, 0.9, 1.05, 0.95])
             })
@@ -885,8 +766,8 @@ mod tests {
         assert!(fitted);
         assert!(engine.is_warm(1));
         // The same fingerprint gets its fits back; a different one starts cold.
-        engine.with_slot(1, |c| assert_eq!(c.len(), 1));
-        engine.with_slot(2, |c| assert!(c.is_empty()));
+        engine.with_slot_tracked(1, |c, _| assert_eq!(c.len(), 1));
+        engine.with_slot_tracked(2, |c, _| assert!(c.is_empty()));
         assert_eq!(engine.slot_count(), 2);
         assert_eq!(engine.stats(), EngineStats { warm_checkouts: 1, cold_checkouts: 2, evictions: 0 });
         engine.invalidate(1);
@@ -911,17 +792,17 @@ mod tests {
     fn invalidation_during_checkout_is_not_resurrected() {
         let engine = DiagnosisEngine::new();
         // Invalidate while the slot is checked out: the check-in must be discarded.
-        engine.with_slot(7, |c| {
+        engine.with_slot_tracked(7, |c, _| {
             c.fit_or_insert_with(ScoreKey::OperatorElapsed(OperatorId(1)), || {
                 Some(vec![1.0, 1.1, 0.9, 1.05, 0.95])
             });
             engine.invalidate_all();
         });
         assert!(!engine.is_warm(7), "invalidated slot must not be re-inserted at check-in");
-        engine.with_slot(7, |c| assert!(c.is_empty()));
+        engine.with_slot_tracked(7, |c, _| assert!(c.is_empty()));
         // An invalidation of an unrelated fingerprint is conservative: it also drops
         // the in-flight fits (never resurrects), at worst costing a later re-fit.
-        engine.with_slot(8, |_| engine.invalidate(9999));
+        engine.with_slot_tracked(8, |_, _| engine.invalidate(9999));
         assert!(!engine.is_warm(8));
     }
 
@@ -964,7 +845,7 @@ mod tests {
         };
         let engine = DiagnosisEngine::new();
         warm_slot(&engine, 11);
-        engine.with_slot(11, |c| {
+        engine.with_slot_tracked(11, |c, _| {
             // A negative entry (too few samples) and two metric fits, one of them a
             // custom metric whose spelling collides with a builtin short name.
             c.fit_or_insert_with(ScoreKey::OperatorRows(OperatorId(2)), || None);
@@ -980,12 +861,12 @@ mod tests {
         assert!(restored.is_warm(11));
         assert!(restored.is_warm(u64::MAX));
         assert_eq!(restored.total_cached_fits(), engine.total_cached_fits());
-        restored.with_slot(11, |c| {
+        restored.with_slot_tracked(11, |c, _| {
             assert!(
                 matches!(c.probe(&ScoreKey::OperatorRows(OperatorId(2))), Some(None)),
                 "negative entries stay negative"
             );
-            let original = engine.with_slot(11, |o| {
+            let original = engine.with_slot_tracked(11, |o, _| {
                 let kde = o.get(&ScoreKey::Metric(metric_key)).unwrap();
                 (kde.samples().to_vec(), kde.bandwidth())
             });
@@ -1019,7 +900,7 @@ mod tests {
     #[test]
     fn single_over_budget_slot_is_kept() {
         let engine = DiagnosisEngine::with_fit_budget(1);
-        engine.with_slot(9, |c| {
+        engine.with_slot_tracked(9, |c, _| {
             for op in 1..=3 {
                 c.fit_or_insert_with(ScoreKey::OperatorElapsed(OperatorId(op)), || {
                     Some(vec![1.0, 1.1, 0.9, 1.05, 0.95])
@@ -1045,7 +926,7 @@ mod tests {
                 let engine = &engine;
                 scope.spawn(move || {
                     for _ in 0..ITERS {
-                        engine.with_slot(t, |c| {
+                        engine.with_slot_tracked(t, |c, _| {
                             c.fit_or_insert_with(ScoreKey::OperatorElapsed(OperatorId(1)), || {
                                 Some(vec![1.0, 1.1, 0.9, 1.05, 0.95])
                             });
@@ -1071,7 +952,7 @@ mod tests {
                 let shared = &shared;
                 scope.spawn(move || {
                     for _ in 0..ITERS {
-                        shared.with_slot(42, |c| {
+                        shared.with_slot_tracked(42, |c, _| {
                             c.fit_or_insert_with(ScoreKey::OperatorElapsed(OperatorId(1)), || {
                                 Some(vec![1.0, 1.1, 0.9, 1.05, 0.95])
                             });
@@ -1094,7 +975,7 @@ mod tests {
         warm_slot(&engine, 1);
         warm_slot(&engine, 2);
         // Touch 1 so 2 becomes the LRU victim.
-        engine.with_slot(1, |_| {});
+        engine.with_slot_tracked(1, |_, _| {});
         warm_slot(&engine, 3);
         assert!(engine.is_warm(1), "recently-touched slot survives");
         assert!(!engine.is_warm(2), "stale slot is the LRU victim");

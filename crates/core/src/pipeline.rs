@@ -32,19 +32,28 @@
 //! | [`PipelineEvent::RunCompleted`] | after assembly, with the full report |
 //! | [`PipelineEvent::Cancelled`] | when a [`CancelToken`] stops the run |
 //!
-//! Every driver — batch, engine-backed warm/cold, incremental replay and the
-//! interactive session — emits the same per-stage sequence, so a subscriber cannot
-//! tell (except through provenance) which execution path served it. The PR 4
-//! closure observer survives as a thin adapter: [`DiagnosisPipeline::on_stage_complete`]
-//! wraps the closure in a sink that fires on [`PipelineEvent::StageCompleted`], so
-//! existing call sites compile and behave unchanged. Migration map:
+//! # One executor
 //!
-//! | old (closure observers) | new (typed event bus) |
-//! |---|---|
-//! | `on_stage_complete(\|p, s\| ..)` | unchanged — now an adapter over a sink |
-//! | (no equivalent) | `with_sink(sink)` for the full [`PipelineEvent`] vocabulary |
-//! | (no equivalent) | `with_cancel_token(token)` + `token.cancel()` between stages |
-//! | (no equivalent) | `DiagnosisEngine::diagnose_streamed` / `diagnose_incremental_streamed` |
+//! Every run walks its stage list through one private executor. For each stage it
+//! either **executes** the stage or **replays** its slot from a prior evidence
+//! ledger. A stage executes when there is no prior, when an input it reads changed
+//! since the prior was recorded (see [`LedgerInputs`]), or when the result of a
+//! stage it depends on changed. Cancellation checks, event emission, provenance and
+//! the stamping of [`LedgerInputs`] therefore live in one place, and every driver
+//! emits the same per-stage sequence; a subscriber can tell which driver served it
+//! only through provenance. The drivers are:
+//!
+//! * [`DiagnosisPipeline::run`] and [`DiagnosisPipeline::run_with_cache`]: batch,
+//!   with no prior;
+//! * the fleet-level [`crate::engine::DiagnosisEngine`], through its four entry
+//!   points `diagnose`, `diagnose_streamed`, `diagnose_incremental` and
+//!   `diagnose_incremental_streamed`: the standard pipeline over an engine slot,
+//!   with the slot's recorded ledger as the prior when an incremental watermark
+//!   still holds. A run whose every stage replays hands back the recorded
+//!   findings with fresh provenance and never builds the APG;
+//! * the interactive [`crate::session::WorkflowSession`]: one stage at a time
+//!   through [`DiagnosisPipeline::run_stage_at`], which is the executor's
+//!   per-stage body.
 //!
 //! Cancellation is checked **between stages**: a cancelled run stops before the next
 //! stage executes, emits [`PipelineEvent::Cancelled`], and still returns a
@@ -60,18 +69,17 @@
 //! falls back to its leaf volumes, both baselined on the full satisfactory
 //! history), so a concurrent SAN-side cause surfaces next to the plan change
 //! instead of being masked by it (the paper's "my-problem-or-yours" syndrome).
-//!
-//! Every driver in the crate — batch ([`crate::workflow::DiagnosisWorkflow::run`]),
-//! fleet ([`crate::engine::DiagnosisEngine::diagnose`]) and interactive
-//! ([`crate::session::WorkflowSession`]) — executes through this pipeline; there is
-//! no second sequencing of the modules anywhere.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::diagnosis::{DiagnosisProvenance, DiagnosisReport, EngineProvenance, StageProvenance};
-use crate::engine::DiagnosisEngine;
+use diads_monitor::EventStore;
+
+use crate::apg::Apg;
+use crate::diagnosis::{DiagnosisProvenance, DiagnosisReport, StageProvenance};
+use crate::testbed::ScenarioOutcome;
 use crate::workflow::{
     CorrelatedOperatorsResult, DependencyAnalysisResult, DiagnosisCache, DiagnosisContext, DiagnosisWorkflow,
     ImpactResult, PlanDiffResult, RecordCountResult, SymptomsResult,
@@ -508,20 +516,6 @@ pub trait EventSink {
     fn on_event(&self, event: &PipelineEvent, state: &DiagnosisState);
 }
 
-/// The PR 4 closure observer, adapted onto the event bus: fires only on
-/// [`PipelineEvent::StageCompleted`], with exactly the old signature.
-struct ObserverSink<F: Fn(&StageProvenance, &DiagnosisState)> {
-    observer: F,
-}
-
-impl<F: Fn(&StageProvenance, &DiagnosisState)> EventSink for ObserverSink<F> {
-    fn on_event(&self, event: &PipelineEvent, state: &DiagnosisState) {
-        if let PipelineEvent::StageCompleted { provenance } = event {
-            (self.observer)(provenance, state);
-        }
-    }
-}
-
 /// A shared cancellation flag checked between pipeline stages: `cancel()` from any
 /// thread (or from a sink reacting to an event) stops the run before its next
 /// stage, which returns a partial, consistent report. Clones share one flag;
@@ -570,64 +564,77 @@ impl<'a> Emitter<'a> {
         Emitter { sinks, extra, cancel }
     }
 
-    fn emit(&self, event: &PipelineEvent, state: &DiagnosisState) {
-        for sink in self.sinks {
-            sink.on_event(event, state);
+    /// Delivers the event `make` builds to every sink; `make` runs only when there
+    /// is a sink, so unobserved runs never clone payloads.
+    fn emit(&self, state: &DiagnosisState, make: impl FnOnce() -> PipelineEvent) {
+        if self.sinks.is_empty() && self.extra.is_none() {
+            return;
         }
-        if let Some(extra) = self.extra {
-            extra.on_event(event, state);
+        let event = make();
+        for sink in self.sinks.iter().map(Box::as_ref).chain(self.extra) {
+            sink.on_event(&event, state);
         }
-    }
-
-    fn has_sinks(&self) -> bool {
-        !self.sinks.is_empty() || self.extra.is_some()
     }
 
     pub(crate) fn is_cancelled(&self) -> bool {
         self.cancel.is_some_and(|c| c.is_cancelled())
     }
 
-    pub(crate) fn stage_started(&self, name: &str, state: &DiagnosisState) {
-        if self.has_sinks() {
-            self.emit(&PipelineEvent::StageStarted { stage: name.to_string() }, state);
-        }
+    fn stage_started(&self, name: &str, state: &DiagnosisState) {
+        self.emit(state, || PipelineEvent::StageStarted { stage: name.to_string() });
     }
 
     /// Emits `StageCompleted` plus the derived events: `CausesRanked` right after
     /// SD fills the cause ranking, `RemediationPlanned` when the stage flipped the
     /// remediation slot from empty to filled (`had_remediation` is the slot state
     /// before the stage ran).
-    pub(crate) fn stage_completed(
-        &self,
-        provenance: &StageProvenance,
-        state: &DiagnosisState,
-        had_remediation: bool,
-    ) {
-        if !self.has_sinks() {
-            return;
-        }
-        self.emit(&PipelineEvent::StageCompleted { provenance: provenance.clone() }, state);
+    fn stage_completed(&self, provenance: &StageProvenance, state: &DiagnosisState, had_remediation: bool) {
+        self.emit(state, || PipelineEvent::StageCompleted { provenance: provenance.clone() });
         if provenance.stage == Stage::Symptoms.name() {
             if let Some(sd) = &state.sd {
-                self.emit(&PipelineEvent::CausesRanked { causes: sd.causes.clone() }, state);
+                self.emit(state, || PipelineEvent::CausesRanked { causes: sd.causes.clone() });
             }
         }
         if !had_remediation {
             if let Some(plan) = &state.remediation {
-                self.emit(&PipelineEvent::RemediationPlanned { plan: plan.clone() }, state);
+                self.emit(state, || PipelineEvent::RemediationPlanned { plan: plan.clone() });
             }
         }
     }
 
     pub(crate) fn run_completed(&self, report: &DiagnosisReport, state: &DiagnosisState) {
-        if self.has_sinks() {
-            self.emit(&PipelineEvent::RunCompleted { report: report.clone() }, state);
-        }
+        self.emit(state, || PipelineEvent::RunCompleted { report: report.clone() });
     }
 
     pub(crate) fn cancelled(&self, at_stage: &str, state: &DiagnosisState) {
-        if self.has_sinks() {
-            self.emit(&PipelineEvent::Cancelled { at_stage: at_stage.to_string() }, state);
+        self.emit(state, || PipelineEvent::Cancelled { at_stage: at_stage.to_string() });
+    }
+}
+
+/// A recorded run the executor can replay from: its evidence ledger, stamped with
+/// the [`LedgerInputs`] it was computed from, and the report assembled from it.
+#[derive(Debug, Clone)]
+pub(crate) struct Evidence {
+    pub(crate) state: DiagnosisState,
+    pub(crate) report: DiagnosisReport,
+}
+
+/// Where a run's [`DiagnosisContext`] comes from: borrowed from the caller, or built
+/// from a scenario outcome the first time a stage executes or a report is
+/// assembled (the APG lands in the caller's `apg` cell), so a run that replays
+/// every stage never builds the APG.
+pub(crate) enum ContextSource<'a, 'c> {
+    Borrowed(&'a DiagnosisContext<'c>),
+    Outcome { outcome: &'a ScenarioOutcome, events: &'a EventStore, apg: &'a OnceCell<Apg> },
+}
+
+impl ContextSource<'_, '_> {
+    pub(crate) fn get(&self) -> DiagnosisContext<'_> {
+        match self {
+            ContextSource::Borrowed(ctx) => **ctx,
+            ContextSource::Outcome { outcome, events, apg } => {
+                outcome.context(apg.get_or_init(|| outcome.apg()), events)
+            }
         }
     }
 }
@@ -637,21 +644,12 @@ impl<'a> Emitter<'a> {
 ///
 /// [`DiagnosisPipeline::standard`] is the paper's Figure-2 sequence and is
 /// bit-identical to the pre-pipeline monolithic workflow (all golden pins
-/// unchanged). Builder methods recompose it; run methods execute it with a private
-/// cache or through a fleet-level [`DiagnosisEngine`].
+/// unchanged). Builder methods recompose it; run methods execute it.
 pub struct DiagnosisPipeline {
     workflow: DiagnosisWorkflow,
     stages: Vec<Box<dyn DiagnosisStage>>,
     sinks: Vec<Box<dyn EventSink>>,
     cancel: Option<CancelToken>,
-    /// Whether the *stage list* is still the unmodified standard Figure-2
-    /// sequence. Any recomposition (skip/insert/push) clears it; the engine's
-    /// evidence-recording fast path requires it, because that path runs
-    /// [`Stage::ALL`] directly and would bypass custom stages. Sinks and cancel
-    /// tokens do **not** clear it: the fast paths thread the emitter through, so
-    /// an observed standard pipeline still records evidence (and the event
-    /// sequence is identical either way).
-    standard: bool,
 }
 
 impl Default for DiagnosisPipeline {
@@ -670,39 +668,20 @@ impl DiagnosisPipeline {
     /// The standard stage sequence over a custom workflow (tuned thresholds or a
     /// custom symptoms database).
     pub fn with_workflow(workflow: DiagnosisWorkflow) -> Self {
-        let stages: Vec<Box<dyn DiagnosisStage>> =
-            Stage::ALL.iter().map(|s| Box::new(*s) as Box<dyn DiagnosisStage>).collect();
-        DiagnosisPipeline { workflow, stages, sinks: Vec::new(), cancel: None, standard: true }
+        let stages = Stage::ALL.iter().map(|s| Box::new(*s) as Box<dyn DiagnosisStage>).collect();
+        DiagnosisPipeline { stages, ..Self::empty(workflow) }
     }
 
     /// An empty pipeline over a workflow — the starting point for fully custom
     /// stage lists (`empty().push(..)`).
     pub fn empty(workflow: DiagnosisWorkflow) -> Self {
-        DiagnosisPipeline { workflow, stages: Vec::new(), sinks: Vec::new(), cancel: None, standard: false }
-    }
-
-    /// Whether this pipeline's stage list is the unmodified standard sequence —
-    /// the precondition for the engine's evidence-recording and
-    /// incremental-replay paths (which still honour any registered sinks and
-    /// cancel token).
-    pub(crate) fn is_standard(&self) -> bool {
-        self.standard
+        DiagnosisPipeline { workflow, stages: Vec::new(), sinks: Vec::new(), cancel: None }
     }
 
     /// The emission context for a run of this pipeline: its registered sinks plus
     /// its cancel token.
     pub(crate) fn emitter(&self) -> Emitter<'_> {
         Emitter::new(&self.sinks, None, self.cancel.as_ref())
-    }
-
-    /// Like [`DiagnosisPipeline::emitter`], with an extra per-run sink and an
-    /// overriding cancel token — the engine's `*_streamed` entry points.
-    pub(crate) fn emitter_with<'a>(
-        &'a self,
-        extra: Option<&'a dyn EventSink>,
-        cancel: Option<&'a CancelToken>,
-    ) -> Emitter<'a> {
-        Emitter::new(&self.sinks, extra, cancel.or(self.cancel.as_ref()))
     }
 
     /// The workflow the stages consult.
@@ -749,7 +728,6 @@ impl DiagnosisPipeline {
     /// Removes the stage named `name` (standard or custom); a no-op when absent.
     pub fn skip_named(mut self, name: &str) -> Self {
         self.stages.retain(|s| s.name() != name);
-        self.standard = false;
         self
     }
 
@@ -766,34 +744,18 @@ impl DiagnosisPipeline {
             Some(i) => self.stages.insert(i + 1, stage),
             None => self.stages.push(stage),
         }
-        self.standard = false;
         self
     }
 
     /// Appends a stage at the end of the pipeline.
     pub fn push(mut self, stage: Box<dyn DiagnosisStage>) -> Self {
         self.stages.push(stage);
-        self.standard = false;
         self
-    }
-
-    /// Registers an observer called after every stage completes, with the stage's
-    /// provenance (name, elapsed time, cache hit/miss delta) and the ledger as it
-    /// stands — streaming progress for long diagnoses.
-    ///
-    /// This is the PR 4 closure hook, kept as a thin adapter over the typed event
-    /// bus: the closure is wrapped in an [`EventSink`] that fires on
-    /// [`PipelineEvent::StageCompleted`] and ignores the rest of the vocabulary.
-    /// New code that wants the full vocabulary registers a sink with
-    /// [`DiagnosisPipeline::with_sink`] instead.
-    pub fn on_stage_complete(self, observer: impl Fn(&StageProvenance, &DiagnosisState) + 'static) -> Self {
-        self.with_sink(ObserverSink { observer })
     }
 
     /// Registers an [`EventSink`] receiving every [`PipelineEvent`] of every run of
     /// this pipeline, on the diagnosing thread. Sinks do not change what a run
-    /// computes — an observed standard pipeline still takes the engine's
-    /// evidence-recording and incremental-replay fast paths.
+    /// computes.
     pub fn with_sink(mut self, sink: impl EventSink + 'static) -> Self {
         self.sinks.push(Box::new(sink));
         self
@@ -818,10 +780,10 @@ impl DiagnosisPipeline {
         self.run_with_cache(ctx, &mut DiagnosisCache::new())
     }
 
-    /// Runs the pipeline with a caller-supplied cache (kept warm across repeated
-    /// runs of the same context). The report's provenance carries the stage trail;
-    /// `engine` stays `None` — use [`DiagnosisPipeline::run_with_engine`] for
-    /// engine-backed runs.
+    /// Runs the pipeline with a caller-supplied cache, kept warm across repeated
+    /// runs of the **same** context (pass [`DiagnosisCache::disabled`] to measure
+    /// the per-call-refit baseline). The report's provenance carries the stage
+    /// trail; `engine` stays `None`.
     ///
     /// Cancellation (see [`DiagnosisPipeline::with_cancel_token`]) is checked
     /// before each stage: a cancelled run stops, emits
@@ -829,54 +791,13 @@ impl DiagnosisPipeline {
     /// partial ledger with `provenance.cancelled_at` naming the stage that never
     /// ran.
     pub fn run_with_cache(&self, ctx: &DiagnosisContext<'_>, cache: &mut DiagnosisCache) -> DiagnosisReport {
-        let emitter = self.emitter();
-        let mut state = DiagnosisState::default();
-        let mut stages = Vec::with_capacity(self.stages.len());
-        for index in 0..self.stages.len() {
-            if emitter.is_cancelled() {
-                let at_stage = self.stages[index].name().to_string();
-                emitter.cancelled(&at_stage, &state);
-                return self.assemble(
-                    ctx,
-                    &state,
-                    DiagnosisProvenance {
-                        stages,
-                        engine: None,
-                        epochs_applied: 0,
-                        cancelled_at: Some(at_stage),
-                    },
-                );
-            }
-            stages.push(self.run_stage_at(index, ctx, cache, &mut state));
-        }
-        let report = self.assemble(
-            ctx,
-            &state,
-            DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at: None },
-        );
-        emitter.run_completed(&report, &state);
-        report
-    }
-
-    /// Runs the pipeline through a fleet-level [`DiagnosisEngine`]: the KDE-fit slot
-    /// of `fingerprint` is checked out for the duration of the run, and the report's
-    /// provenance records whether the checkout was warm or cold.
-    pub fn run_with_engine(
-        &self,
-        ctx: &DiagnosisContext<'_>,
-        engine: &DiagnosisEngine,
-        fingerprint: u64,
-    ) -> DiagnosisReport {
-        engine.with_slot_tracked(fingerprint, |cache, warm| {
-            let mut report = self.run_with_cache(ctx, cache);
-            report.provenance.engine = Some(EngineProvenance { fingerprint, warm });
-            report
-        })
+        let source = ContextSource::Borrowed(ctx);
+        self.execute(&source, cache, &self.emitter(), None, None, DiagnosisProvenance::default()).0
     }
 
     /// Executes one stage (by pipeline index) against an external ledger and cache,
-    /// returning its provenance. This is the step primitive the interactive
-    /// [`crate::session::WorkflowSession`] drives; the batch runners loop over it.
+    /// returning its provenance — the executor's per-stage body, and the step
+    /// primitive the interactive [`crate::session::WorkflowSession`] drives.
     pub fn run_stage_at(
         &self,
         index: usize,
@@ -884,13 +805,7 @@ impl DiagnosisPipeline {
         cache: &mut DiagnosisCache,
         state: &mut DiagnosisState,
     ) -> StageProvenance {
-        let emitter = self.emitter();
-        let stage = self.stages[index].as_ref();
-        let had_remediation = state.remediation.is_some();
-        emitter.stage_started(stage.name(), state);
-        let provenance = execute_stage(&self.workflow, stage, ctx, cache, state);
-        emitter.stage_completed(&provenance, state, had_remediation);
-        provenance
+        self.step(index, &ContextSource::Borrowed(ctx), cache, state, &self.emitter(), None)
     }
 
     /// Assembles the v2 report from a ledger: ranked causes (with their evidence
@@ -903,130 +818,130 @@ impl DiagnosisPipeline {
         state: &DiagnosisState,
         provenance: DiagnosisProvenance,
     ) -> DiagnosisReport {
-        assemble_v2(&self.workflow, ctx, state, provenance)
+        let mut report = self.workflow.assemble_report(
+            ctx,
+            state.pd.as_ref().unwrap_or(&missing_pd()),
+            state.cos.as_ref().unwrap_or(&CorrelatedOperatorsResult::default()),
+            state.da.as_ref().unwrap_or(&DependencyAnalysisResult::default()),
+            state.cr.as_ref().unwrap_or(&RecordCountResult::default()),
+            state.sd.as_ref().unwrap_or(&SymptomsResult::default()),
+            state.ia.as_ref().unwrap_or(&ImpactResult::default()),
+        );
+        report.provenance = provenance;
+        report
     }
-}
 
-/// Executes one stage against a ledger, timing it and diffing the cache counters —
-/// the primitive both the pipeline driver and the borrowed-workflow fast path use.
-fn execute_stage(
-    workflow: &DiagnosisWorkflow,
-    stage: &dyn DiagnosisStage,
-    ctx: &DiagnosisContext<'_>,
-    cache: &mut DiagnosisCache,
-    state: &mut DiagnosisState,
-) -> StageProvenance {
-    let (hits_before, misses_before) = (cache.hits(), cache.misses());
-    let started = Instant::now();
-    stage.run(&mut StageCtx { workflow, ctx, cache, state });
-    StageProvenance {
-        stage: stage.name().to_string(),
-        elapsed_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        cache_hits: cache.hits() - hits_before,
-        cache_misses: cache.misses() - misses_before,
-        reused: false,
-        redrilled: state.plan_changed() && stage_redrills(stage.name()),
-    }
-}
-
-/// Whether a standard stage runs in re-drill mode under a plan change (see
-/// [`DiagnosisState::plan_changed`]). PD derives the change itself and IA works
-/// off whatever causes SD produced, so neither re-drills.
-pub(crate) fn stage_redrills(name: &str) -> bool {
-    matches!(name, "CO" | "DA" | "CR" | "SD")
-}
-
-/// Assembles the v2 report from a ledger over a borrowed workflow (see
-/// [`DiagnosisPipeline::assemble`]).
-fn assemble_v2(
-    workflow: &DiagnosisWorkflow,
-    ctx: &DiagnosisContext<'_>,
-    state: &DiagnosisState,
-    provenance: DiagnosisProvenance,
-) -> DiagnosisReport {
-    let fallback_pd = missing_pd();
-    let fallback_cos = CorrelatedOperatorsResult::default();
-    let fallback_da = DependencyAnalysisResult::default();
-    let fallback_cr = RecordCountResult::default();
-    let fallback_sd = SymptomsResult::default();
-    let fallback_ia = ImpactResult::default();
-    let mut report = workflow.assemble_report(
-        ctx,
-        state.pd.as_ref().unwrap_or(&fallback_pd),
-        state.cos.as_ref().unwrap_or(&fallback_cos),
-        state.da.as_ref().unwrap_or(&fallback_da),
-        state.cr.as_ref().unwrap_or(&fallback_cr),
-        state.sd.as_ref().unwrap_or(&fallback_sd),
-        state.ia.as_ref().unwrap_or(&fallback_ia),
-    );
-    report.provenance = provenance;
-    report
-}
-
-/// Runs the standard stage sequence over a *borrowed* workflow — what
-/// [`DiagnosisWorkflow::run_with_cache`] delegates to. Identical to
-/// `DiagnosisPipeline::with_workflow(workflow.clone()).run_with_cache(..)` but with
-/// no workflow clone and no stage boxing, so hot warm-path loops pay nothing for
-/// the pipeline indirection.
-pub(crate) fn run_standard_with(
-    workflow: &DiagnosisWorkflow,
-    ctx: &DiagnosisContext<'_>,
-    cache: &mut DiagnosisCache,
-) -> DiagnosisReport {
-    let mut state = DiagnosisState::default();
-    let mut stages = Vec::with_capacity(Stage::ALL.len());
-    for stage in &Stage::ALL {
-        stages.push(execute_stage(workflow, stage, ctx, cache, &mut state));
-    }
-    assemble_v2(
-        workflow,
-        ctx,
-        &state,
-        DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at: None },
-    )
-}
-
-/// Like [`run_standard_with`], but stamps the ledger with the given input
-/// fingerprints and hands it back next to the report — the evidence-recording path
-/// engine-backed diagnoses use so a later `diagnose_incremental` can replay it.
-/// Emits the per-stage event sequence through `emitter` and honours its cancel
-/// token between stages; the caller emits the terminal `RunCompleted` (after
-/// patching engine provenance into the report). A cancelled run's ledger is left
-/// **unstamped** (no [`LedgerInputs`]) — a partial ledger must never seed
-/// incremental replay.
-pub(crate) fn run_standard_recorded(
-    workflow: &DiagnosisWorkflow,
-    ctx: &DiagnosisContext<'_>,
-    cache: &mut DiagnosisCache,
-    inputs: LedgerInputs,
-    emitter: &Emitter<'_>,
-) -> (DiagnosisReport, DiagnosisState) {
-    let mut state = DiagnosisState::default();
-    let mut stages = Vec::with_capacity(Stage::ALL.len());
-    let mut cancelled_at = None;
-    for stage in &Stage::ALL {
-        if emitter.is_cancelled() {
-            let name = stage.name().to_string();
-            emitter.cancelled(&name, &state);
-            cancelled_at = Some(name);
-            break;
+    /// The stage executor: walks the stage list once and, for each stage, either
+    /// executes it or replays its slot out of `prior`. A standard stage replays
+    /// only when `prior` holds its slot, no input it reads changed between
+    /// `prior`'s stamped [`LedgerInputs`] and `inputs`, and no stage it depends on
+    /// ([`Stage::staleness_deps`]) produced a result different from `prior`'s.
+    /// The caller's `cache` must already reflect `inputs`, which is what makes a
+    /// mixed run bit-identical to one that executes everything.
+    ///
+    /// `provenance` arrives with the caller's engine fields set; the executor adds
+    /// the stage trail and any cancellation point, then emits `RunCompleted`
+    /// unless cancelled. A completed run's ledger is stamped with `inputs`; a
+    /// cancelled one stays unstamped, so a partial ledger never seeds a replay.
+    /// When no stage executed, `prior`'s findings come back with the new
+    /// provenance instead of being re-assembled.
+    pub(crate) fn execute(
+        &self,
+        ctx: &ContextSource<'_, '_>,
+        cache: &mut DiagnosisCache,
+        emitter: &Emitter<'_>,
+        mut prior: Option<Evidence>,
+        inputs: Option<LedgerInputs>,
+        mut provenance: DiagnosisProvenance,
+    ) -> (DiagnosisReport, DiagnosisState) {
+        let replayable = inputs.zip(prior.as_ref().and_then(|p| p.state.inputs));
+        let mut state = DiagnosisState::default();
+        let mut changed = [false; Stage::ALL.len()];
+        let mut executed = false;
+        provenance.stages.reserve(self.stages.len());
+        for (index, stage) in self.stages.iter().enumerate() {
+            if emitter.is_cancelled() {
+                let at_stage = stage.name().to_string();
+                emitter.cancelled(&at_stage, &state);
+                provenance.cancelled_at = Some(at_stage);
+                break;
+            }
+            let standard = Stage::from_name(stage.name());
+            let replay = match (standard, prior.as_mut(), replayable) {
+                (Some(s), Some(prior), Some((now, then)))
+                    if prior.state.is_complete(s)
+                        && !now.stage_stale(&then, s)
+                        && !s.staleness_deps().iter().any(|d| changed[d.index()]) =>
+                {
+                    Some((s, &mut prior.state))
+                }
+                _ => None,
+            };
+            executed |= replay.is_none();
+            let step = self.step(index, ctx, cache, &mut state, emitter, replay);
+            if let (Some(s), Some(prior), false) = (standard, prior.as_ref(), step.reused) {
+                changed[s.index()] = result_changed(s, &state, &prior.state);
+            }
+            provenance.stages.push(step);
         }
+        let completed = provenance.cancelled_at.is_none();
+        if completed {
+            state.inputs = inputs;
+        }
+        let report = match prior {
+            Some(prior) if completed && !executed => DiagnosisReport { provenance, ..prior.report },
+            _ => self.assemble(&ctx.get(), &state, provenance),
+        };
+        if completed {
+            emitter.run_completed(&report, &state);
+        }
+        (report, state)
+    }
+
+    /// Runs the stage at `index` into `state` between its `StageStarted` and
+    /// `StageCompleted` events: executed, or — given `replay` — its slot moved
+    /// over from the prior ledger. Either way the provenance carries the measured
+    /// time.
+    fn step(
+        &self,
+        index: usize,
+        ctx: &ContextSource<'_, '_>,
+        cache: &mut DiagnosisCache,
+        state: &mut DiagnosisState,
+        emitter: &Emitter<'_>,
+        replay: Option<(Stage, &mut DiagnosisState)>,
+    ) -> StageProvenance {
+        let stage = self.stages[index].as_ref();
         let had_remediation = state.remediation.is_some();
-        emitter.stage_started(stage.name(), &state);
-        let provenance = execute_stage(workflow, stage, ctx, cache, &mut state);
-        emitter.stage_completed(&provenance, &state, had_remediation);
-        stages.push(provenance);
+        emitter.stage_started(stage.name(), state);
+        let (hits_before, misses_before) = (cache.hits(), cache.misses());
+        let reused = replay.is_some();
+        let elapsed = match replay {
+            Some((standard, prior)) => {
+                let started = Instant::now();
+                take_slot(standard, prior, state);
+                started.elapsed()
+            }
+            None => {
+                let ctx = ctx.get();
+                let started = Instant::now();
+                stage.run(&mut StageCtx { workflow: &self.workflow, ctx: &ctx, cache, state });
+                started.elapsed()
+            }
+        };
+        let provenance = StageProvenance {
+            stage: stage.name().to_string(),
+            elapsed_nanos: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+            cache_hits: cache.hits() - hits_before,
+            cache_misses: cache.misses() - misses_before,
+            reused,
+            // PD derives the plan change itself and IA works off whatever causes SD
+            // produced, so neither runs in re-drill mode.
+            redrilled: state.plan_changed() && matches!(stage.name(), "CO" | "DA" | "CR" | "SD"),
+        };
+        emitter.stage_completed(&provenance, state, had_remediation);
+        provenance
     }
-    if cancelled_at.is_none() {
-        state.inputs = Some(inputs);
-    }
-    let report = assemble_v2(
-        workflow,
-        ctx,
-        &state,
-        DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at },
-    );
-    (report, state)
 }
 
 /// Whether `stage`'s result in `state` differs from the prior ledger's — the
@@ -1042,85 +957,17 @@ fn result_changed(stage: Stage, state: &DiagnosisState, prior: &DiagnosisState) 
     }
 }
 
-/// Copies `stage`'s prior result into `state` — the replay edge of incremental
-/// re-diagnosis. Callers have already verified the slot is filled.
-fn replay_slot(stage: Stage, state: &mut DiagnosisState, prior: &DiagnosisState) {
+/// Moves `stage`'s slot out of the prior ledger into `state` — the replay edge of
+/// the executor.
+fn take_slot(stage: Stage, prior: &mut DiagnosisState, state: &mut DiagnosisState) {
     match stage {
-        Stage::PlanDiffing => state.pd = prior.pd.clone(),
-        Stage::CorrelatedOperators => state.cos = prior.cos.clone(),
-        Stage::DependencyAnalysis => state.da = prior.da.clone(),
-        Stage::RecordCounts => state.cr = prior.cr.clone(),
-        Stage::Symptoms => state.sd = prior.sd.clone(),
-        Stage::ImpactAnalysis => state.ia = prior.ia.clone(),
+        Stage::PlanDiffing => state.pd = prior.pd.take(),
+        Stage::CorrelatedOperators => state.cos = prior.cos.take(),
+        Stage::DependencyAnalysis => state.da = prior.da.take(),
+        Stage::RecordCounts => state.cr = prior.cr.take(),
+        Stage::Symptoms => state.sd = prior.sd.take(),
+        Stage::ImpactAnalysis => state.ia = prior.ia.take(),
     }
-}
-
-/// Runs the standard sequence *incrementally* against a prior evidence ledger: a
-/// stage re-executes only when an input component it reads changed (per
-/// [`LedgerInputs`]) or a dependency's result actually changed; otherwise its prior
-/// result is replayed and its provenance marked `reused`.
-///
-/// Returns `None` when the prior ledger cannot seed a replay (a standard slot or
-/// the input fingerprints are missing) — the caller falls back to a cold batch run.
-/// The caches handed in must already reflect `inputs` (the engine's extension
-/// pre-pass guarantees this), which is what makes replayed-or-not results
-/// bit-identical to a cold batch diagnosis.
-pub(crate) fn run_incremental_standard(
-    workflow: &DiagnosisWorkflow,
-    ctx: &DiagnosisContext<'_>,
-    cache: &mut DiagnosisCache,
-    prior: &DiagnosisState,
-    inputs: LedgerInputs,
-    emitter: &Emitter<'_>,
-) -> Option<(DiagnosisReport, DiagnosisState)> {
-    let prior_inputs = prior.inputs?;
-    if !Stage::ALL.iter().all(|s| prior.is_complete(*s)) {
-        return None;
-    }
-    let mut state = DiagnosisState::default();
-    let mut changed = [false; Stage::ALL.len()];
-    let mut stages = Vec::with_capacity(Stage::ALL.len());
-    let mut cancelled_at = None;
-    for stage in Stage::ALL {
-        if emitter.is_cancelled() {
-            let name = stage.name().to_string();
-            emitter.cancelled(&name, &state);
-            cancelled_at = Some(name);
-            break;
-        }
-        let had_remediation = state.remediation.is_some();
-        emitter.stage_started(stage.name(), &state);
-        let stale = inputs.stage_stale(&prior_inputs, stage)
-            || stage.staleness_deps().iter().any(|d| changed[d.index()]);
-        let provenance = if stale {
-            let provenance = execute_stage(workflow, &stage, ctx, cache, &mut state);
-            changed[stage.index()] = result_changed(stage, &state, prior);
-            provenance
-        } else {
-            let started = Instant::now();
-            replay_slot(stage, &mut state, prior);
-            StageProvenance {
-                stage: stage.name().to_string(),
-                elapsed_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                cache_hits: 0,
-                cache_misses: 0,
-                reused: true,
-                redrilled: state.plan_changed() && stage_redrills(stage.name()),
-            }
-        };
-        emitter.stage_completed(&provenance, &state, had_remediation);
-        stages.push(provenance);
-    }
-    if cancelled_at.is_none() {
-        state.inputs = Some(inputs);
-    }
-    let report = assemble_v2(
-        workflow,
-        ctx,
-        &state,
-        DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at },
-    );
-    Some((report, state))
 }
 
 #[cfg(test)]

@@ -29,6 +29,11 @@ use crate::workflow::{DiagnosisCache, ScoreKey};
 /// Format version stamped into every snapshot; restore rejects anything else.
 const VERSION: f64 = 1.0;
 
+/// Deepest array/object nesting [`Json::parse`] accepts — far above anything the
+/// writer emits, and low enough that the recursive descent cannot exhaust the
+/// stack on hostile input.
+const MAX_DEPTH: usize = 128;
+
 /// One cache entry as it travels through a snapshot: the score key plus its fit —
 /// `Some((samples, bandwidth))` for fitted entries, `None` for negative entries.
 pub(crate) type FitEntry = (ScoreKey, Option<(Vec<f64>, f64)>);
@@ -190,7 +195,7 @@ pub enum Json {
 impl Json {
     /// Parses one JSON document (trailing content is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         let value = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -244,6 +249,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -278,8 +285,15 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -437,6 +451,17 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1e999").map(|v| v.as_f64().unwrap().is_infinite()).unwrap_or(false));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(Json::parse(&deep).is_err());
+        let snapshot = format!("{{\"version\":1,\"slots\":{deep}");
+        assert!(crate::engine::DiagnosisEngine::restore(&snapshot, Interner::global()).is_err());
+        // Nesting up to the cap still parses.
+        let nested = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&nested).is_ok());
     }
 
     #[test]

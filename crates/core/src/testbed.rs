@@ -31,6 +31,7 @@ use crate::apg::Apg;
 use crate::diagnosis::DiagnosisReport;
 use crate::engine::{DiagnosisEngine, DiagnosisWatermark};
 use crate::runs::RunHistory;
+use crate::workflow::DiagnosisContext;
 
 /// Name of the simulated database instance.
 pub const DB_INSTANCE: &str = "reports-db";
@@ -469,6 +470,22 @@ impl ScenarioOutcome {
     /// Builds the APG for the diagnosed plan over the final testbed state.
     pub fn apg(&self) -> Apg {
         self.testbed.build_apg(&self.diagnosed_plan())
+    }
+
+    /// The [`DiagnosisContext`] of this outcome over a caller-owned APG (usually
+    /// [`ScenarioOutcome::apg`]) and event timeline (usually
+    /// [`Testbed::all_events`]).
+    pub fn context<'a>(&'a self, apg: &'a Apg, events: &'a EventStore) -> DiagnosisContext<'a> {
+        DiagnosisContext {
+            apg,
+            history: &self.history,
+            store: &self.testbed.store,
+            events,
+            catalog: &self.testbed.catalog,
+            config: &self.testbed.config,
+            topology: self.testbed.san.topology(),
+            workloads: self.testbed.san.workloads(),
+        }
     }
 
     /// The outcome's [`DiagnosisEngine`] slot key: the labelled history's

@@ -20,14 +20,11 @@
 //!
 //! This module owns the *computation* of each drill-down step: [`DiagnosisWorkflow`]
 //! exposes exactly one method per module, every scoring method threading one
-//! [`DiagnosisCache`] (no cached/uncached duplicates). *Sequencing* lives elsewhere:
-//! the composable [`crate::pipeline::DiagnosisPipeline`] is the single execution
-//! path — batch diagnosis ([`DiagnosisWorkflow::run`] is a thin wrapper over
-//! [`crate::pipeline::DiagnosisPipeline::standard`]), the fleet-level
-//! [`crate::engine::DiagnosisEngine`] (which checks a KDE-fit slot out of the
-//! engine per diagnosis and reports warm/cold provenance), and the interactive
-//! [`crate::session::WorkflowSession`] all drive the same stage list over the same
-//! typed evidence ledger ([`crate::pipeline::DiagnosisState`]).
+//! [`DiagnosisCache`] (no cached/uncached duplicates). *Sequencing* lives in
+//! [`crate::pipeline`]: batch diagnosis ([`crate::pipeline::DiagnosisPipeline::run`]),
+//! the fleet-level [`crate::engine::DiagnosisEngine`] and the interactive
+//! [`crate::session::WorkflowSession`] all drive the pipeline's one stage executor
+//! over the same typed evidence ledger ([`crate::pipeline::DiagnosisState`]).
 
 use std::collections::BTreeMap;
 
@@ -1135,27 +1132,6 @@ impl DiagnosisWorkflow {
             });
         }
         ImpactResult { impacts }
-    }
-
-    // ----- Batch mode -----
-
-    /// Runs the whole workflow in batch mode (Figure 2) and assembles the report.
-    ///
-    /// A convenience for [`crate::pipeline::DiagnosisPipeline::standard`] with this
-    /// workflow: one [`DiagnosisCache`] is shared across all stages, so every
-    /// variable's satisfactory history is fitted at most once per diagnosis.
-    pub fn run(&self, ctx: &DiagnosisContext<'_>) -> DiagnosisReport {
-        self.run_with_cache(ctx, &mut DiagnosisCache::new())
-    }
-
-    /// Runs the whole workflow with a caller-supplied cache, through the standard
-    /// [`crate::pipeline::DiagnosisPipeline`] — there is no second batch execution
-    /// path. Callers that diagnose the **same context** repeatedly (interactive
-    /// sessions, benchmarks) keep the fits warm across runs; pass
-    /// [`DiagnosisCache::disabled`] to measure the per-call-refit baseline. The cache
-    /// must not be reused across different contexts — see [`DiagnosisCache`].
-    pub fn run_with_cache(&self, ctx: &DiagnosisContext<'_>, cache: &mut DiagnosisCache) -> DiagnosisReport {
-        crate::pipeline::run_standard_with(self, ctx, cache)
     }
 
     /// Builds the final report from the module results.

@@ -7,8 +7,7 @@
 //! Run with `cargo run --release --example concurrent_db_san_problems`.
 
 use diads::core::{
-    ConfidenceLevel, DiagnosisContext, DiagnosisPipeline, Planner, PlannerStage, Stage, Testbed,
-    WorkflowSession,
+    ConfidenceLevel, DiagnosisPipeline, Planner, PlannerStage, Stage, Testbed, WorkflowSession,
 };
 use diads::inject::scenarios::{
     compound_lock_and_interloper_scenario, scenario_4, scenario_5, ScenarioTimeline,
@@ -44,16 +43,7 @@ fn main() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = DiagnosisContext {
-        apg: &apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events: &events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    };
+    let ctx = outcome.context(&apg, &events);
     // The planner rides the pipeline as a custom stage appended after IA; the
     // session exposes its ledger slot.
     let stage = PlannerStage::new(Planner::for_outcome(&outcome), &outcome.testbed);

@@ -8,7 +8,7 @@
 //! Run with `cargo run --release --example interactive_workflow`.
 
 use diads::core::screens::{apg_visualization_screen, query_selection_screen, workflow_screen};
-use diads::core::{DiagnosisContext, DiagnosisPipeline, DiagnosisWorkflow, Testbed, WorkflowSession};
+use diads::core::{DiagnosisPipeline, DiagnosisWorkflow, Testbed, WorkflowSession};
 use diads::db::OperatorId;
 use diads::inject::scenarios::{scenario_1, ScenarioTimeline};
 use diads::monitor::ComponentId;
@@ -18,16 +18,7 @@ fn main() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = DiagnosisContext {
-        apg: &apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events: &events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    };
+    let ctx = outcome.context(&apg, &events);
 
     // Figure 3: the administrator looks at the executions and their labels.
     println!("{}", query_selection_screen("TPC-H Q2", &outcome.history));

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example san_misconfiguration`.
 
-use diads::core::{DiagnosisCache, DiagnosisContext, DiagnosisWorkflow, Testbed};
+use diads::core::{DiagnosisCache, DiagnosisWorkflow, Testbed};
 use diads::inject::scenarios::{scenario_1, ScenarioTimeline};
 use diads::monitor::{ComponentId, MetricName};
 
@@ -13,16 +13,7 @@ fn main() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = DiagnosisContext {
-        apg: &apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events: &events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    };
+    let ctx = outcome.context(&apg, &events);
     let workflow = DiagnosisWorkflow::new();
     // One scoring cache threads through every module: each variable's satisfactory
     // history is fitted once across the whole drill-down.

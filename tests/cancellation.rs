@@ -3,7 +3,7 @@
 //!
 //! For every `all_scenarios()` scenario and every one of the six stage
 //! boundaries, a [`diads::core::CancelToken`] is tripped after exactly `k`
-//! completed stages (via the `on_stage_complete` adapter, i.e. from inside the
+//! completed stages (via a sink matching `StageCompleted`, i.e. from inside the
 //! event stream itself). The assertions pin:
 //!
 //! * provenance `cancelled_at` names the first stage that never ran;
@@ -23,8 +23,8 @@ use std::rc::Rc;
 
 use diads::core::workflow::DiagnosisWorkflow;
 use diads::core::{
-    CancelToken, DiagnosisContext, DiagnosisPipeline, DiagnosisState, ScenarioOutcome, Testbed,
-    WorkflowSession,
+    CancelToken, DiagnosisContext, DiagnosisPipeline, DiagnosisState, EventSink, PipelineEvent,
+    ScenarioOutcome, StageProvenance, Testbed, WorkflowSession,
 };
 use diads::inject::scenarios::all_scenarios;
 use diads::monitor::{ComponentId, Duration, EventStore, MetricName};
@@ -45,6 +45,17 @@ fn context<'a>(
         config: &outcome.testbed.config,
         topology: outcome.testbed.san.topology(),
         workloads: outcome.testbed.san.workloads(),
+    }
+}
+
+/// Calls the closure on every `StageCompleted` event.
+struct OnStageCompleted<F>(F);
+
+impl<F: Fn(&StageProvenance, &DiagnosisState)> EventSink for OnStageCompleted<F> {
+    fn on_event(&self, event: &PipelineEvent, state: &DiagnosisState) {
+        if let PipelineEvent::StageCompleted { provenance } = event {
+            (self.0)(provenance, state);
+        }
     }
 }
 
@@ -75,14 +86,14 @@ fn session_cancel_at_every_stage_boundary_of_every_scenario() {
             let pipeline = {
                 let token = token.clone();
                 let completed = Rc::clone(&completed);
-                DiagnosisPipeline::standard().with_cancel_token(token.clone()).on_stage_complete(
-                    move |_, _| {
+                DiagnosisPipeline::standard().with_cancel_token(token.clone()).with_sink(OnStageCompleted(
+                    move |_: &StageProvenance, _: &DiagnosisState| {
                         completed.set(completed.get() + 1);
                         if completed.get() == k {
                             token.cancel();
                         }
                     },
-                )
+                ))
             };
             let ctx = context(&outcome, &apg, &events);
             let mut session = WorkflowSession::with_pipeline(pipeline, ctx);

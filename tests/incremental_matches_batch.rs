@@ -20,6 +20,10 @@
 //! 3. **Watermark invalidation** — tamper with a run label after sealing. The
 //!    watermark's history fingerprint no longer matches, so the incremental path
 //!    must silently fall back to a full cold diagnosis and agree with it.
+//! 4. **Event append (mixed replay)** — record one database event after the last
+//!    run and re-diagnose. Only PD and SD read the event timeline, so exactly
+//!    those two execute while CO, DA, CR and IA replay, and the findings must
+//!    still match a cold batch.
 //!
 //! The suite is feature-agnostic; CI runs it under the default build and under
 //! `--features parallel` (the engine's slot map and the scenario recorder are the
@@ -28,7 +32,7 @@
 use diads::core::{DiagnosisEngine, ScenarioOutcome, Testbed};
 use diads::inject::scenarios::{all_scenarios, Scenario};
 use diads::monitor::rng::SplitMix64;
-use diads::monitor::{ComponentId, Duration, MetricName};
+use diads::monitor::{ComponentId, ComponentKind, Duration, Event, EventKind, MetricName};
 
 /// FNV-1a over the scenario id: a stable per-scenario seed so "random" truncation
 /// points and append schedules are reproducible run to run.
@@ -125,6 +129,26 @@ fn check_scenario(scenario: &Scenario) {
     assert!(
         inc3.provenance.stages.iter().all(|s| !s.reused),
         "{id}: the cold fallback must not claim stage reuse"
+    );
+
+    // --- Regime 4: an event after the last run re-executes only PD and SD. ---
+    let last_end = outcome.history.runs.iter().map(|r| r.record.end).max().expect("non-empty history");
+    outcome.testbed.db_events.record(Event::new(
+        last_end.plus(Duration::from_mins(10)),
+        ComponentId::new(ComponentKind::DatabaseInstance, "reports-db"),
+        EventKind::Custom("incremental-probe".into()),
+        "an event after every run",
+    ));
+    let wm4 = outcome.seal_watermark();
+    let inc4 = outcome.diagnose_incremental(&wm4);
+    let cold4 = cold(&outcome);
+    assert_eq!(inc4, cold4, "{id}: incremental diverged from cold batch after an event append");
+    let modes: Vec<(&str, bool)> =
+        inc4.provenance.stages.iter().map(|s| (s.stage.as_str(), s.reused)).collect();
+    assert_eq!(
+        modes,
+        [("PD", false), ("CO", true), ("DA", true), ("CR", true), ("SD", false), ("IA", true)],
+        "{id}: only the stages that read the event timeline may re-execute"
     );
 }
 

@@ -6,15 +6,16 @@
 //! change) → CR → SD → IA — rather than against a retired twin implementation.
 //! The composability half exercises the builder: skipped stages fall back to
 //! well-formed empty inputs, custom stages rewrite the evidence ledger, and
-//! observers stream per-stage progress.
+//! sinks stream per-stage progress.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use diads::core::workflow::CorrelatedOperatorsResult;
 use diads::core::{
-    DiagnosisCache, DiagnosisContext, DiagnosisPipeline, DiagnosisReport, DiagnosisStage, DiagnosisWorkflow,
-    ScenarioOutcome, Stage, StageCtx, Testbed, WorkflowSession,
+    DiagnosisCache, DiagnosisContext, DiagnosisPipeline, DiagnosisReport, DiagnosisStage, DiagnosisState,
+    DiagnosisWorkflow, EventSink, PipelineEvent, ScenarioOutcome, Stage, StageCtx, StageProvenance, Testbed,
+    WorkflowSession,
 };
 use diads::inject::scenarios::{all_scenarios, scenario_1, ScenarioTimeline};
 use diads::monitor::EventStore;
@@ -33,6 +34,17 @@ fn context<'a>(
         config: &outcome.testbed.config,
         topology: outcome.testbed.san.topology(),
         workloads: outcome.testbed.san.workloads(),
+    }
+}
+
+/// Calls the closure on every `StageCompleted` event.
+struct OnStageCompleted<F>(F);
+
+impl<F: Fn(&StageProvenance, &DiagnosisState)> EventSink for OnStageCompleted<F> {
+    fn on_event(&self, event: &PipelineEvent, state: &DiagnosisState) {
+        if let PipelineEvent::StageCompleted { provenance } = event {
+            (self.0)(provenance, state);
+        }
     }
 }
 
@@ -175,9 +187,9 @@ fn on_stage_complete_observers_stream_progress() {
     let seen: Arc<Mutex<Progress>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
     let report = DiagnosisPipeline::standard()
-        .on_stage_complete(move |provenance, state| {
+        .with_sink(OnStageCompleted(move |provenance: &StageProvenance, state: &DiagnosisState| {
             sink.lock().unwrap().push((provenance.stage.clone(), state.completed()));
-        })
+        }))
         .run(&ctx);
     let seen = seen.lock().unwrap();
     let order: Vec<&str> = seen.iter().map(|(name, _)| name.as_str()).collect();
@@ -235,11 +247,11 @@ fn planner_stage_appends_to_the_standard_pipeline_and_fills_the_ledger() {
     let sink = Arc::clone(&observed);
     let pipeline = DiagnosisPipeline::standard()
         .insert_after(Stage::ImpactAnalysis, Box::new(stage))
-        .on_stage_complete(move |provenance, state| {
+        .with_sink(OnStageCompleted(move |provenance: &StageProvenance, state: &DiagnosisState| {
             if provenance.stage == PlannerStage::NAME {
                 *sink.lock().unwrap() = state.remediation.clone();
             }
-        });
+        }));
     assert_eq!(pipeline.stage_names(), vec!["PD", "CO", "DA", "CR", "SD", "IA", "PLAN"]);
 
     let report = pipeline.run(&ctx);
@@ -298,15 +310,15 @@ fn plan_change_redrills_with_pruning_disabled() {
     assert!(co.redrilled, "CO is marked re-drilled on a plan change");
 }
 
-/// `DiagnosisWorkflow::run` is a thin wrapper over the standard pipeline — same
-/// report, so older call sites keep working unchanged.
+/// A pipeline over an explicit default workflow is the standard pipeline — same
+/// report.
 #[test]
 fn workflow_run_is_the_standard_pipeline() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
     let ctx = context(&outcome, &apg, &events);
-    let via_workflow = DiagnosisWorkflow::new().run(&ctx);
+    let via_workflow = DiagnosisPipeline::with_workflow(DiagnosisWorkflow::new()).run(&ctx);
     let via_pipeline = DiagnosisPipeline::standard().run(&ctx);
     assert_eq!(via_workflow, via_pipeline);
     assert_eq!(via_workflow.provenance.stages.len(), 6, "the wrapper carries the stage trail too");
