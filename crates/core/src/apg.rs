@@ -9,9 +9,11 @@
 //! monitoring data of every dependency component sliced to the operator's `[tb, te]`
 //! execution window.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
+use std::sync::Arc;
 
-use diads_db::{Catalog, OperatorId, Plan, QueryRunRecord};
+use diads_db::{Catalog, OperatorId, Plan, PlanNode, QueryRunRecord};
 use diads_monitor::{ComponentId, ComponentKind, MetricName, MetricStore, TimeRange};
 use diads_san::workload::ExternalWorkload;
 use diads_san::{path as san_path, SanTopology};
@@ -25,10 +27,10 @@ pub struct Apg {
     pub plan: Plan,
     /// The database server the plan runs on.
     pub db_server: String,
-    /// Inner dependency path of each operator.
-    inner: BTreeMap<OperatorId, Vec<ComponentId>>,
-    /// Outer dependency path of each operator.
-    outer: BTreeMap<OperatorId, Vec<ComponentId>>,
+    /// Inner dependency path of each operator (equal paths share one allocation).
+    inner: BTreeMap<OperatorId, Arc<[ComponentId]>>,
+    /// Outer dependency path of each operator (equal paths share one allocation).
+    outer: BTreeMap<OperatorId, Arc<[ComponentId]>>,
     /// Volume each leaf operator reads (derived through the tablespace mapping).
     leaf_volumes: BTreeMap<OperatorId, String>,
 }
@@ -39,6 +41,14 @@ impl Apg {
     /// dependency path, shared-disk volumes and external workloads become its outer
     /// path, and non-leaf operators inherit the union of their descendants' paths (plus
     /// the database server and instance, which every operator depends on).
+    ///
+    /// Path order is first occurrence. A leaf's inner path is the database instance
+    /// and server, its table's tablespace, then its volume's SAN path; a non-leaf's is
+    /// the database components followed by its descendant leaves' inner paths in plan
+    /// pre-order (its outer path likewise, without the database components). Leaves
+    /// reading the same table share their paths, as do operators whose paths come out
+    /// equal (e.g. a unary chain), and every distinct path clones each of its entries
+    /// exactly once.
     pub fn build(
         query: impl Into<String>,
         plan: &Plan,
@@ -48,53 +58,86 @@ impl Apg {
         db_server: &str,
         db_instance: &str,
     ) -> Apg {
-        let mut inner: BTreeMap<OperatorId, Vec<ComponentId>> = BTreeMap::new();
-        let mut outer: BTreeMap<OperatorId, Vec<ComponentId>> = BTreeMap::new();
-        let mut leaf_volumes = BTreeMap::new();
-
-        let db_components = vec![
-            ComponentId::new(ComponentKind::DatabaseInstance, db_instance),
-            ComponentId::server(db_server),
+        // Unions run over dense local indices into `components`; identities are
+        // cloned only when the distinct paths are materialised at the end.
+        let mut index: BTreeMap<ComponentId, usize> = BTreeMap::new();
+        let mut local = |component: ComponentId| {
+            let next = index.len();
+            *index.entry(component).or_insert(next)
+        };
+        let db = [
+            local(ComponentId::new(ComponentKind::DatabaseInstance, db_instance)),
+            local(ComponentId::server(db_server)),
         ];
 
-        // Leaves first.
-        for leaf in plan.leaves() {
+        let mut leaves = Vec::new();
+        let mut spans = Vec::new();
+        leaf_spans(&plan.root, &mut leaves, &mut spans);
+
+        // The raw paths and the volume of every table a leaf reads.
+        let mut tables: BTreeMap<&str, LeafPaths> = BTreeMap::new();
+        for leaf in &leaves {
             let table = leaf.table.as_deref().unwrap_or_default();
-            let mut inner_path = db_components.clone();
-            if let Some(t) = catalog.table(table) {
-                inner_path.push(ComponentId::tablespace(t.tablespace.clone()));
-            }
-            let mut outer_path = Vec::new();
-            if let Some(volume) = catalog.volume_of_table(table) {
-                leaf_volumes.insert(leaf.id, volume.clone());
-                inner_path.extend(san_path::inner_path(topology, db_server, &volume));
-                outer_path = san_path::outer_path(topology, workloads, &volume);
-            }
-            dedup(&mut inner_path);
-            dedup(&mut outer_path);
-            inner.insert(leaf.id, inner_path);
-            outer.insert(leaf.id, outer_path);
+            tables.entry(table).or_insert_with(|| {
+                let mut inner = db.to_vec();
+                if let Some(t) = catalog.table(table) {
+                    inner.push(local(ComponentId::tablespace(t.tablespace.clone())));
+                }
+                let mut outer = Vec::new();
+                let volume = catalog.volume_of_table(table);
+                if let Some(volume) = &volume {
+                    inner.extend(
+                        san_path::inner_path(topology, db_server, volume).into_iter().map(&mut local),
+                    );
+                    outer.extend(
+                        san_path::outer_path(topology, workloads, volume).into_iter().map(&mut local),
+                    );
+                }
+                LeafPaths { inner, outer, volume }
+            });
         }
 
-        // Non-leaf operators: union of descendants, plus the database components.
-        for op in plan.operators() {
-            if op.kind.is_leaf() {
-                continue;
-            }
-            let mut inner_path = db_components.clone();
-            let mut outer_path = Vec::new();
-            for descendant in plan.subtree_of(op.id) {
-                if let Some(p) = inner.get(&descendant) {
-                    inner_path.extend(p.iter().cloned());
+        // `local` numbered components 0, 1, 2, … as they first appeared.
+        let mut components: Vec<(usize, ComponentId)> = index.into_iter().map(|(c, i)| (i, c)).collect();
+        components.sort_unstable_by_key(|&(i, _)| i);
+        let mut seen = vec![false; components.len()];
+        for paths in tables.values_mut() {
+            paths.inner = union(&mut seen, [paths.inner.as_slice()]);
+            paths.outer = union(&mut seen, [paths.outer.as_slice()]);
+        }
+        let leaf_paths: Vec<&LeafPaths> =
+            leaves.iter().map(|leaf| &tables[leaf.table.as_deref().unwrap_or_default()]).collect();
+
+        let mut distinct: HashMap<Vec<usize>, Arc<[ComponentId]>> = HashMap::new();
+        let mut materialise = |path: Vec<usize>| {
+            Arc::clone(
+                distinct
+                    .entry(path)
+                    .or_insert_with_key(|path| path.iter().map(|&i| components[i].1.clone()).collect()),
+            )
+        };
+        let mut inner = BTreeMap::new();
+        let mut outer = BTreeMap::new();
+        let mut leaf_volumes = BTreeMap::new();
+        for (op, under) in spans {
+            let (inner_path, outer_path) = if op.kind.is_leaf() {
+                let paths = &tables[op.table.as_deref().unwrap_or_default()];
+                if let Some(volume) = &paths.volume {
+                    leaf_volumes.insert(op.id, volume.clone());
                 }
-                if let Some(p) = outer.get(&descendant) {
-                    outer_path.extend(p.iter().cloned());
-                }
-            }
-            dedup(&mut inner_path);
-            dedup(&mut outer_path);
-            inner.insert(op.id, inner_path);
-            outer.insert(op.id, outer_path);
+                (paths.inner.clone(), paths.outer.clone())
+            } else {
+                let descendants = &leaf_paths[under];
+                (
+                    union(
+                        &mut seen,
+                        std::iter::once(&db[..]).chain(descendants.iter().map(|p| p.inner.as_slice())),
+                    ),
+                    union(&mut seen, descendants.iter().map(|p| p.outer.as_slice())),
+                )
+            };
+            inner.insert(op.id, materialise(inner_path));
+            outer.insert(op.id, materialise(outer_path));
         }
 
         Apg {
@@ -109,12 +152,12 @@ impl Apg {
 
     /// The inner dependency path of an operator (empty for unknown operators).
     pub fn inner_path(&self, op: OperatorId) -> &[ComponentId] {
-        self.inner.get(&op).map(|v| v.as_slice()).unwrap_or(&[])
+        self.inner.get(&op).map_or(&[], |path| path)
     }
 
     /// The outer dependency path of an operator (empty for unknown operators).
     pub fn outer_path(&self, op: OperatorId) -> &[ComponentId] {
-        self.outer.get(&op).map(|v| v.as_slice()).unwrap_or(&[])
+        self.outer.get(&op).map_or(&[], |path| path)
     }
 
     /// The volume a leaf operator reads, if it is a leaf with a mapped table.
@@ -237,9 +280,45 @@ impl Apg {
     }
 }
 
-fn dedup(v: &mut Vec<ComponentId>) {
-    let mut seen = BTreeSet::new();
-    v.retain(|c| seen.insert(c.clone()));
+/// A leaf's dependency paths over `Apg::build`'s local component indices, and the
+/// volume its table lives on.
+struct LeafPaths {
+    inner: Vec<usize>,
+    outer: Vec<usize>,
+    volume: Option<String>,
+}
+
+/// Visits `node`'s subtree in pre-order, appending its leaf operators to `leaves`
+/// and every operator, with the range of `leaves` its subtree covers, to `spans`.
+fn leaf_spans<'p>(
+    node: &'p PlanNode,
+    leaves: &mut Vec<&'p PlanNode>,
+    spans: &mut Vec<(&'p PlanNode, Range<usize>)>,
+) {
+    let at = spans.len();
+    spans.push((node, leaves.len()..leaves.len()));
+    if node.kind.is_leaf() {
+        leaves.push(node);
+    }
+    for child in &node.children {
+        leaf_spans(child, leaves, spans);
+    }
+    spans[at].1.end = leaves.len();
+}
+
+/// The first-occurrence union of `parts`' local component indices. `seen` must be
+/// all `false` on entry and is left that way.
+fn union<'a>(seen: &mut [bool], parts: impl IntoIterator<Item = &'a [usize]>) -> Vec<usize> {
+    let mut out = Vec::new();
+    for &i in parts.into_iter().flatten() {
+        if !std::mem::replace(&mut seen[i], true) {
+            out.push(i);
+        }
+    }
+    for &i in &out {
+        seen[i] = false;
+    }
+    out
 }
 
 #[cfg(test)]

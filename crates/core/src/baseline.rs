@@ -11,6 +11,7 @@
 use diads_monitor::{ComponentId, ComponentKind, MetricName};
 use diads_stats::Kde;
 
+use crate::runs::LabeledRun;
 use crate::workflow::DiagnosisContext;
 
 /// A finding produced by one of the silo tools.
@@ -51,14 +52,15 @@ impl SanOnlyTool {
                 MetricName::WriteIo,
                 MetricName::TotalIos,
             ] {
-                let sat: Vec<f64> = satisfactory
-                    .iter()
-                    .filter_map(|r| ctx.store.mean_in(&component, &metric, r.record.window()))
-                    .collect();
-                let unsat: Vec<f64> = unsatisfactory
-                    .iter()
-                    .filter_map(|r| ctx.store.mean_in(&component, &metric, r.record.window()))
-                    .collect();
+                // One series lookup and one forward walk per run set.
+                let series = ctx.store.series(&component, &metric);
+                let run_means = |runs: &[&LabeledRun]| -> Vec<f64> {
+                    series.map_or_else(Vec::new, |s| {
+                        s.means_in(runs.iter().map(|r| r.record.window())).flatten().collect()
+                    })
+                };
+                let sat = run_means(&satisfactory);
+                let unsat = run_means(&unsatisfactory);
                 if sat.len() >= 3 && !unsat.is_empty() {
                     if let Ok(kde) = Kde::fit(&sat) {
                         let score = kde.anomaly_score(unsat.iter().sum::<f64>() / unsat.len() as f64);

@@ -353,7 +353,8 @@ impl DiagnosisReport {
 
 /// A minimal JSON emitter: just enough structure (comma tracking, string escaping,
 /// finite-number policy) to serialize [`DiagnosisReport`] (and, in
-/// [`crate::snapshot`], engine snapshots) without a dependency.
+/// [`DiagnosisEngine::snapshot`](crate::engine::DiagnosisEngine::snapshot), engine
+/// snapshots) without a dependency.
 pub mod json {
     /// Streaming writer for one JSON document.
     pub struct Writer {

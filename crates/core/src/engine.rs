@@ -167,7 +167,7 @@ impl EngineStats {
 /// A fleet-level diagnosis cache: one [`DiagnosisCache`] slot per run-history
 /// fingerprint, shareable across testbeds and threads, LRU-bounded.
 ///
-/// The slot table is **lock-striped**: fingerprints map onto [`STRIPE_COUNT`]
+/// The slot table is **lock-striped**: fingerprints map onto `STRIPE_COUNT` (16)
 /// independent mutexes, so checkouts of different histories touch different locks
 /// and a tenant fleet never serializes on one engine-wide mutex (a slot is
 /// additionally checked *out* while a diagnosis runs, so even same-stripe
@@ -374,9 +374,10 @@ impl DiagnosisEngine {
         let events = outcome.testbed.all_events();
         let apg = OnceCell::new();
         let ctx = ContextSource::Outcome { outcome, events: &events, apg: &apg };
-        let fingerprint = outcome.engine_fingerprint();
+        let history = outcome.history.fingerprint();
+        let fingerprint = outcome.engine_fingerprint_with(history);
         let inputs = LedgerInputs {
-            history: outcome.history.fingerprint(),
+            history,
             events: events.fingerprint(),
             store: outcome.testbed.store.content_fingerprint(),
         };
@@ -422,8 +423,15 @@ impl DiagnosisEngine {
     ) -> Option<(Checkout, LedgerInputs, u64)> {
         let store = &outcome.testbed.store;
         let history = &outcome.history;
+        // With no run appended (the service replay case) the recorded prefix is the
+        // whole history, whose fingerprint `inputs` already carries.
+        let prefix_fingerprint = if since.runs == history.len() {
+            Some(inputs.history)
+        } else {
+            history.prefix_fingerprint(since.runs)
+        };
         let valid = store.epoch_cumulative_fingerprint(since.epoch) == Some(since.store_fingerprint)
-            && history.prefix_fingerprint(since.runs) == Some(since.history_fingerprint)
+            && prefix_fingerprint == Some(since.history_fingerprint)
             && outcome.diagnosed_plan().fingerprint() == since.plan_fingerprint;
         if !valid {
             return None;
@@ -657,8 +665,9 @@ impl DiagnosisEngine {
     }
 
     /// Serializes every warm slot — fingerprint plus all cache entries, fitted
-    /// and negative — to dependency-free JSON (see [`crate::snapshot`]), in least-
-    /// to most-recently-used order so a restore preserves LRU eviction order.
+    /// and negative — to dependency-free JSON (the format lives in
+    /// `crate::snapshot`), in least- to most-recently-used order so a restore
+    /// preserves LRU eviction order.
     /// `interner` must be the one the cached metric keys were issued by (for
     /// testbed-built stores that is [`Interner::global`]); it resolves interned
     /// symbols to the portable component/metric identities the snapshot stores.

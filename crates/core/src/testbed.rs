@@ -499,10 +499,14 @@ impl ScenarioOutcome {
     /// other, while identical histories over *differently-noised* stores land in
     /// separate slots instead of silently scoring against the wrong samples.
     pub fn engine_fingerprint(&self) -> u64 {
-        diads_monitor::rng::SplitMix64::mix(
-            self.history.fingerprint(),
-            self.testbed.store.content_fingerprint(),
-        )
+        self.engine_fingerprint_with(self.history.fingerprint())
+    }
+
+    /// [`ScenarioOutcome::engine_fingerprint`] from an already computed history
+    /// fingerprint, for callers that need both halves: hashing the history is the
+    /// expensive part (every run's plan fingerprint goes through FNV).
+    pub(crate) fn engine_fingerprint_with(&self, history_fingerprint: u64) -> u64 {
+        diads_monitor::rng::SplitMix64::mix(history_fingerprint, self.testbed.store.content_fingerprint())
     }
 
     /// Diagnoses the outcome with the default workflow, through the testbed's
@@ -524,7 +528,8 @@ impl ScenarioOutcome {
     /// evidence), seal the watermark, append new metrics — then
     /// [`ScenarioOutcome::diagnose_incremental`] re-scores only what changed.
     pub fn seal_watermark(&mut self) -> DiagnosisWatermark {
-        let fingerprint = self.engine_fingerprint();
+        let history_fingerprint = self.history.fingerprint();
+        let fingerprint = self.engine_fingerprint_with(history_fingerprint);
         let epoch = self.testbed.store.seal_epoch();
         let store_fingerprint = self
             .testbed
@@ -535,7 +540,7 @@ impl ScenarioOutcome {
             fingerprint,
             epoch,
             store_fingerprint,
-            history_fingerprint: self.history.fingerprint(),
+            history_fingerprint,
             runs: self.history.len(),
             plan_fingerprint: self.diagnosed_plan().fingerprint(),
         }

@@ -485,7 +485,7 @@ impl DiagnosisWorkflow {
 
     /// Module DA, **re-drill** mode: invoked by the standard pipeline when PD has
     /// reported a plan change. The component set widens to every non-operator
-    /// component of the new plan's APG ([`Self::redrill_components`]) and the
+    /// component of the new plan's APG (`Self::redrill_components`) and the
     /// satisfactory baseline falls back to the full satisfactory history
     /// ([`DiagnosisContext::baseline_runs`]) — component metrics are plan-independent
     /// physical facts, so the old plan's runs remain a valid baseline for them.
@@ -1284,21 +1284,29 @@ fn run_window(run: &LabeledRun) -> TimeRange {
     )
 }
 
+/// The mean of one metric over each run's [`run_window`], in run order, skipping
+/// runs whose window holds no points; empty when the store has no such series.
 fn per_run_metric_means(
     store: &MetricStore,
     component: &ComponentId,
     metric: &MetricName,
     runs: &[&LabeledRun],
 ) -> Vec<f64> {
-    // Resolve to an interned key once; the per-run lookups are then integer-keyed.
     match store.key_of(component, metric) {
         Some(key) => per_run_metric_means_by_key(store, key, runs),
         None => Vec::new(),
     }
 }
 
+/// [`per_run_metric_means`] by interned key. The series is looked up once and
+/// walked once by [`TimeSeries::means_in`](diads_monitor::series::TimeSeries::means_in):
+/// the runs come in history order, so their padded windows start in time order and
+/// the cursor only moves forward; a run that started before its predecessor costs
+/// a restart from the front, never a different mean.
 fn per_run_metric_means_by_key(store: &MetricStore, key: MetricKey, runs: &[&LabeledRun]) -> Vec<f64> {
-    runs.iter().filter_map(|r| store.mean_in_by_key(key, run_window(r))).collect()
+    store.series_by_key(key).map_or_else(Vec::new, |series| {
+        series.means_in(runs.iter().map(|r| run_window(r))).flatten().collect()
+    })
 }
 
 /// Mean with the workflow's "no evidence reads as zero" convention. The underlying

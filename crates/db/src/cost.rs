@@ -1,7 +1,7 @@
 //! A PostgreSQL-style plan cost model.
 //!
 //! The optimizer prices each candidate plan with the statistics snapshot taken at
-//! planning time and the current configuration parameters. Reference [18] of the paper
+//! planning time and the current configuration parameters. Reference \[18\] of the paper
 //! (Reiss & Kanungo) showed how sensitive plan choice is to the storage cost constants
 //! (`seq_page_cost`, `random_page_cost`); module PD's plan-change analysis and the
 //! what-if extension both lean on this model, and module IA's second implementation

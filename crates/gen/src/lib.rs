@@ -14,7 +14,7 @@
 //!   injected fault's cause is ranked at or above its expected confidence) and
 //!   **soundness** (no high-confidence, high-impact cause without a
 //!   corresponding injected fault, modulo the vocabulary's `also_explains`).
-//! * [`shrink`] — greedy 1-minimal shrinking of failing plans (drop overlays,
+//! * [`shrink`](mod@shrink) — greedy 1-minimal shrinking of failing plans (drop overlays,
 //!   shorten windows, step intensity down), re-running the oracle each step.
 //! * [`bugbase`] — replayable JSON failure records under `crates/gen/bugbase/`,
 //!   replayed in CI by the `gen_scenarios` binary.

@@ -13,7 +13,7 @@
 //! start)`. A recorded value therefore depends only on *(series, sample index)* —
 //! never on how flushes of different series interleave, how the observed time range
 //! is chunked, or how many threads record. That is what lets simulators inside a
-//! single scenario record concurrently through [`MetricStore::sharded_writer`] (each
+//! single scenario record concurrently through [`MetricStore::sharded_writer`](crate::MetricStore::sharded_writer) (each
 //! worker owning its own sampler over a sub-range or component subset) and still
 //! produce stores bit-identical to one sequential collector. The identity hash comes
 //! from the shared [`crate::intern::Interner`], so the stream survives symbol
@@ -47,7 +47,7 @@ struct SeriesSlot {
 }
 
 /// Accumulates raw observations and flushes interval averages into a [`MetricSink`]
-/// (a [`MetricStore`], or a sharded writer when recording concurrently).
+/// (a [`MetricStore`](crate::MetricStore), or a sharded writer when recording concurrently).
 #[derive(Debug)]
 pub struct IntervalSampler {
     interval: Duration,

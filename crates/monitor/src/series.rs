@@ -97,11 +97,35 @@ impl TimeSeries {
 
     /// Mean of the values within a range, if the range contains any points.
     pub fn mean_in(&self, range: TimeRange) -> Option<f64> {
-        let slice = self.range(range);
-        if slice.is_empty() {
-            return None;
-        }
-        Some(slice.iter().map(|p| p.value).sum::<f64>() / slice.len() as f64)
+        mean_of(self.range(range))
+    }
+
+    /// The [`TimeSeries::mean_in`] of every window, in the order given, from one
+    /// forward walk over the series.
+    ///
+    /// A cursor stays on the first point of the previous window and gallops forward
+    /// to each window's start and end, so windows given in start order (a run
+    /// history's padded run windows) cost O(log gap) each instead of two binary
+    /// searches over the whole series. A window that starts before the previous one
+    /// restarts the cursor from the front, so any order is correct, just slower.
+    /// Each mean sums the same slice in the same order as `mean_in`: the values are
+    /// bit-identical to calling it per window.
+    pub fn means_in<'a, I>(&'a self, windows: I) -> impl Iterator<Item = Option<f64>> + use<'a, I>
+    where
+        I: IntoIterator<Item = TimeRange>,
+    {
+        let points = self.points.as_slice();
+        let mut cursor = 0;
+        let mut previous_start = Timestamp::ZERO;
+        windows.into_iter().map(move |window| {
+            if window.start < previous_start {
+                cursor = 0;
+            }
+            previous_start = window.start;
+            cursor = seek(points, cursor, window.start);
+            let end = seek(points, cursor, window.end);
+            mean_of(&points[cursor..end])
+        })
     }
 
     /// Maximum value within a range, if any.
@@ -145,6 +169,29 @@ impl TimeSeries {
         }
         out
     }
+}
+
+/// Mean of a slice's values, `None` when it is empty.
+fn mean_of(points: &[DataPoint]) -> Option<f64> {
+    if points.is_empty() {
+        return None;
+    }
+    Some(points.iter().map(|p| p.value).sum::<f64>() / points.len() as f64)
+}
+
+/// The first index at or after `from` whose point is not before `time`, found by
+/// galloping: probe `from`, `from + 1`, `from + 3`, … until a probe reaches `time`,
+/// then binary-search the last doubling. Requires every point before `from` to be
+/// before `time`.
+fn seek(points: &[DataPoint], from: usize, time: Timestamp) -> usize {
+    let rest = &points[from..];
+    let mut end = 1;
+    while end < rest.len() && rest[end - 1].time < time {
+        end *= 2;
+    }
+    let end = end.min(rest.len());
+    let start = end / 2;
+    from + start + rest[start..end].partition_point(|p| p.time < time)
 }
 
 #[cfg(test)]

@@ -499,11 +499,6 @@ impl MetricStore {
         self.series(component, metric).and_then(|s| s.mean_in(range))
     }
 
-    /// Mean of a metric within a time range by interned key.
-    pub fn mean_in_by_key(&self, key: MetricKey, range: TimeRange) -> Option<f64> {
-        self.series_by_key(key).and_then(|s| s.mean_in(range))
-    }
-
     /// Sum of a metric within a time range (0.0 if absent).
     pub fn sum_in(&self, component: &ComponentId, metric: &MetricName, range: TimeRange) -> f64 {
         self.series(component, metric).map(|s| s.sum_in(range)).unwrap_or(0.0)
@@ -773,7 +768,7 @@ impl<'a> ShardedWriter<'a> {
 /// precondition as the unbatched writer (each key's observations arrive through one
 /// logical stream in order): batching preserves the per-key order of each stream,
 /// points within a shard still land via the same keyed, time-sorted
-/// [`Shard::push`], and cross-key interleaving never affects the merged view.
+/// `Shard::push`, and cross-key interleaving never affects the merged view.
 ///
 /// Dropping the batch writer flushes any residue, so scoping it is enough for
 /// correctness; call [`BatchedWriter::flush`] explicitly only to bound latency
@@ -904,7 +899,9 @@ mod tests {
         assert!(store.key_of(&volume("V9"), &MetricName::WriteIo).is_none());
         assert!(store.key_of(&volume("V1"), &MetricName::ReadIo).is_none());
         assert_eq!(
-            store.mean_in_by_key(key, TimeRange::new(Timestamp::new(0), Timestamp::new(10))),
+            store
+                .series_by_key(key)
+                .and_then(|s| s.mean_in(TimeRange::new(Timestamp::new(0), Timestamp::new(10)))),
             Some(1.0)
         );
     }

@@ -8,7 +8,7 @@
 //! record counts.
 
 use crate::dist::{normal_cdf, normal_pdf};
-use crate::summary::Summary;
+use crate::summary::{quantile_of_sorted, Summary};
 use crate::{ensure_finite, Result, StatsError};
 
 /// Bandwidth-selection strategy for the Gaussian kernel.
@@ -197,7 +197,7 @@ impl Kde {
     /// For a Gaussian kernel this has the closed form
     /// `(1/n) Σ Φ((x − s_i) / h)`, so no numerical integration is needed. Because the
     /// sample is sorted, kernels that have fully converged at `x` (everything more
-    /// than [`KERNEL_CUTOFF_BANDWIDTHS`] bandwidths away) are counted without
+    /// than `KERNEL_CUTOFF_BANDWIDTHS` (9) bandwidths away) are counted without
     /// evaluating `Φ`: tail queries cost O(log n).
     pub fn cdf(&self, x: f64) -> f64 {
         let n = self.samples.len() as f64;
@@ -275,7 +275,7 @@ fn resolve_bandwidth(sorted: &[f64], bandwidth: Bandwidth) -> Result<f64> {
             }
             h
         }
-        Bandwidth::Silverman => silverman_bandwidth(sorted),
+        Bandwidth::Silverman => silverman_bandwidth_of_sorted(sorted),
         Bandwidth::Scott => scott_bandwidth(sorted),
     };
     Ok(h.max(bandwidth_floor(sorted)))
@@ -284,11 +284,24 @@ fn resolve_bandwidth(sorted: &[f64], bandwidth: Bandwidth) -> Result<f64> {
 /// Silverman's rule-of-thumb bandwidth.
 ///
 /// Uses the robust spread `min(sd, IQR / 1.34)`; falls back to the non-zero one when
-/// either is zero, and to a relative floor when the sample is degenerate.
+/// either is zero, and to a relative floor when the sample is degenerate. The rule
+/// runs over a sorted copy, so the result depends only on the sample multiset and
+/// equals the bandwidth [`Kde::fit`] picks before its degenerate-sample floor.
 pub fn silverman_bandwidth(samples: &[f64]) -> f64 {
-    let n = samples.len() as f64;
-    let sd = Summary::from_sample(samples).ok().and_then(|s| s.std_dev()).unwrap_or(0.0);
-    let iqr = crate::summary::iqr(samples).unwrap_or(0.0) / 1.34;
+    if samples.is_empty() || ensure_finite(samples).is_err() {
+        return bandwidth_floor(samples);
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    silverman_bandwidth_of_sorted(&sorted)
+}
+
+/// [`silverman_bandwidth`] of a non-empty, finite, ascending sample: the quartiles
+/// are read straight off it instead of from two sorted copies.
+fn silverman_bandwidth_of_sorted(sorted: &[f64]) -> f64 {
+    let n = sorted.len() as f64;
+    let sd = Summary::from_sample(sorted).ok().and_then(|s| s.std_dev()).unwrap_or(0.0);
+    let iqr = (quantile_of_sorted(sorted, 0.75) - quantile_of_sorted(sorted, 0.25)) / 1.34;
     let spread = match (sd > 0.0, iqr > 0.0) {
         (true, true) => sd.min(iqr),
         (true, false) => sd,
@@ -296,7 +309,7 @@ pub fn silverman_bandwidth(samples: &[f64]) -> f64 {
         (false, false) => 0.0,
     };
     if spread <= 0.0 {
-        bandwidth_floor(samples)
+        bandwidth_floor(sorted)
     } else {
         0.9 * spread * n.powf(-0.2)
     }
@@ -437,6 +450,56 @@ mod tests {
         assert_eq!(same.bandwidth().to_bits(), kde.bandwidth().to_bits());
         // Non-finite deltas are rejected.
         assert!(kde.extended(&[f64::NAN]).is_err());
+    }
+
+    /// The reference the sorted-input quartiles must match: Silverman's rule with
+    /// moments over the sorted copy and quartiles through the public (copying,
+    /// re-sorting) `iqr`.
+    fn silverman_via_public_iqr(samples: &[f64]) -> f64 {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let sd = Summary::from_sample(&sorted).ok().and_then(|s| s.std_dev()).unwrap_or(0.0);
+        let iqr = crate::summary::iqr(&sorted).unwrap_or(0.0) / 1.34;
+        let spread = match (sd > 0.0, iqr > 0.0) {
+            (true, true) => sd.min(iqr),
+            (true, false) => sd,
+            (false, true) => iqr,
+            (false, false) => 0.0,
+        };
+        if spread <= 0.0 {
+            bandwidth_floor(&sorted)
+        } else {
+            0.9 * spread * (sorted.len() as f64).powf(-0.2)
+        }
+    }
+
+    #[test]
+    fn fitted_bandwidth_is_silverman_of_the_unsorted_sample() {
+        let thirty: Vec<f64> = (0..30).map(|i| ((i * 17) % 30) as f64 * 0.37 - 4.0).collect();
+        let samples: Vec<Vec<f64>> = vec![
+            vec![4.2],
+            vec![-0.0],
+            vec![3.0, 1.0],
+            vec![0.0, -0.0],
+            vec![2.0, -1.5, 0.25],
+            vec![-0.0, 0.0, 0.0],
+            vec![5.0, 5.0, 5.0],
+            vec![7.0, 1.0, 7.0, 7.0, 2.0, 1.0],
+            vec![0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0],
+            thirty.clone(),
+            thirty.iter().map(|v| v.round()).collect(),
+        ];
+        for unsorted in &samples {
+            let floor = |h: f64| h.max(bandwidth_floor(unsorted));
+            let expected = floor(silverman_bandwidth(unsorted)).to_bits();
+            assert_eq!(floor(silverman_via_public_iqr(unsorted)).to_bits(), expected, "{unsorted:?}");
+            assert_eq!(Kde::fit(unsorted).unwrap().bandwidth().to_bits(), expected, "fit {unsorted:?}");
+            for split in 1..unsorted.len() {
+                let (head, tail) = unsorted.split_at(split);
+                let extended = Kde::fit(head).unwrap().extended(tail).unwrap();
+                assert_eq!(extended.bandwidth().to_bits(), expected, "extended at {split}: {unsorted:?}");
+            }
+        }
     }
 
     #[test]

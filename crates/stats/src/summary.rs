@@ -158,11 +158,17 @@ pub fn quantile(sample: &[f64], q: f64) -> Result<f64> {
     ensure_finite(sample)?;
     let mut sorted = sample.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    Ok(quantile_of_sorted(&sorted, q))
+}
+
+/// [`quantile`] of a non-empty, finite, ascending sample with `q` in `[0, 1]`,
+/// without the copy and sort.
+pub(crate) fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 /// Median of a sample (50th percentile).

@@ -2,10 +2,15 @@
 //! (Figure 1's structure on live monitoring data), plus monitoring-coverage checks
 //! against the Figure-4 catalog.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use diads::core::testbed::{DB_INSTANCE, DB_SERVER};
 use diads::core::Testbed;
-use diads::inject::scenarios::{scenario_1, ScenarioTimeline};
+use diads::db::{OperatorId, Plan, PlanNode};
+use diads::inject::scenarios::{all_scenarios, scenario_1, ScenarioTimeline};
 use diads::monitor::catalog::metrics_for_component;
 use diads::monitor::{ComponentId, ComponentKind, MetricName};
+use diads::san::path as san_path;
 
 #[test]
 fn apg_for_figure1_plan_has_the_paper_structure() {
@@ -113,4 +118,131 @@ fn apg_render_is_a_usable_figure1_substitute() {
     assert!(text.contains("pool:P1"));
     assert!(text.contains("pool:P2"));
     assert!(text.contains("disk:ds-10"));
+}
+
+/// Per-operator (inner path, outer path) and per-leaf volume, as a reference.
+type ReferencePaths =
+    (BTreeMap<OperatorId, (Vec<ComponentId>, Vec<ComponentId>)>, BTreeMap<OperatorId, String>);
+
+/// The straightforward APG path derivation `Apg::build` must reproduce: every leaf's
+/// paths from its table, then every non-leaf's first-occurrence union of the database
+/// components and the paths already derived for its subtree, in pre-order.
+fn reference_paths(testbed: &Testbed, plan: &Plan) -> ReferencePaths {
+    fn dedup(v: &mut Vec<ComponentId>) {
+        let mut seen = BTreeSet::new();
+        v.retain(|c| seen.insert(c.clone()));
+    }
+    let (catalog, topology, workloads) = (&testbed.catalog, testbed.san.topology(), testbed.san.workloads());
+    let db =
+        vec![ComponentId::new(ComponentKind::DatabaseInstance, DB_INSTANCE), ComponentId::server(DB_SERVER)];
+    let mut paths: BTreeMap<OperatorId, (Vec<ComponentId>, Vec<ComponentId>)> = BTreeMap::new();
+    let mut volumes = BTreeMap::new();
+    for leaf in plan.leaves() {
+        let table = leaf.table.as_deref().unwrap_or_default();
+        let mut inner = db.clone();
+        if let Some(t) = catalog.table(table) {
+            inner.push(ComponentId::tablespace(t.tablespace.clone()));
+        }
+        let mut outer = Vec::new();
+        if let Some(volume) = catalog.volume_of_table(table) {
+            inner.extend(san_path::inner_path(topology, DB_SERVER, &volume));
+            outer = san_path::outer_path(topology, workloads, &volume);
+            volumes.insert(leaf.id, volume);
+        }
+        dedup(&mut inner);
+        dedup(&mut outer);
+        paths.insert(leaf.id, (inner, outer));
+    }
+    for op in plan.operators() {
+        if op.kind.is_leaf() {
+            continue;
+        }
+        let mut inner = db.clone();
+        let mut outer = Vec::new();
+        for descendant in plan.subtree_of(op.id) {
+            if let Some((i, o)) = paths.get(&descendant) {
+                inner.extend(i.iter().cloned());
+                outer.extend(o.iter().cloned());
+            }
+        }
+        dedup(&mut inner);
+        dedup(&mut outer);
+        paths.insert(op.id, (inner, outer));
+    }
+    (paths, volumes)
+}
+
+/// `Apg::render` over the reference paths.
+fn reference_render(query: &str, plan: &Plan, paths: &ReferencePaths) -> String {
+    fn node(n: &PlanNode, depth: usize, paths: &ReferencePaths, out: &mut String) {
+        let indent = "  ".repeat(depth);
+        let target = match (&n.table, &n.index) {
+            (Some(t), Some(i)) => format!(" on {t} using {i}"),
+            (Some(t), None) => format!(" on {t}"),
+            _ => String::new(),
+        };
+        out.push_str(&format!("{indent}{} {}{}\n", n.id, n.kind, target));
+        if n.kind.is_leaf() {
+            let (inner, outer) = &paths.0[&n.id];
+            let storage: Vec<String> = inner
+                .iter()
+                .filter(|c| {
+                    matches!(
+                        c.kind,
+                        ComponentKind::StorageVolume | ComponentKind::StoragePool | ComponentKind::Disk
+                    )
+                })
+                .map(|c| c.to_string())
+                .collect();
+            if !storage.is_empty() {
+                out.push_str(&format!("{indent}    -> {}\n", storage.join(" -> ")));
+            }
+            let outer: Vec<String> = outer.iter().map(|c| c.to_string()).collect();
+            if !outer.is_empty() {
+                out.push_str(&format!("{indent}    ~~ outer: {}\n", outer.join(", ")));
+            }
+        }
+        for child in &n.children {
+            node(child, depth + 1, paths, out);
+        }
+    }
+    let mut out = format!("Annotated Plan Graph for {query} (server {DB_SERVER})\n");
+    node(&plan.root, 0, paths, &mut out);
+    out
+}
+
+#[test]
+fn apg_build_matches_the_reference_derivation_on_every_scenario_plan() {
+    for scenario in all_scenarios() {
+        let outcome = Testbed::run_scenario(&scenario);
+        let testbed = &outcome.testbed;
+        let mut plans = testbed.query.candidates.clone();
+        plans.push(outcome.diagnosed_plan());
+        for plan in &plans {
+            let apg = testbed.build_apg(plan);
+            let reference = reference_paths(testbed, plan);
+            let operators = plan.operators();
+            assert_eq!(
+                reference.0.len(),
+                operators.len(),
+                "{}/{}: operator ids are unique",
+                scenario.id,
+                plan.name
+            );
+            for op in operators {
+                let (inner, outer) = &reference.0[&op.id];
+                let at = format!("{}/{} {}", scenario.id, plan.name, op.id);
+                assert_eq!(apg.inner_path(op.id), inner.as_slice(), "{at}: inner path");
+                assert_eq!(apg.outer_path(op.id), outer.as_slice(), "{at}: outer path");
+                assert_eq!(apg.volume_of(op.id), reference.1.get(&op.id).map(String::as_str), "{at}: volume");
+            }
+            assert_eq!(
+                apg.render(),
+                reference_render(&testbed.query.name, plan, &reference),
+                "{}/{}: render",
+                scenario.id,
+                plan.name
+            );
+        }
+    }
 }

@@ -23,30 +23,13 @@ use std::rc::Rc;
 
 use diads::core::workflow::DiagnosisWorkflow;
 use diads::core::{
-    CancelToken, DiagnosisContext, DiagnosisPipeline, DiagnosisState, EventSink, PipelineEvent,
-    ScenarioOutcome, StageProvenance, Testbed, WorkflowSession,
+    CancelToken, DiagnosisPipeline, DiagnosisState, EventSink, PipelineEvent, StageProvenance, Testbed,
+    WorkflowSession,
 };
 use diads::inject::scenarios::all_scenarios;
-use diads::monitor::{ComponentId, Duration, EventStore, MetricName};
+use diads::monitor::{ComponentId, Duration, MetricName};
 
 const STAGES: [&str; 6] = ["PD", "CO", "DA", "CR", "SD", "IA"];
-
-fn context<'a>(
-    outcome: &'a ScenarioOutcome,
-    apg: &'a diads::core::Apg,
-    events: &'a EventStore,
-) -> DiagnosisContext<'a> {
-    DiagnosisContext {
-        apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    }
-}
 
 /// Calls the closure on every `StageCompleted` event.
 struct OnStageCompleted<F>(F);
@@ -95,7 +78,7 @@ fn session_cancel_at_every_stage_boundary_of_every_scenario() {
                     },
                 ))
             };
-            let ctx = context(&outcome, &apg, &events);
+            let ctx = outcome.context(&apg, &events);
             let mut session = WorkflowSession::with_pipeline(pipeline, ctx);
             if k == 0 {
                 token.cancel(); // boundary zero: cancelled before the first stage
@@ -226,10 +209,7 @@ fn cancelled_incremental_degrades_to_cold_equivalence() {
     // next incremental falls back to a cold run with identical findings.
     token.reset();
     let incremental = outcome.diagnose_incremental(&wm);
-    let batch = DiagnosisPipeline::with_workflow(DiagnosisWorkflow::new()).run(&context(
-        &outcome,
-        &outcome.apg(),
-        &outcome.testbed.all_events(),
-    ));
+    let batch = DiagnosisPipeline::with_workflow(DiagnosisWorkflow::new())
+        .run(&outcome.context(&outcome.apg(), &outcome.testbed.all_events()));
     assert_eq!(incremental, batch, "post-cancel incremental equals the batch reference");
 }

@@ -1,8 +1,9 @@
 //! Event-stream equivalence: the typed event bus is part of the pipeline's
 //! contract, so every execution strategy must narrate the *same* story.
 //!
-//! * Cold, warm and incremental runs (including the wholesale reuse fast path,
-//!   which synthesizes its events rather than executing stages) emit the same
+//! * Cold, warm and incremental runs (including the all-replay run, which moves
+//!   every stage's recorded slot through the stage executor instead of
+//!   re-computing it, emitting each stage's events as it goes) emit the same
 //!   pinned sequence: `StageStarted`/`StageCompleted` pairs in `PD → CO → DA →
 //!   CR → SD → IA` order, `CausesRanked` immediately after SD, and exactly one
 //!   terminal `RunCompleted`.
@@ -125,9 +126,10 @@ fn cold_warm_and_incremental_streams_share_one_pinned_skeleton() {
         assert_eq!(skeleton(&warm), skeleton(&cold), "{}: warm == cold skeleton", scenario.id);
         assert_eq!(warm_report, cold_report, "{}: warm findings unchanged", scenario.id);
 
-        // Incremental over an appended probe beyond every run window: the
-        // wholesale fast path synthesizes its events instead of executing
-        // stages — the subscriber cannot tell the difference structurally.
+        // Incremental over an appended probe beyond every run window: every
+        // stage is replayed through the stage executor from the recorded
+        // evidence rather than re-computed — the subscriber cannot tell the
+        // difference structurally.
         let watermark = outcome.seal_watermark();
         append_probe(&mut outcome, &format!("evt-{}", scenario.id));
         let incr_report = engine.diagnose_incremental_streamed(&outcome, &watermark, &sink, None);

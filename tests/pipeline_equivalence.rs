@@ -14,28 +14,9 @@ use std::sync::{Arc, Mutex};
 use diads::core::workflow::CorrelatedOperatorsResult;
 use diads::core::{
     DiagnosisCache, DiagnosisContext, DiagnosisPipeline, DiagnosisReport, DiagnosisStage, DiagnosisState,
-    DiagnosisWorkflow, EventSink, PipelineEvent, ScenarioOutcome, Stage, StageCtx, StageProvenance, Testbed,
-    WorkflowSession,
+    DiagnosisWorkflow, EventSink, PipelineEvent, Stage, StageCtx, StageProvenance, Testbed, WorkflowSession,
 };
 use diads::inject::scenarios::{all_scenarios, scenario_1, ScenarioTimeline};
-use diads::monitor::EventStore;
-
-fn context<'a>(
-    outcome: &'a ScenarioOutcome,
-    apg: &'a diads::core::Apg,
-    events: &'a EventStore,
-) -> DiagnosisContext<'a> {
-    DiagnosisContext {
-        apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    }
-}
 
 /// Calls the closure on every `StageCompleted` event.
 struct OnStageCompleted<F>(F);
@@ -77,7 +58,7 @@ fn standard_pipeline_matches_legacy_composition_over_all_scenarios() {
         let outcome = Testbed::run_scenario(&scenario);
         let apg = outcome.apg();
         let events = outcome.testbed.all_events();
-        let ctx = context(&outcome, &apg, &events);
+        let ctx = outcome.context(&apg, &events);
         let legacy = legacy_module_by_module(&ctx);
         let piped = DiagnosisPipeline::standard().run(&ctx);
         assert_eq!(
@@ -103,7 +84,7 @@ fn skipping_plan_diffing_still_produces_a_well_formed_report() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let report = DiagnosisPipeline::standard().skip(Stage::PlanDiffing).run(&ctx);
     let ran: Vec<&str> = report.provenance.stages.iter().map(|s| s.stage.as_str()).collect();
@@ -125,7 +106,7 @@ fn san_only_triage_pipeline_skips_pd_and_cr() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let report = DiagnosisPipeline::standard().skip(Stage::PlanDiffing).skip(Stage::RecordCounts).run(&ctx);
     let ran: Vec<&str> = report.provenance.stages.iter().map(|s| s.stage.as_str()).collect();
@@ -159,7 +140,7 @@ fn custom_stage_edits_flow_into_downstream_stages() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let pipeline =
         DiagnosisPipeline::standard().insert_after(Stage::CorrelatedOperators, Box::new(PartsuppOnly));
@@ -181,7 +162,7 @@ fn on_stage_complete_observers_stream_progress() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     type Progress = Vec<(String, Vec<&'static str>)>;
     let seen: Arc<Mutex<Progress>> = Arc::new(Mutex::new(Vec::new()));
@@ -209,7 +190,7 @@ fn interactive_session_and_batch_diagnosis_share_engine_fits() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
     let engine = Arc::clone(&outcome.testbed.engine);
     let fingerprint = outcome.engine_fingerprint();
 
@@ -240,7 +221,7 @@ fn planner_stage_appends_to_the_standard_pipeline_and_fills_the_ledger() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let stage = PlannerStage::new(Planner::for_outcome(&outcome), &outcome.testbed);
     let observed: Arc<Mutex<Option<RemediationPlan>>> = Arc::new(Mutex::new(None));
@@ -290,7 +271,7 @@ fn plan_change_redrills_with_pruning_disabled() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let mut workflow = DiagnosisWorkflow::new();
     workflow.config.prune_by_dependency_paths = false;
@@ -317,7 +298,7 @@ fn workflow_run_is_the_standard_pipeline() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
     let via_workflow = DiagnosisPipeline::with_workflow(DiagnosisWorkflow::new()).run(&ctx);
     let via_pipeline = DiagnosisPipeline::standard().run(&ctx);
     assert_eq!(via_workflow, via_pipeline);
@@ -331,7 +312,7 @@ fn session_edit_invalidation_works_over_a_recomposed_pipeline() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let pipeline = DiagnosisPipeline::standard().skip(Stage::RecordCounts);
     let mut session = WorkflowSession::with_pipeline(pipeline, ctx);
@@ -355,7 +336,7 @@ fn typed_helpers_return_none_for_skipped_stages() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let pipeline = DiagnosisPipeline::standard().skip(Stage::PlanDiffing).skip(Stage::RecordCounts);
     let mut session = WorkflowSession::with_pipeline(pipeline, ctx);
@@ -373,7 +354,7 @@ fn reordered_pipeline_invalidation_keeps_flags_and_slots_consistent() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     // A deliberately reversed pipeline: DA first (its CO prerequisite sits later in
     // the pipeline and is pulled in on demand), then CO.
@@ -399,7 +380,7 @@ fn editing_outside_the_pipeline_still_invalidates_coherently() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let pipeline = DiagnosisPipeline::standard().skip(Stage::CorrelatedOperators);
     let mut session = WorkflowSession::with_pipeline(pipeline, ctx);

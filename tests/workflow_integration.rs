@@ -3,28 +3,9 @@
 
 use diads::core::baseline::{DbOnlyTool, SanOnlyTool};
 use diads::core::whatif::{evaluate, ProposedChange};
-use diads::core::{
-    DiagnosisCache, DiagnosisContext, DiagnosisWorkflow, Testbed, WorkflowConfig, WorkflowSession,
-};
+use diads::core::{DiagnosisCache, DiagnosisWorkflow, Testbed, WorkflowConfig, WorkflowSession};
 use diads::inject::scenarios::{scenario_1, ScenarioTimeline};
 use diads::monitor::{ComponentId, MetricName, Timestamp};
-
-fn context<'a>(
-    outcome: &'a diads::core::ScenarioOutcome,
-    apg: &'a diads::core::Apg,
-    events: &'a diads::monitor::EventStore,
-) -> DiagnosisContext<'a> {
-    DiagnosisContext {
-        apg,
-        history: &outcome.history,
-        store: &outcome.testbed.store,
-        events,
-        catalog: &outcome.testbed.catalog,
-        config: &outcome.testbed.config,
-        topology: outcome.testbed.san.topology(),
-        workloads: outcome.testbed.san.workloads(),
-    }
-}
 
 #[test]
 fn scenario_1_module_by_module_drilldown() {
@@ -32,7 +13,7 @@ fn scenario_1_module_by_module_drilldown() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
     let workflow = DiagnosisWorkflow::new();
     let mut cache = DiagnosisCache::new();
 
@@ -93,7 +74,7 @@ fn disabling_dependency_path_pruning_widens_the_search_space() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let pruned = DiagnosisWorkflow::new();
     let mut unpruned = DiagnosisWorkflow::new();
@@ -115,7 +96,7 @@ fn interactive_session_supports_editing_and_reexecution() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     let mut session = WorkflowSession::new(DiagnosisWorkflow::new(), ctx);
     assert!(session.completed_modules().is_empty());
@@ -152,7 +133,7 @@ fn silo_tools_reproduce_their_documented_blind_spots() {
     let outcome = Testbed::run_scenario(&scenario);
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
+    let ctx = outcome.context(&apg, &events);
 
     // The DB-only tool sees slow operators but proposes database-level suspects.
     let db_findings = DbOnlyTool::new().diagnose(&ctx);
