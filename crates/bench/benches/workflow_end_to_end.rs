@@ -40,12 +40,12 @@ fn bench_workflow(c: &mut Criterion) {
     group.bench_function("module_da_refit_baseline", |b| {
         b.iter(|| {
             let mut cache = DiagnosisCache::disabled();
-            black_box(workflow.dependency_analysis_sequential(&ctx, &cos, &mut cache))
+            black_box(workflow.dependency_analysis(&ctx, &cos, &mut cache))
         })
     });
     group.bench_function("module_da_warm_cache", |b| {
         let mut cache = DiagnosisCache::new();
-        b.iter(|| black_box(workflow.dependency_analysis_sequential(&ctx, &cos, &mut cache)))
+        b.iter(|| black_box(workflow.dependency_analysis(&ctx, &cos, &mut cache)))
     });
     group.bench_function("diagnose_helper", |b| b.iter(|| black_box(diagnose(&outcome))));
     group.finish();

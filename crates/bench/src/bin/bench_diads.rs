@@ -7,17 +7,17 @@
 //! * **KDE scoring throughput** — re-fitting per score (the pre-cache workflow
 //!   behaviour) vs. fitting once and batch-scoring with `score_many`.
 //! * **Module DA latency** — the component×metric scoring loop with per-call refits
-//!   vs. the shared `DiagnosisCache`, and (with the `parallel` feature on a
-//!   multi-core host) the scoped-thread-pool path.
+//!   vs. the shared `DiagnosisCache`.
 //! * **End-to-end diagnosis** — full scenario-1 batch diagnosis wall time, refit
 //!   baseline vs. the cached engine.
 //! * **Store recording** — direct `record_key` vs. the lock-per-shard writer,
-//!   single-threaded (lock overhead) and threaded (scaling on multi-core hosts).
+//!   single-threaded (lock overhead) and threaded. The threaded columns are
+//!   `null`, with a `multi_thread_reason`, when the host has one core.
 //! * **Scenario matrix** — the batch engine's hot path: simulate + diagnose a
-//!   matrix of injected-fault scenarios, sequential loop vs. concurrent engine,
-//!   plus warm re-diagnosis through the testbed-level cache; and the post-PD
-//!   re-drill hot path on `compound_config_contention` (the flagship plan-change
-//!   compound scenario) through the cold, warm and incremental diagnosis paths.
+//!   matrix of injected-fault scenarios, plus warm re-diagnosis through the
+//!   testbed-level cache; and the post-PD re-drill hot path on
+//!   `compound_config_contention` (the flagship plan-change compound scenario)
+//!   through the cold, warm and incremental diagnosis paths.
 //! * **Incremental re-diagnosis** — the steady-state interactive loop: after a
 //!   one-epoch metric append, a full cold re-diagnosis (what an invalidated
 //!   engine slot costs) vs. `diagnose_incremental` over a sealed watermark; and
@@ -43,6 +43,9 @@ use diads_inject::scenarios::{
 use diads_monitor::{ComponentId, Duration, MetricKey, MetricName, MetricStore, Timestamp};
 use diads_stats::ScoringCache;
 use std::hint::black_box;
+
+/// Appended to a group whose threaded columns were skipped on a single core.
+const SINGLE_CORE_REASON: &str = ", \"multi_thread_reason\": \"available_parallelism() == 1\"";
 
 fn median_of(records: &[Record], group: &str, bench: &str) -> f64 {
     records.iter().find(|r| r.group == group && r.bench == bench).map(|r| r.median_ns).unwrap_or(f64::NAN)
@@ -94,16 +97,12 @@ fn main() {
         group.bench_function("refit_baseline", |b| {
             b.iter(|| {
                 let mut cache = DiagnosisCache::disabled();
-                black_box(workflow.dependency_analysis_sequential(&ctx, &cos, &mut cache))
+                black_box(workflow.dependency_analysis(&ctx, &cos, &mut cache))
             })
         });
         group.bench_function("cached", |b| {
             let mut cache = DiagnosisCache::new();
-            b.iter(|| black_box(workflow.dependency_analysis_sequential(&ctx, &cos, &mut cache)))
-        });
-        #[cfg(feature = "parallel")]
-        group.bench_function("parallel", |b| {
-            b.iter(|| black_box(workflow.dependency_analysis_parallel(&ctx, &cos, 0)))
+            b.iter(|| black_box(workflow.dependency_analysis(&ctx, &cos, &mut cache)))
         });
         group.finish();
     }
@@ -128,6 +127,10 @@ fn main() {
     }
 
     // ----- Store recording: direct vs. the lock-per-shard writer -----
+    // The threaded passes need a second core to mean anything; on one core they
+    // are skipped and their columns written as null.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = (cores > 1).then(|| cores.min(8));
     const RECORD_COMPONENTS: usize = 64;
     const RECORD_POINTS_PER_KEY: usize = 200;
     let intern_matrix = |store: &mut MetricStore| -> Vec<MetricKey> {
@@ -187,57 +190,57 @@ fn main() {
                 black_box(store.point_count())
             })
         });
-        group.bench_function("record_sharded_threads", |b| {
-            let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-            b.iter(|| {
-                let mut store = MetricStore::new();
-                let keys = intern_matrix(&mut store);
-                {
-                    let writer = store.sharded_writer();
-                    std::thread::scope(|scope| {
-                        for chunk in keys.chunks(RECORD_COMPONENTS.div_ceil(workers)) {
-                            let writer = &writer;
-                            scope.spawn(move || {
-                                for t in 0..RECORD_POINTS_PER_KEY as u64 {
-                                    for &key in chunk {
-                                        writer.record_key(key, Timestamp::new(t * 60), t as f64);
+        if let Some(workers) = workers {
+            group.bench_function("record_sharded_threads", |b| {
+                b.iter(|| {
+                    let mut store = MetricStore::new();
+                    let keys = intern_matrix(&mut store);
+                    {
+                        let writer = store.sharded_writer();
+                        std::thread::scope(|scope| {
+                            for chunk in keys.chunks(RECORD_COMPONENTS.div_ceil(workers)) {
+                                let writer = &writer;
+                                scope.spawn(move || {
+                                    for t in 0..RECORD_POINTS_PER_KEY as u64 {
+                                        for &key in chunk {
+                                            writer.record_key(key, Timestamp::new(t * 60), t as f64);
+                                        }
                                     }
-                                }
-                            });
-                        }
-                    });
-                }
-                black_box(store.point_count())
-            })
-        });
-        group.bench_function("record_batched_threads", |b| {
-            let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-            b.iter(|| {
-                let mut store = MetricStore::new();
-                let keys = intern_matrix(&mut store);
-                {
-                    let writer = store.sharded_writer();
-                    std::thread::scope(|scope| {
-                        for chunk in keys.chunks(RECORD_COMPONENTS.div_ceil(workers)) {
-                            let writer = &writer;
-                            scope.spawn(move || {
-                                let mut batched = writer.batched();
-                                for t in 0..RECORD_POINTS_PER_KEY as u64 {
-                                    for &key in chunk {
-                                        batched.record_key(key, Timestamp::new(t * 60), t as f64);
+                                });
+                            }
+                        });
+                    }
+                    black_box(store.point_count())
+                })
+            });
+            group.bench_function("record_batched_threads", |b| {
+                b.iter(|| {
+                    let mut store = MetricStore::new();
+                    let keys = intern_matrix(&mut store);
+                    {
+                        let writer = store.sharded_writer();
+                        std::thread::scope(|scope| {
+                            for chunk in keys.chunks(RECORD_COMPONENTS.div_ceil(workers)) {
+                                let writer = &writer;
+                                scope.spawn(move || {
+                                    let mut batched = writer.batched();
+                                    for t in 0..RECORD_POINTS_PER_KEY as u64 {
+                                        for &key in chunk {
+                                            batched.record_key(key, Timestamp::new(t * 60), t as f64);
+                                        }
                                     }
-                                }
-                            });
-                        }
-                    });
-                }
-                black_box(store.point_count())
-            })
-        });
+                                });
+                            }
+                        });
+                    }
+                    black_box(store.point_count())
+                })
+            });
+        }
         group.finish();
     }
 
-    // ----- Scenario matrix: the concurrent batch engine's hot path -----
+    // ----- Scenario matrix: the batch engine's hot path -----
     // A mixed matrix (SAN contention, data-property change, lock contention, and a
     // compound DB+SAN fault with staggered onsets) on the short timeline: one
     // iteration simulates every scenario end to end and diagnoses each outcome.
@@ -255,13 +258,6 @@ fn main() {
         group.bench_function("sequential", |b| {
             b.iter(|| {
                 let outcomes = Testbed::run_scenarios(black_box(&matrix));
-                black_box(outcomes.iter().map(|o| o.diagnose()).collect::<Vec<_>>())
-            })
-        });
-        #[cfg(feature = "parallel")]
-        group.bench_function("concurrent", |b| {
-            b.iter(|| {
-                let outcomes = Testbed::run_scenarios_concurrent(black_box(&matrix));
                 black_box(outcomes.iter().map(|o| o.diagnose()).collect::<Vec<_>>())
             })
         });
@@ -394,16 +390,17 @@ fn main() {
     let e2e_refit = median_of(r, "end_to_end", "scenario1_refit_baseline");
     let e2e = median_of(r, "end_to_end", "scenario1_diagnosis");
     let e2e_warm = median_of(r, "end_to_end", "scenario1_diagnosis_warm");
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let parallel_enabled = cfg!(feature = "parallel");
-    let da_parallel = if parallel_enabled { median_of(r, "da", "parallel") } else { f64::NAN };
     let rec_direct = median_of(r, "store", "record_direct");
     let rec_sharded = median_of(r, "store", "record_sharded_1thread");
     let rec_batched = median_of(r, "store", "record_batched_1thread");
-    let rec_threads = median_of(r, "store", "record_sharded_threads");
-    let rec_batched_threads = median_of(r, "store", "record_batched_threads");
+    let threaded = |bench: &str| match workers {
+        Some(_) => format!("{:.1}", median_of(r, "store", bench)),
+        None => "null".to_string(),
+    };
+    let rec_threads = threaded("record_sharded_threads");
+    let rec_batched_threads = threaded("record_batched_threads");
+    let rec_threads_reason = if workers.is_none() { SINGLE_CORE_REASON } else { "" };
     let matrix_seq = median_of(r, "scenario_matrix", "sequential");
-    let matrix_conc = if parallel_enabled { median_of(r, "scenario_matrix", "concurrent") } else { f64::NAN };
     let matrix_warm = median_of(r, "scenario_matrix", "rediagnose_warm");
     let cc_cold = median_of(r, "scenario_matrix", "compound_config_contention_cold");
     let cc_warm = median_of(r, "scenario_matrix", "compound_config_contention_warm");
@@ -419,7 +416,7 @@ fn main() {
 
     let mut json = String::from("{\n  \"schema\": \"diads-bench-v1\",\n");
     json.push_str(&format!(
-        "  \"environment\": {{\"threads\": {threads}, \"parallel_feature\": {parallel_enabled}, \"profile\": \"{}\"}},\n",
+        "  \"environment\": {{\"threads\": {cores}, \"profile\": \"{}\"}},\n",
         if cfg!(debug_assertions) { "debug" } else { "release" }
     ));
     json.push_str(&format!(
@@ -428,9 +425,8 @@ fn main() {
         kde_refit / kde_cached
     ));
     json.push_str(&format!(
-        "  \"dependency_analysis\": {{\"refit_baseline_ns\": {da_refit:.1}, \"cached_ns\": {da_cached:.1}, \"cached_speedup\": {:.2}, \"parallel_ns\": {}}},\n",
-        da_refit / da_cached,
-        if da_parallel.is_nan() { "null".to_string() } else { format!("{da_parallel:.1}") }
+        "  \"dependency_analysis\": {{\"refit_baseline_ns\": {da_refit:.1}, \"cached_ns\": {da_cached:.1}, \"cached_speedup\": {:.2}}},\n",
+        da_refit / da_cached
     ));
     json.push_str(&format!(
         "  \"end_to_end\": {{\"scenario\": \"scenario-1 (short timeline)\", \"refit_baseline_ms\": {:.3}, \"cold_cache_ms\": {:.3}, \"warm_cache_ms\": {:.3}, \"warm_speedup\": {:.2}}},\n",
@@ -440,14 +436,13 @@ fn main() {
         e2e_refit / e2e_warm
     ));
     json.push_str(&format!(
-        "  \"store_recording\": {{\"series\": {RECORD_COMPONENTS}, \"points_per_series\": {RECORD_POINTS_PER_KEY}, \"direct_ns\": {rec_direct:.1}, \"sharded_1thread_ns\": {rec_sharded:.1}, \"batched_1thread_ns\": {rec_batched:.1}, \"batched_vs_direct\": {:.2}, \"sharded_threads_ns\": {rec_threads:.1}, \"batched_threads_ns\": {rec_batched_threads:.1}}},\n",
+        "  \"store_recording\": {{\"series\": {RECORD_COMPONENTS}, \"points_per_series\": {RECORD_POINTS_PER_KEY}, \"direct_ns\": {rec_direct:.1}, \"sharded_1thread_ns\": {rec_sharded:.1}, \"batched_1thread_ns\": {rec_batched:.1}, \"batched_vs_direct\": {:.2}, \"sharded_threads_ns\": {rec_threads}, \"batched_threads_ns\": {rec_batched_threads}{rec_threads_reason}}},\n",
         rec_batched / rec_direct
     ));
     json.push_str(&format!(
-        "  \"scenario_matrix\": {{\"scenarios\": {}, \"timeline\": \"short\", \"sequential_ms\": {:.1}, \"concurrent_ms\": {}, \"rediagnose_warm_ms\": {:.3}, \"compound_config_contention\": {{\"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"incremental_ms\": {:.3}}}}},\n",
+        "  \"scenario_matrix\": {{\"scenarios\": {}, \"timeline\": \"short\", \"sequential_ms\": {:.1}, \"rediagnose_warm_ms\": {:.3}, \"compound_config_contention\": {{\"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"incremental_ms\": {:.3}}}}},\n",
         matrix.len(),
         matrix_seq / 1e6,
-        if matrix_conc.is_nan() { "null".to_string() } else { format!("{:.1}", matrix_conc / 1e6) },
         matrix_warm / 1e6,
         cc_cold / 1e6,
         cc_warm / 1e6,

@@ -5,8 +5,8 @@
 //! [`diads_stats::LatencySpectrum`]), sustained ingestion throughput through the
 //! batched sharded writer, the engine's warm-hit rate, and eviction counts. Both a
 //! 1-thread and an N-thread column land in `BENCH_diads.json` (group `fleet`);
-//! on a single-core host the N-thread numbers are a correctness-under-contention
-//! floor, not a scaling claim.
+//! on a single-core host the N-thread passes are skipped: their columns are
+//! `null`, with a `multi_thread_reason`.
 //!
 //! One tenant cycle, per testbed:
 //!
@@ -36,6 +36,9 @@ use diads_inject::scenarios::{
 };
 use diads_monitor::{ComponentId, Duration, MetricName, MetricStore, Timestamp};
 use diads_stats::LatencySpectrum;
+
+/// Appended to a group whose N-thread columns were skipped on a single core.
+const SINGLE_CORE_REASON: &str = ", \"multi_thread_reason\": \"available_parallelism() == 1\"";
 
 /// One tenant's mutable state: its testbed outcome plus the monotonically
 /// advancing probe clock (kept past every run window so each append stays in the
@@ -212,9 +215,8 @@ fn diagnosis_json(run: &mut FleetRun, threads: usize) -> String {
 fn splice_fleet_group(out_path: &str, fleet_line: &str) {
     let existing = std::fs::read_to_string(out_path).unwrap_or_else(|_| {
         format!(
-            "{{\n  \"schema\": \"diads-bench-v1\",\n  \"environment\": {{\"threads\": {}, \"parallel_feature\": {}, \"profile\": \"{}\"}},\n}}\n",
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            cfg!(feature = "parallel"),
+            "{{\n  \"schema\": \"diads-bench-v1\",\n  \"environment\": {{\"threads\": {}, \"profile\": \"{}\"}},\n}}\n",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
             if cfg!(debug_assertions) { "debug" } else { "release" }
         )
     });
@@ -247,27 +249,34 @@ fn main() {
     let testbeds = if smoke { 4 } else { 8 };
     let cycles = if smoke { 10 } else { 400 };
     let ingest_points = if smoke { 200 } else { 2_000 };
-    // On a single-core container the multi-thread column still runs (contention
-    // correctness floor); max(2) guarantees it is a genuinely concurrent pass.
-    let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(2, 8);
+    // The N-thread passes need a second core to mean anything; on one core they
+    // are skipped and their columns written as null.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let max_threads = (cores > 1).then(|| cores.min(8));
 
     eprintln!("fleet_bench: building {testbeds} testbeds…");
     let engine = DiagnosisEngine::shared();
     let tenants = build_fleet(testbeds, &engine);
 
     eprintln!("fleet_bench: 1-thread pass ({cycles} cycles/testbed)…");
-    let mut one = run_fleet(&tenants, &engine, 1, cycles);
-    eprintln!("fleet_bench: {max_threads}-thread pass…");
-    let mut multi = run_fleet(&tenants, &engine, max_threads, cycles);
+    let one = diagnosis_json(&mut run_fleet(&tenants, &engine, 1, cycles), 1);
+    let multi = max_threads.map(|threads| {
+        eprintln!("fleet_bench: {threads}-thread pass…");
+        diagnosis_json(&mut run_fleet(&tenants, &engine, threads, cycles), threads)
+    });
 
     const INGEST_COMPONENTS: usize = 64;
     let ingest_one = measure_ingestion(1, INGEST_COMPONENTS, ingest_points);
-    let ingest_multi = measure_ingestion(max_threads, INGEST_COMPONENTS, ingest_points);
+    let ingest_multi = max_threads
+        .map(|threads| format!("{:.0}", measure_ingestion(threads, INGEST_COMPONENTS, ingest_points)));
 
+    let null = || "null".to_string();
     let fleet_line = format!(
-        "{{\"testbeds\": {testbeds}, \"cycles_per_testbed\": {cycles}, \"scenario_mix\": \"scenario-1/3/5 + compound_config_contention (short timeline)\", \"ingestion\": {{\"series\": {INGEST_COMPONENTS}, \"points_per_series\": {ingest_points}, \"one_thread_points_per_sec\": {ingest_one:.0}, \"multi_thread_points_per_sec\": {ingest_multi:.0}, \"multi_threads\": {max_threads}}}, \"diagnosis_one_thread\": {}, \"diagnosis_multi_thread\": {}}}",
-        diagnosis_json(&mut one, 1),
-        diagnosis_json(&mut multi, max_threads),
+        "{{\"testbeds\": {testbeds}, \"cycles_per_testbed\": {cycles}, \"scenario_mix\": \"scenario-1/3/5 + compound_config_contention (short timeline)\", \"ingestion\": {{\"series\": {INGEST_COMPONENTS}, \"points_per_series\": {ingest_points}, \"one_thread_points_per_sec\": {ingest_one:.0}, \"multi_thread_points_per_sec\": {}, \"multi_threads\": {}}}, \"diagnosis_one_thread\": {one}, \"diagnosis_multi_thread\": {}{}}}",
+        ingest_multi.unwrap_or_else(null),
+        max_threads.map_or_else(null, |t| t.to_string()),
+        multi.unwrap_or_else(null),
+        if max_threads.is_none() { SINGLE_CORE_REASON } else { "" },
     );
     splice_fleet_group(&out_path, &fleet_line);
 }

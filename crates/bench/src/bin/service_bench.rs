@@ -5,8 +5,10 @@
 //! the staleness spectrum (wall-clock age of the oldest undiagnosed point at
 //! each diagnosis), event throughput on the bounded service bus, warm-hit rate
 //! and backpressure drops. Both a 1-thread and an N-thread column land in
-//! `BENCH_diads.json` (group `service`); on a single-core host the N-thread
-//! numbers are a correctness-under-contention floor, not a scaling claim.
+//! `BENCH_diads.json` (group `service`). Each pass runs on its own freshly
+//! built service, so every column reports only its own cycles. On a
+//! single-core host the N-thread pass is skipped: its column is `null`, with a
+//! `multi_thread_reason`.
 //!
 //! A busy subscriber with a small bounded queue is attached for the whole run,
 //! so the drop-counting backpressure path is exercised under load, never
@@ -23,11 +25,13 @@ use std::time::Instant;
 use diads_inject::scenarios::all_scenarios;
 use diads_service::{DiagnosisService, ServiceConfig, ServiceStats};
 
-/// One measured pass at a fixed thread count.
+/// Appended to the group when the N-thread pass was skipped on a single core.
+const SINGLE_CORE_REASON: &str = ", \"multi_thread_reason\": \"available_parallelism() == 1\"";
+
+/// One measured pass at a fixed thread count, on its own service.
 struct ServiceRun {
     stats: ServiceStats,
     elapsed_secs: f64,
-    events: u64,
 }
 
 fn build_service(tenants: usize) -> DiagnosisService {
@@ -38,8 +42,8 @@ fn build_service(tenants: usize) -> DiagnosisService {
     DiagnosisService::new(&scenarios, ServiceConfig::default())
 }
 
-fn run_pass(service: &DiagnosisService, threads: usize, cycles: u64) -> ServiceRun {
-    let before = service.stats();
+fn run_pass(tenants: usize, threads: usize, cycles: u64) -> ServiceRun {
+    let service = build_service(tenants);
     // A deliberately tiny subscriber queue that is never drained during the
     // pass: publishes beyond its capacity take the counted-drop path.
     let rx = service.hub().subscribe(64);
@@ -47,27 +51,26 @@ fn run_pass(service: &DiagnosisService, threads: usize, cycles: u64) -> ServiceR
     service.run_cycles(cycles, threads);
     let elapsed_secs = started.elapsed().as_secs_f64();
     drop(rx);
-    let stats = service.stats();
-    let events = stats.events_published - before.events_published;
-    ServiceRun { stats, elapsed_secs, events }
+    ServiceRun { stats: service.stats(), elapsed_secs }
 }
 
-fn pass_json(run: &ServiceRun, before: &ServiceStats, threads: usize) -> String {
+fn pass_json(run: &ServiceRun, threads: usize) -> String {
     let s = &run.stats;
     let v = |o: Option<f64>| o.unwrap_or(f64::NAN);
     format!(
-        "{{\"threads\": {threads}, \"cycles\": {}, \"skipped_cycles\": {}, \"cycles_per_sec\": {:.1}, \"cycle_p50_ms\": {:.4}, \"cycle_p99_ms\": {:.4}, \"cycle_p999_ms\": {:.4}, \"staleness_p50_ms\": {:.4}, \"staleness_p99_ms\": {:.4}, \"events\": {}, \"events_per_sec\": {:.0}, \"events_dropped\": {}}}",
-        s.cycles - before.cycles,
-        s.skipped_cycles - before.skipped_cycles,
-        (s.cycles - before.cycles) as f64 / run.elapsed_secs,
+        "{{\"threads\": {threads}, \"cycles\": {}, \"skipped_cycles\": {}, \"cycles_per_sec\": {:.1}, \"cycle_p50_ms\": {:.4}, \"cycle_p99_ms\": {:.4}, \"cycle_p999_ms\": {:.4}, \"staleness_p50_ms\": {:.4}, \"staleness_p99_ms\": {:.4}, \"events\": {}, \"events_per_sec\": {:.0}, \"events_dropped\": {}, \"warm_hit_rate\": {:.4}}}",
+        s.cycles,
+        s.skipped_cycles,
+        s.cycles as f64 / run.elapsed_secs,
         v(s.cycle_latency.p50_ms),
         v(s.cycle_latency.p99_ms),
         v(s.cycle_latency.p999_ms),
         v(s.staleness.p50_ms),
         v(s.staleness.p99_ms),
-        run.events,
-        run.events as f64 / run.elapsed_secs,
+        s.events_published,
+        s.events_published as f64 / run.elapsed_secs,
         s.events_dropped,
+        s.warm_hit_rate(),
     )
 }
 
@@ -77,9 +80,8 @@ fn pass_json(run: &ServiceRun, before: &ServiceStats, threads: usize) -> String 
 fn splice_service_group(out_path: &str, service_line: &str) {
     let existing = std::fs::read_to_string(out_path).unwrap_or_else(|_| {
         format!(
-            "{{\n  \"schema\": \"diads-bench-v1\",\n  \"environment\": {{\"threads\": {}, \"parallel_feature\": {}, \"profile\": \"{}\"}},\n}}\n",
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            cfg!(feature = "parallel"),
+            "{{\n  \"schema\": \"diads-bench-v1\",\n  \"environment\": {{\"threads\": {}, \"profile\": \"{}\"}},\n}}\n",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
             if cfg!(debug_assertions) { "debug" } else { "release" }
         )
     });
@@ -111,30 +113,25 @@ fn main() {
 
     let tenants = if smoke { 4 } else { 14 };
     let cycles: u64 = if smoke { 12 } else { 200 };
-    // On a single-core container the multi-thread column still runs (contention
-    // correctness floor); max(2) guarantees it is a genuinely concurrent pass.
-    let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(2, 8);
+    // The N-thread pass needs a second core to mean anything; on one core it is
+    // skipped and its column written as null.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let max_threads = (cores > 1).then(|| cores.min(8));
 
-    eprintln!("service_bench: building service over {tenants} tenants…");
-    let service = build_service(tenants);
+    eprintln!("service_bench: 1-thread pass over {tenants} tenants ({cycles} cycles/tenant)…");
+    let one = pass_json(&run_pass(tenants, 1, cycles), 1);
+    let multi = max_threads.map(|threads| {
+        eprintln!("service_bench: {threads}-thread pass…");
+        pass_json(&run_pass(tenants, threads, cycles), threads)
+    });
 
-    eprintln!("service_bench: 1-thread pass ({cycles} cycles/tenant)…");
-    let before_one = service.stats();
-    let one = run_pass(&service, 1, cycles);
-    eprintln!("service_bench: {max_threads}-thread pass…");
-    let before_multi = service.stats();
-    let multi = run_pass(&service, max_threads, cycles);
-
-    let final_stats = service.stats();
     let policy = ServiceConfig::default().seal_policy;
     let service_line = format!(
-        "{{\"tenants\": {tenants}, \"cycles_per_tenant\": {cycles}, \"scenario_mix\": \"all_scenarios (paper_default timeline)\", \"seal_policy\": {{\"min_points\": {}, \"max_interval_secs\": {}}}, \"warm_hit_rate\": {:.4}, \"stats\": {}, \"pass_one_thread\": {}, \"pass_multi_thread\": {}}}",
+        "{{\"tenants\": {tenants}, \"cycles_per_tenant\": {cycles}, \"scenario_mix\": \"all_scenarios (paper_default timeline)\", \"seal_policy\": {{\"min_points\": {}, \"max_interval_secs\": {}}}, \"pass_one_thread\": {one}, \"pass_multi_thread\": {}{}}}",
         policy.min_points,
         policy.max_interval.as_secs(),
-        final_stats.warm_hit_rate(),
-        final_stats.to_json(),
-        pass_json(&one, &before_one, 1),
-        pass_json(&multi, &before_multi, max_threads),
+        multi.unwrap_or_else(|| "null".to_string()),
+        if max_threads.is_none() { SINGLE_CORE_REASON } else { "" },
     );
     splice_service_group(&out_path, &service_line);
 }

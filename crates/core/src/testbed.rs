@@ -9,11 +9,8 @@
 //! historic monitoring data plus a satisfactory/unsatisfactory run history.
 //!
 //! Recording is split from simulation: runs execute (and faults apply) first, then
-//! the collected observations are recorded. Under the `parallel` feature the
-//! recording phase can go through [`MetricStore::sharded_writer`]: the database
-//! recorder and several SAN samplers — one per interval-aligned time chunk — write
-//! concurrently, and per-series noise streams make the result bit-identical to the
-//! sequential reference path (see [`RecordingMode`]).
+//! one collector records the database runs' observations and the SAN's view of the
+//! whole period into the testbed's [`MetricStore`].
 
 use std::sync::Arc;
 
@@ -162,17 +159,8 @@ impl Testbed {
     }
 
     /// Runs a complete fault-injection scenario and returns the final testbed state,
-    /// the labelled run history and the scenario itself. Recording uses
-    /// [`RecordingMode::auto`]: in-scenario sharded recording on multi-core hosts
-    /// with the `parallel` feature, the sequential collector otherwise — the stored
-    /// data is bit-identical either way.
+    /// the labelled run history and the scenario itself.
     pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
-        Self::run_scenario_with_recording(scenario, RecordingMode::auto())
-    }
-
-    /// Runs a scenario with an explicit [`RecordingMode`] (the equivalence tests and
-    /// benchmarks pin sequential against sharded recording through this).
-    pub fn run_scenario_with_recording(scenario: &Scenario, recording: RecordingMode) -> ScenarioOutcome {
         let mut testbed = Testbed::paper_default(scenario.scale_factor);
         let injector = Injector::new();
         let mut seed = 0u64;
@@ -189,8 +177,7 @@ impl Testbed {
         let mut fault_log = Vec::new();
 
         // Phase 1 — simulate: execute the scheduled runs with faults applied in
-        // order. Nothing is recorded yet (execution never reads the metric store),
-        // so the recording phase is free to choose its concurrency.
+        // order. Nothing is recorded yet (execution never reads the metric store).
         let mut records = Vec::new();
         let mut query_loads: Vec<VolumeLoad> = Vec::new();
         for &run_start in &schedule {
@@ -232,8 +219,13 @@ impl Testbed {
 
         // Phase 2 — record: the database runs' observations plus the SAN's view of
         // the whole period (including the query's own I/O).
+        for record in &records {
+            record.record_metrics(&mut testbed.store, DB_INSTANCE, DB_SERVER);
+        }
         let range = TimeRange::new(Timestamp::ZERO, scenario.timeline.end_time());
-        record_outcome(&mut testbed, scenario, &records, &query_loads, seed, range, recording);
+        let mut sampler = IntervalSampler::new(Duration::from_mins(5), scenario.noise.clone(), seed);
+        testbed.san.record_metrics(range, &query_loads, &mut sampler, &mut testbed.store);
+        sampler.flush(&mut testbed.store);
 
         // Label runs by the scenario's timeline: everything before the fault is
         // satisfactory (the administrator's time-window marking).
@@ -244,8 +236,7 @@ impl Testbed {
     }
 
     /// Runs a batch of scenarios sequentially, in input order, sharing one
-    /// fleet-level [`DiagnosisEngine`] across the batch — the reference loop the
-    /// concurrent engine is checked against.
+    /// fleet-level [`DiagnosisEngine`] across the batch.
     pub fn run_scenarios(scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {
         Self::run_scenarios_with_engine(scenarios, &DiagnosisEngine::shared())
     }
@@ -266,176 +257,6 @@ impl Testbed {
             })
             .collect()
     }
-
-    /// Runs a batch of scenarios concurrently on a scoped thread pool and returns
-    /// their outcomes **in input order**, sharing one fleet-level engine.
-    ///
-    /// Each scenario simulates an independent testbed (its own SAN, catalog, sampler
-    /// seed and sharded metric store), so every outcome — and every report diagnosed
-    /// from it — is bit-identical to what the sequential [`Testbed::run_scenarios`]
-    /// loop produces; only the wall-clock changes. Uses one worker per available
-    /// core, capped at the batch size.
-    #[cfg(feature = "parallel")]
-    pub fn run_scenarios_concurrent(scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {
-        Self::run_scenarios_concurrent_with_engine(scenarios, &DiagnosisEngine::shared())
-    }
-
-    /// [`Testbed::run_scenarios_concurrent`] with a caller-supplied fleet engine.
-    #[cfg(feature = "parallel")]
-    pub fn run_scenarios_concurrent_with_engine(
-        scenarios: &[Scenario],
-        engine: &Arc<DiagnosisEngine>,
-    ) -> Vec<ScenarioOutcome> {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let threads = cores.min(scenarios.len());
-        if threads <= 1 {
-            return Self::run_scenarios_with_engine(scenarios, engine);
-        }
-        // The scenario workers already occupy one core each; nesting sharded
-        // in-scenario recording under a core-saturating batch would oversubscribe
-        // ~cores² threads for no wall-clock gain. Keep it only when cores outnumber
-        // the batch (the recorded data is bit-identical either way).
-        let recording = if threads >= cores { RecordingMode::Sequential } else { RecordingMode::auto() };
-        let chunk_len = scenarios.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = scenarios
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|scenario| {
-                                let mut outcome = Testbed::run_scenario_with_recording(scenario, recording);
-                                outcome.testbed.engine = Arc::clone(engine);
-                                outcome
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // Chunks are contiguous and joined in spawn order, so concatenation
-            // restores the input order deterministically.
-            handles.into_iter().flat_map(|h| h.join().expect("scenario worker panicked")).collect()
-        })
-    }
-}
-
-/// How [`Testbed::run_scenario_with_recording`] records a scenario's monitoring data.
-///
-/// Both modes produce **bit-identical stores**: interval averages are pure functions
-/// of the observations, and the per-series noise streams (seeded by series identity
-/// and interval start) are independent of recording order, chunking and thread
-/// count. The mode is purely a wall-clock choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordingMode {
-    /// One collector records everything in time order — the reference path.
-    Sequential,
-    /// Database and SAN observations are recorded concurrently through
-    /// [`MetricStore::sharded_writer`]: one worker replays the run records while
-    /// several SAN samplers each cover an interval-aligned chunk of the timeline.
-    #[cfg(feature = "parallel")]
-    Sharded,
-}
-
-impl RecordingMode {
-    /// Sharded when the `parallel` feature is on and the host has more than one
-    /// core; sequential otherwise (a single core would only pay locking overhead).
-    pub fn auto() -> Self {
-        #[cfg(feature = "parallel")]
-        if std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) > 1 {
-            return RecordingMode::Sharded;
-        }
-        RecordingMode::Sequential
-    }
-}
-
-/// Records a finished simulation's observations into the testbed's store, honouring
-/// the recording mode.
-fn record_outcome(
-    testbed: &mut Testbed,
-    scenario: &Scenario,
-    records: &[QueryRunRecord],
-    query_loads: &[VolumeLoad],
-    seed: u64,
-    range: TimeRange,
-    recording: RecordingMode,
-) {
-    let interval = Duration::from_mins(5);
-    #[cfg(feature = "parallel")]
-    if recording == RecordingMode::Sharded {
-        let step = testbed.san.config().metric_step_secs.max(1);
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2);
-        let chunks = recording_chunks(range, interval.as_secs(), step, workers);
-        let san = &testbed.san;
-        let writer = testbed.store.sharded_writer();
-        std::thread::scope(|scope| {
-            let writer = &writer;
-            // Every worker records through its own batched front-end: points
-            // buffer thread-locally and each shard is locked once per flush
-            // instead of once per point. The merged store stays bit-identical —
-            // batching preserves each key's stream order, which is all the
-            // sharded-equivalence argument needs.
-            //
-            // The database recorder replays every run in order (per-series point
-            // order is preserved by the single writer thread)...
-            scope.spawn(move || {
-                let mut sink = writer.batched();
-                for record in records {
-                    record.record_metrics(&mut sink, DB_INSTANCE, DB_SERVER);
-                }
-            });
-            // ...while each SAN worker samples its own interval-aligned chunk of
-            // the timeline with a private collector. Per-series noise streams make
-            // the union identical to one sequential sampler over the full range.
-            for chunk in chunks {
-                let noise = scenario.noise.clone();
-                scope.spawn(move || {
-                    let mut sampler = IntervalSampler::new(interval, noise, seed);
-                    let mut sink = writer.batched();
-                    san.record_metrics(chunk, query_loads, &mut sampler, &mut sink);
-                    sampler.flush(&mut sink);
-                });
-            }
-        });
-        return;
-    }
-    #[cfg(not(feature = "parallel"))]
-    let RecordingMode::Sequential = recording;
-    for record in records {
-        record.record_metrics(&mut testbed.store, DB_INSTANCE, DB_SERVER);
-    }
-    let mut sampler = IntervalSampler::new(interval, scenario.noise.clone(), seed);
-    testbed.san.record_metrics(range, query_loads, &mut sampler, &mut testbed.store);
-    sampler.flush(&mut testbed.store);
-}
-
-/// Splits a recording range into up to `workers` chunks whose boundaries are
-/// aligned to both the sampler interval and the SAN metric step, so no sampling
-/// interval (and no emission instant) straddles two workers. Returns the whole
-/// range as one chunk when it cannot be split safely.
-#[cfg(feature = "parallel")]
-fn recording_chunks(range: TimeRange, interval_secs: u64, step_secs: u64, workers: usize) -> Vec<TimeRange> {
-    fn gcd(a: u64, b: u64) -> u64 {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
-    }
-    let total = range.duration().as_secs();
-    let align = interval_secs / gcd(interval_secs, step_secs) * step_secs;
-    if workers <= 1 || align == 0 || total <= align || !range.start.as_secs().is_multiple_of(interval_secs) {
-        return vec![range];
-    }
-    let chunk = (total / workers as u64).max(1).div_ceil(align).max(1) * align;
-    let mut out = Vec::new();
-    let mut lo = range.start.as_secs();
-    while lo < range.end.as_secs() {
-        let hi = (lo + chunk).min(range.end.as_secs());
-        out.push(TimeRange::new(Timestamp::new(lo), Timestamp::new(hi)));
-        lo = hi;
-    }
-    out
 }
 
 /// The result of running a scenario end to end.

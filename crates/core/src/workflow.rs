@@ -49,8 +49,8 @@ use crate::symptoms::{ScoredCause, Symptom, SymptomKind, SymptomsDatabase};
 /// space is disjoint per module (CO scores elapsed times, CR record counts, DA
 /// component metrics), so a single cold batch run fits each variable exactly once
 /// either way — the cache pays off on *re-execution*: interactive sessions
-/// re-running modules, repeated diagnoses of one context, and DA workers folding
-/// fits back for later passes. All variants are `Copy`.
+/// re-running modules, repeated diagnoses of one context, and incremental
+/// re-diagnoses extending a slot's fits. All variants are `Copy`.
 ///
 /// Every variant is a **store-agnostic identity**: operator ids are plan-structural,
 /// and [`ScoreKey::Metric`] holds a [`MetricKey`] issued by the shared interner, so
@@ -82,43 +82,13 @@ pub type DiagnosisCache = ScoringCache<ScoreKey>;
 /// (the paper's KDE needs a handful of samples to be meaningful).
 const MIN_SATISFACTORY_SAMPLES: usize = 3;
 
-/// Minimum number of components each DA worker should score: below this, the scoped
-/// thread spawns cost more than the KDE fits they parallelize.
-#[cfg(feature = "parallel")]
-const DA_MIN_COMPONENTS_PER_WORKER: usize = 8;
-
-/// How many DA workers a component set warrants: one per
-/// [`DA_MIN_COMPONENTS_PER_WORKER`] components, capped by the machine's available
-/// parallelism. Single-core containers (and small component sets) get `1`, which
-/// routes DA onto the sequential path with zero thread overhead.
-#[cfg(feature = "parallel")]
-fn da_worker_count(component_count: usize) -> usize {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    cores.min(component_count / DA_MIN_COMPONENTS_PER_WORKER).max(1)
-}
-
-/// One DA worker's output: per-component (metric scores, flagged) results plus the
-/// worker's thread-local fit cache (absorbed into the shared cache after the join).
-#[cfg(feature = "parallel")]
-type DaChunkOutcome = (Vec<(Vec<ComponentMetricScore>, bool)>, DiagnosisCache);
-
-/// Scores the mean of `unsatisfactory` against a fitted KDE. Empty sets score 0.0 —
-/// "no evidence" never reads as an anomaly.
-fn score_against(kde: &diads_stats::Kde, unsatisfactory: &[f64], two_sided: bool) -> f64 {
-    let score = if two_sided {
-        kde.two_sided_score_mean(unsatisfactory)
-    } else {
-        kde.anomaly_score_mean(unsatisfactory)
-    };
-    score.unwrap_or(0.0)
-}
-
 /// Scores `unsat` against the cached (or freshly fitted) KDE of `key`.
 ///
 /// Returns `None` when the variable is not scoreable — fewer than
 /// [`MIN_SATISFACTORY_SAMPLES`] satisfactory observations (or an unfittable sample).
 /// This is the single scoring code path for every module: CO and CR map `None` to a
-/// 0.0 score, DA skips the variable entirely (the pre-cache behaviour of each).
+/// 0.0 score, DA skips the variable entirely (the pre-cache behaviour of each). An
+/// empty `unsatisfactory` set scores 0.0 — "no evidence" never reads as an anomaly.
 fn cached_score(
     cache: &mut DiagnosisCache,
     key: ScoreKey,
@@ -130,7 +100,12 @@ fn cached_score(
         let sample = satisfactory();
         (sample.len() >= MIN_SATISFACTORY_SAMPLES).then_some(sample)
     })?;
-    Some(score_against(kde, unsatisfactory, two_sided))
+    let score = if two_sided {
+        kde.two_sided_score_mean(unsatisfactory)
+    } else {
+        kde.anomaly_score_mean(unsatisfactory)
+    };
+    Some(score.unwrap_or(0.0))
 }
 
 /// Tunables of the workflow.
@@ -467,11 +442,6 @@ impl DiagnosisWorkflow {
     /// Module DA: anomaly scores for the performance metrics of components on the
     /// correlated operators' dependency paths (or of every component when pruning is
     /// disabled — the ablation the paper's §1.1 argues against).
-    ///
-    /// Dispatches to the scoped thread pool when the `parallel` feature is enabled,
-    /// the machine has more than one core, and the component set is large enough to
-    /// amortise the spawns; the merge order is deterministic and the result identical
-    /// to the sequential path.
     pub fn dependency_analysis(
         &self,
         ctx: &DiagnosisContext<'_>,
@@ -479,8 +449,7 @@ impl DiagnosisWorkflow {
         cache: &mut DiagnosisCache,
     ) -> DependencyAnalysisResult {
         let components = self.dependency_components(ctx, cos);
-        let satisfactory = ctx.satisfactory_runs();
-        self.dependency_analysis_dispatch(ctx, components, satisfactory, cache)
+        self.score_components(ctx, components, &ctx.satisfactory_runs(), cache)
     }
 
     /// Module DA, **re-drill** mode: invoked by the standard pipeline when PD has
@@ -495,47 +464,15 @@ impl DiagnosisWorkflow {
         cache: &mut DiagnosisCache,
     ) -> DependencyAnalysisResult {
         let components = self.redrill_components(ctx);
-        let satisfactory = ctx.baseline_runs();
-        self.dependency_analysis_dispatch(ctx, components, satisfactory, cache)
+        self.score_components(ctx, components, &ctx.baseline_runs(), cache)
     }
 
-    fn dependency_analysis_dispatch(
+    /// The DA scoring loop: scores every component in order against `satisfactory`.
+    fn score_components(
         &self,
         ctx: &DiagnosisContext<'_>,
         components: Vec<ComponentId>,
-        satisfactory: Vec<&LabeledRun>,
-        cache: &mut DiagnosisCache,
-    ) -> DependencyAnalysisResult {
-        // A disabled cache is a refit-baseline request: it must stay on the
-        // sequential per-call-refit path, not on pooled workers with live caches.
-        #[cfg(feature = "parallel")]
-        if cache.is_enabled() {
-            let workers = da_worker_count(components.len());
-            if workers > 1 {
-                return self.dependency_analysis_on_pool(ctx, &components, &satisfactory, workers, cache);
-            }
-        }
-        self.score_components_sequential(ctx, components, satisfactory, cache)
-    }
-
-    /// Module DA, forced sequential (the baseline the parallel path is benchmarked
-    /// against; always produces the same result).
-    pub fn dependency_analysis_sequential(
-        &self,
-        ctx: &DiagnosisContext<'_>,
-        cos: &CorrelatedOperatorsResult,
-        cache: &mut DiagnosisCache,
-    ) -> DependencyAnalysisResult {
-        let components = self.dependency_components(ctx, cos);
-        let satisfactory = ctx.satisfactory_runs();
-        self.score_components_sequential(ctx, components, satisfactory, cache)
-    }
-
-    fn score_components_sequential(
-        &self,
-        ctx: &DiagnosisContext<'_>,
-        components: Vec<ComponentId>,
-        satisfactory: Vec<&LabeledRun>,
+        satisfactory: &[&LabeledRun],
         cache: &mut DiagnosisCache,
     ) -> DependencyAnalysisResult {
         let unsatisfactory = ctx.unsatisfactory_runs();
@@ -543,7 +480,7 @@ impl DiagnosisWorkflow {
         let mut correlated_components = Vec::new();
         for component in components {
             let (scores, flagged) =
-                self.score_component(ctx, &component, &satisfactory, &unsatisfactory, None, cache);
+                self.score_component(ctx, &component, satisfactory, &unsatisfactory, cache);
             metric_scores.extend(scores);
             if flagged {
                 correlated_components.push(component);
@@ -555,18 +492,13 @@ impl DiagnosisWorkflow {
     /// Scores every metric of one component. Zero-copy: the component's series are
     /// walked by interned key (a contiguous range scan), per-run means are computed
     /// straight off borrowed slices, and the satisfactory sample is materialised only
-    /// when no cache layer has a fit for it yet.
-    ///
-    /// `shared` is an optional read-only warm layer (the caller's cross-module cache
-    /// during a parallel pass); fits found there are used directly, misses fall
-    /// through to the writable `cache`.
+    /// when the cache has no fit for it yet.
     fn score_component(
         &self,
         ctx: &DiagnosisContext<'_>,
         component: &ComponentId,
         satisfactory: &[&LabeledRun],
         unsatisfactory: &[&LabeledRun],
-        shared: Option<&DiagnosisCache>,
         cache: &mut DiagnosisCache,
     ) -> (Vec<ComponentMetricScore>, bool) {
         let store = ctx.store;
@@ -582,21 +514,13 @@ impl DiagnosisWorkflow {
                 continue;
             }
             let metric = store.resolve(key).1;
-            let two_sided = !metric.higher_is_worse();
-            let score = match shared.and_then(|s| s.probe(&ScoreKey::Metric(key))) {
-                // Warm fit: score directly.
-                Some(Some(kde)) => Some(score_against(kde, &unsat, two_sided)),
-                // Warm negative entry: known unscoreable, skip without re-deriving.
-                Some(None) => None,
-                // Unknown to the warm layer: fit (or negatively cache) locally.
-                None => cached_score(
-                    cache,
-                    ScoreKey::Metric(key),
-                    || per_run_metric_means_by_key(store, key, satisfactory),
-                    &unsat,
-                    two_sided,
-                ),
-            };
+            let score = cached_score(
+                cache,
+                ScoreKey::Metric(key),
+                || per_run_metric_means_by_key(store, key, satisfactory),
+                &unsat,
+                !metric.higher_is_worse(),
+            );
             let Some(score) = score else {
                 // Fewer than MIN_SATISFACTORY_SAMPLES satisfactory observations: the
                 // variable is not scoreable (the pre-refactor loop `continue`d here).
@@ -612,88 +536,6 @@ impl DiagnosisWorkflow {
             });
         }
         (out, flagged)
-    }
-
-    /// Module DA on a scoped thread pool: components are split into contiguous chunks,
-    /// each chunk is scored by one worker with a thread-local cache, and the chunk
-    /// results are concatenated in order — the merge is deterministic and the scores
-    /// are bit-identical to the sequential path.
-    ///
-    /// `threads == 0` sizes the pool from the machine's available parallelism and
-    /// the component count (see [`da_worker_count`]).
-    #[cfg(feature = "parallel")]
-    pub fn dependency_analysis_parallel(
-        &self,
-        ctx: &DiagnosisContext<'_>,
-        cos: &CorrelatedOperatorsResult,
-        threads: usize,
-    ) -> DependencyAnalysisResult {
-        let components = self.dependency_components(ctx, cos);
-        let satisfactory = ctx.satisfactory_runs();
-        self.dependency_analysis_on_pool(ctx, &components, &satisfactory, threads, &mut DiagnosisCache::new())
-    }
-
-    #[cfg(feature = "parallel")]
-    fn dependency_analysis_on_pool(
-        &self,
-        ctx: &DiagnosisContext<'_>,
-        components: &[ComponentId],
-        satisfactory: &[&LabeledRun],
-        threads: usize,
-        cache: &mut DiagnosisCache,
-    ) -> DependencyAnalysisResult {
-        let threads = if threads == 0 { da_worker_count(components.len()) } else { threads };
-        let threads = threads.clamp(1, components.len().max(1));
-        let unsatisfactory = ctx.unsatisfactory_runs();
-        let chunk_len = components.len().div_ceil(threads);
-        let chunks: Vec<&[ComponentId]> = components.chunks(chunk_len.max(1)).collect();
-        let shared = &*cache;
-        let per_chunk: Vec<DaChunkOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| {
-                    let satisfactory = &satisfactory;
-                    let unsatisfactory = &unsatisfactory;
-                    scope.spawn(move || {
-                        let mut local = DiagnosisCache::new();
-                        let results = chunk
-                            .iter()
-                            .map(|c| {
-                                self.score_component(
-                                    ctx,
-                                    c,
-                                    satisfactory,
-                                    unsatisfactory,
-                                    Some(shared),
-                                    &mut local,
-                                )
-                            })
-                            .collect::<Vec<_>>();
-                        (results, local)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("DA worker panicked")).collect()
-        });
-        let mut per_chunk_results = Vec::with_capacity(per_chunk.len());
-        for (results, local) in per_chunk {
-            // Fold every worker's fits back into the shared cache so later modules and
-            // warm re-executions reuse them.
-            cache.absorb(local);
-            per_chunk_results.push(results);
-        }
-        let per_chunk = per_chunk_results;
-        let mut metric_scores = Vec::new();
-        let mut correlated_components = Vec::new();
-        for (chunk, results) in chunks.iter().zip(per_chunk) {
-            for (component, (scores, flagged)) in chunk.iter().zip(results) {
-                metric_scores.extend(scores);
-                if flagged {
-                    correlated_components.push(component.clone());
-                }
-            }
-        }
-        DependencyAnalysisResult { metric_scores, correlated_components }
     }
 
     // ----- Module CR -----

@@ -150,8 +150,7 @@ fn record_threaded_by_series(case: &Case, threads: usize) -> MetricStore {
 }
 
 /// Threaded recording, partitioned by interval-aligned time chunks: every worker
-/// observes *all* series over its own chunk with a private sampler — the partitioning
-/// the scenario engine uses for in-scenario SAN recording.
+/// observes *all* series over its own chunk with a private sampler.
 fn record_threaded_by_time(case: &Case, threads: usize) -> MetricStore {
     let mut store = MetricStore::new();
     let keys = intern_keys(&mut store, case);

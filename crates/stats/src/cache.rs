@@ -1,9 +1,8 @@
 //! Memoisation of KDE fits across the diagnosis workflow.
 //!
 //! The workflow scores the *same* satisfactory history many times across
-//! re-executions: the interactive mode re-runs modules at will, benchmarks and
-//! repeated diagnoses revisit one context, and parallel DA workers hand their fits
-//! back for later passes. Re-fitting on each of those is pure waste — the
+//! re-executions: the interactive mode re-runs modules at will, and benchmarks and
+//! repeated diagnoses revisit one context. Re-fitting on each of those is pure waste — the
 //! satisfactory sample for a given variable never changes while the context lives.
 //! [`ScoringCache`] fits each variable once and hands out the shared estimate.
 
@@ -70,11 +69,6 @@ impl<K> ScoringCache<K> {
         self.misses
     }
 
-    /// Whether this cache retains fits ([`ScoringCache::disabled`] caches do not).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Drops every cached fit (e.g. when the run history being diagnosed changes).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -83,8 +77,8 @@ impl<K> ScoringCache<K> {
 }
 
 impl<K: Eq + Hash> ScoringCache<K> {
-    /// Absorbs another cache's entries (existing entries win). Used to merge the
-    /// thread-local caches of a parallel scoring pass back into the shared cache.
+    /// Absorbs another cache's entries (existing entries win). Used to merge two
+    /// caches checked in concurrently for the same history.
     ///
     /// A disabled receiver absorbs only the counters — its "never caches" contract
     /// holds even when fed from enabled worker caches.
@@ -132,8 +126,7 @@ impl<K: Eq + Hash> ScoringCache<K> {
 
     /// The full cache state for `key`: `None` if the key was never attempted,
     /// `Some(None)` if it is negatively cached (not scoreable), `Some(Some(_))` if a
-    /// fit is cached. Lets a read-only warm layer distinguish "unknown" from "known
-    /// unscoreable" instead of re-deriving the negative result.
+    /// fit is cached — "unknown" and "known unscoreable" stay distinct.
     pub fn probe(&self, key: &K) -> Option<Option<&Kde>> {
         self.entries.get(key).map(|e| e.as_ref())
     }

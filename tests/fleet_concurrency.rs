@@ -14,9 +14,6 @@
 //!    through one shared engine produce, outcome for outcome, the same reports as
 //!    one thread diagnosing them in order through its own engine; engine stats
 //!    stay exact.
-//!
-//! The suite is feature-agnostic and runs under default and `--features parallel`
-//! in CI.
 
 use std::sync::Arc;
 

@@ -24,10 +24,6 @@
 //!    run and re-diagnose. Only PD and SD read the event timeline, so exactly
 //!    those two execute while CO, DA, CR and IA replay, and the findings must
 //!    still match a cold batch.
-//!
-//! The suite is feature-agnostic; CI runs it under the default build and under
-//! `--features parallel` (the engine's slot map and the scenario recorder are the
-//! only parallel-sensitive parts, and both are pinned bit-identical elsewhere).
 
 use diads::core::{DiagnosisEngine, ScenarioOutcome, Testbed};
 use diads::inject::scenarios::{all_scenarios, Scenario};

@@ -76,6 +76,41 @@ fn standard_pipeline_matches_legacy_composition_over_all_scenarios() {
     }
 }
 
+/// The refit baseline (`DiagnosisCache::disabled()`, which every bench
+/// `refit_baseline` column measures) must find exactly what the cached pipeline
+/// finds: per-call refits, a fresh cache and a reused warm cache give equal
+/// reports on every scenario.
+#[test]
+fn refit_baseline_matches_cached_pipeline_over_all_scenarios() {
+    let pipeline = DiagnosisPipeline::standard();
+    for scenario in all_scenarios() {
+        let outcome = Testbed::run_scenario(&scenario);
+        let apg = outcome.apg();
+        let events = outcome.testbed.all_events();
+        let ctx = outcome.context(&apg, &events);
+
+        let mut disabled = DiagnosisCache::disabled();
+        let refit = pipeline.run_with_cache(&ctx, &mut disabled);
+        assert!(disabled.is_empty(), "{}: a disabled cache must retain no fits", scenario.id);
+        let cached = pipeline.run(&ctx);
+        let mut reused = DiagnosisCache::new();
+        pipeline.run_with_cache(&ctx, &mut reused);
+        let misses = reused.misses();
+        let warm = pipeline.run_with_cache(&ctx, &mut reused);
+        assert_eq!(reused.misses(), misses, "{}: the warm run must not refit", scenario.id);
+
+        assert_eq!(
+            refit,
+            cached,
+            "{}: refit baseline drifted from the cached pipeline\n--- refit ---\n{}\n--- cached ---\n{}",
+            scenario.id,
+            refit.render(),
+            cached.render()
+        );
+        assert_eq!(cached, warm, "{}: warm-cache report drifted from the cold one", scenario.id);
+    }
+}
+
 /// Skipping Plan Diffing must still produce a well-formed report: the drill-down
 /// proceeds as if the plan were stable, every remaining stage runs, and the causes
 /// are still ranked.
