@@ -433,10 +433,11 @@ fn main() {
         e2e_refit / 1e6,
         e2e / 1e6,
         e2e_warm / 1e6,
-        e2e_refit / e2e_warm
+        e2e / e2e_warm
     ));
     json.push_str(&format!(
-        "  \"store_recording\": {{\"series\": {RECORD_COMPONENTS}, \"points_per_series\": {RECORD_POINTS_PER_KEY}, \"direct_ns\": {rec_direct:.1}, \"sharded_1thread_ns\": {rec_sharded:.1}, \"batched_1thread_ns\": {rec_batched:.1}, \"batched_vs_direct\": {:.2}, \"sharded_threads_ns\": {rec_threads}, \"batched_threads_ns\": {rec_batched_threads}{rec_threads_reason}}},\n",
+        "  \"store_recording\": {{\"series\": {RECORD_COMPONENTS}, \"points_per_series\": {RECORD_POINTS_PER_KEY}, \"direct_ns\": {rec_direct:.1}, \"sharded_1thread_ns\": {rec_sharded:.1}, \"batched_1thread_ns\": {rec_batched:.1}, \"batched_points_per_sec\": {:.0}, \"batched_vs_direct\": {:.2}, \"sharded_threads_ns\": {rec_threads}, \"batched_threads_ns\": {rec_batched_threads}{rec_threads_reason}}},\n",
+        (RECORD_COMPONENTS * RECORD_POINTS_PER_KEY) as f64 / (rec_batched / 1e9),
         rec_batched / rec_direct
     ));
     json.push_str(&format!(

@@ -195,16 +195,6 @@ impl Apg {
         self.components_on_paths(&ops)
     }
 
-    /// The operators whose inner dependency path contains the given component.
-    pub fn operators_depending_on(&self, component: &ComponentId) -> Vec<OperatorId> {
-        self.plan
-            .operators()
-            .iter()
-            .map(|o| o.id)
-            .filter(|op| self.inner_path(*op).contains(component))
-            .collect()
-    }
-
     /// The annotation of one operator for one run: the values of every metric of every
     /// component on the operator's inner dependency path, restricted to the operator's
     /// `[tb, te]` window in that run.
@@ -394,18 +384,6 @@ mod tests {
         let o9 = apg.inner_path(OperatorId(9));
         assert!(o9.contains(&ComponentId::volume("V2")));
         assert!(!o9.contains(&ComponentId::volume("V1")));
-    }
-
-    #[test]
-    fn operators_depending_on_a_component() {
-        let apg = apg();
-        let on_v1 = apg.operators_depending_on(&ComponentId::volume("V1"));
-        assert!(on_v1.contains(&OperatorId(8)));
-        assert!(on_v1.contains(&OperatorId(22)));
-        assert!(on_v1.contains(&OperatorId(1)));
-        assert!(!on_v1.contains(&OperatorId(9)));
-        // Every operator depends on the database server.
-        assert_eq!(apg.operators_depending_on(&ComponentId::server("db-server")).len(), 25);
     }
 
     #[test]

@@ -77,14 +77,6 @@ pub struct RankedCause {
     pub evidence: Vec<String>,
 }
 
-impl RankedCause {
-    /// Whether this cause is both high-confidence and high-impact — the report's
-    /// definition of an actionable finding.
-    pub fn is_actionable(&self, impact_threshold_pct: f64) -> bool {
-        self.confidence == ConfidenceLevel::High && self.impact_pct >= impact_threshold_pct
-    }
-}
-
 /// Execution provenance of one pipeline stage.
 #[derive(Debug, Clone, Default)]
 pub struct StageProvenance {
@@ -138,13 +130,6 @@ pub struct DiagnosisProvenance {
     pub cancelled_at: Option<String>,
 }
 
-impl DiagnosisProvenance {
-    /// Total wall-clock nanoseconds across all recorded stage executions.
-    pub fn total_elapsed_nanos(&self) -> u64 {
-        self.stages.iter().map(|s| s.elapsed_nanos).sum()
-    }
-}
-
 /// Outcome of the whole workflow for one slowdown investigation.
 ///
 /// `PartialEq` compares every *finding* field (including the f64 scores bit-for-bit
@@ -192,11 +177,6 @@ impl PartialEq for DiagnosisReport {
 }
 
 impl DiagnosisReport {
-    /// The causes that are both high-confidence and high-impact, best first.
-    pub fn actionable_causes(&self, impact_threshold_pct: f64) -> Vec<&RankedCause> {
-        self.causes.iter().filter(|c| c.is_actionable(impact_threshold_pct)).collect()
-    }
-
     /// The single most likely root cause, if any cause was scored at all.
     pub fn primary_cause(&self) -> Option<&RankedCause> {
         self.causes.first()
@@ -533,13 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn actionable_requires_confidence_and_impact() {
-        assert!(cause("a", 95.0, 90.0).is_actionable(50.0));
-        assert!(!cause("b", 95.0, 10.0).is_actionable(50.0));
-        assert!(!cause("c", 60.0, 95.0).is_actionable(50.0));
-    }
-
-    #[test]
     fn report_accessors_and_render() {
         let report = DiagnosisReport {
             query: "TPC-H Q2".into(),
@@ -555,7 +528,6 @@ mod tests {
         };
         assert!((report.relative_slowdown() - 1.0).abs() < 1e-9);
         assert_eq!(report.primary_cause().unwrap().cause_id, "san-misconfiguration-contention");
-        assert_eq!(report.actionable_causes(50.0).len(), 1);
         let text = report.render();
         assert!(text.contains("same plan"));
         assert!(text.contains("O8, O22"));
@@ -643,7 +615,6 @@ mod tests {
         assert!(json.contains("\"warm\":false"), "{json}");
         let empty = DiagnosisReport::default();
         assert!(empty.to_json().contains("\"engine\":null"));
-        assert_eq!(empty.provenance.total_elapsed_nanos(), 0);
         // `cancelled_at` appears only on cancelled runs, so complete reports keep
         // the pre-cancellation byte layout.
         assert!(!json.contains("cancelled_at"), "{json}");

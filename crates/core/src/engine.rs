@@ -50,7 +50,7 @@ use crate::workflow::{DiagnosisCache, ScoreKey};
 /// Default bound on the number of warm slots — generous (a slot per distinct
 /// labelled history; fleets rarely track this many live labellings at once), but
 /// finite, so an unbounded stream of fingerprints cannot grow the engine forever.
-pub const DEFAULT_SLOT_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_SLOT_CAPACITY: usize = 1024;
 
 /// One warm slot: the cached fits, the evidence of the last standard diagnosis
 /// recorded into it (the seed of incremental re-diagnosis), plus the recency
@@ -173,7 +173,7 @@ impl EngineStats {
 /// additionally checked *out* while a diagnosis runs, so even same-stripe
 /// diagnoses only contend for the microseconds of the checkout itself). All
 /// cross-stripe coordination — the LRU recency clock, the invalidation
-/// generation, slot/fit accounting for the eviction bounds, and the
+/// generation, slot accounting for the eviction bound, and the
 /// [`EngineStats`] counters — runs on atomics, never a stats lock. An
 /// invalidation that lands while a slot is checked out still wins: the in-flight
 /// fits are discarded at check-in instead of resurrecting the invalidated slot.
@@ -183,11 +183,6 @@ pub struct DiagnosisEngine {
     /// Maximum number of warm slots kept (immutable after construction); the
     /// globally least-recently-used slot is recycled when a check-in exceeds it.
     capacity: usize,
-    /// Optional bound on the *total fitted-KDE count* across all warm slots
-    /// (measured with [`diads_stats::ScoringCache::len`]): when a check-in pushes
-    /// the sum over it, least-recently-used slots are recycled until the sum fits
-    /// again — a memory bound proportional to actual fits rather than slot count.
-    fit_budget: Option<usize>,
     /// Bumped by every invalidation. A check-in whose
     /// checkout observed an older generation is dropped — conservative (an
     /// invalidation of *any* fingerprint discards concurrent in-flight fits, costing
@@ -201,8 +196,6 @@ pub struct DiagnosisEngine {
     /// Number of checked-in slots across all stripes (checked-out slots are absent
     /// from their map and from this count, exactly like the single-mutex engine).
     slot_count: AtomicUsize,
-    /// Total fitted KDEs across all checked-in slots (the fit-budget observable).
-    total_fits: AtomicUsize,
     /// Checkouts that found a warm (previously checked-in) slot.
     warm_checkouts: AtomicU64,
     /// Checkouts that created a fresh slot.
@@ -216,11 +209,9 @@ impl Default for DiagnosisEngine {
         DiagnosisEngine {
             stripes: (0..STRIPE_COUNT).map(|_| Mutex::new(Stripe::default())).collect(),
             capacity: DEFAULT_SLOT_CAPACITY,
-            fit_budget: None,
             generation: AtomicU64::new(0),
             tick: AtomicU64::new(0),
             slot_count: AtomicUsize::new(0),
-            total_fits: AtomicUsize::new(0),
             warm_checkouts: AtomicU64::new(0),
             cold_checkouts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -230,7 +221,7 @@ impl Default for DiagnosisEngine {
 
 impl DiagnosisEngine {
     /// Creates an empty engine with the default slot capacity
-    /// ([`DEFAULT_SLOT_CAPACITY`]).
+    /// (`DEFAULT_SLOT_CAPACITY`).
     pub fn new() -> Self {
         Self::default()
     }
@@ -244,19 +235,6 @@ impl DiagnosisEngine {
         engine
     }
 
-    /// Creates an empty engine bounded by *fitted-cache size* rather than slot
-    /// count: whenever the total number of fitted KDEs across all warm slots
-    /// (summed with [`diads_stats::ScoringCache::len`]) exceeds `budget` (at least
-    /// one), least-recently-used slots are recycled until it fits — except that the
-    /// single most-recent slot is always kept, even when it alone exceeds the
-    /// budget. The slot-count bound stays at [`DEFAULT_SLOT_CAPACITY`] as a
-    /// backstop.
-    pub fn with_fit_budget(budget: usize) -> Self {
-        let mut engine = Self::new();
-        engine.fit_budget = Some(budget.max(1));
-        engine
-    }
-
     /// Creates an empty engine behind an `Arc`, ready to share across testbeds.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new())
@@ -267,17 +245,6 @@ impl DiagnosisEngine {
         self.capacity
     }
 
-    /// The configured fitted-cache budget, when bounded by
-    /// [`DiagnosisEngine::with_fit_budget`].
-    pub fn fit_budget(&self) -> Option<usize> {
-        self.fit_budget
-    }
-
-    /// Total fitted KDEs currently held across all warm slots.
-    pub fn total_cached_fits(&self) -> usize {
-        self.total_fits.load(Ordering::SeqCst)
-    }
-
     /// The stripe lock owning a fingerprint's slot.
     fn stripe(&self, fingerprint: u64) -> &Mutex<Stripe> {
         &self.stripes[stripe_index(fingerprint)]
@@ -286,7 +253,8 @@ impl DiagnosisEngine {
     /// Whether the slot of `fingerprint` holds a recorded evidence ledger (i.e. a
     /// standard engine-routed diagnosis was checked into it) — the precondition
     /// for [`DiagnosisEngine::diagnose_incremental`] taking the replay path.
-    pub fn has_evidence(&self, fingerprint: u64) -> bool {
+    #[cfg(test)]
+    fn has_evidence(&self, fingerprint: u64) -> bool {
         self.stripe(fingerprint)
             .lock()
             .expect("stripe lock poisoned")
@@ -519,7 +487,6 @@ impl DiagnosisEngine {
             Some(slot) => {
                 self.warm_checkouts.fetch_add(1, Ordering::Relaxed);
                 self.slot_count.fetch_sub(1, Ordering::SeqCst);
-                self.total_fits.fetch_sub(slot.cache.len(), Ordering::SeqCst);
                 Checkout { cache: slot.cache, evidence: slot.evidence, generation, warm: true }
             }
             None => {
@@ -547,9 +514,7 @@ impl DiagnosisEngine {
             match stripe.map.entry(fingerprint) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     let slot = e.get_mut();
-                    let resident = slot.cache.len();
                     slot.cache.absorb(cache);
-                    self.total_fits.fetch_add(slot.cache.len() - resident, Ordering::SeqCst);
                     if evidence.is_some() {
                         slot.evidence = evidence;
                     }
@@ -557,7 +522,6 @@ impl DiagnosisEngine {
                 }
                 std::collections::hash_map::Entry::Vacant(v) => {
                     self.slot_count.fetch_add(1, Ordering::SeqCst);
-                    self.total_fits.fetch_add(cache.len(), Ordering::SeqCst);
                     v.insert(Slot { cache, evidence, last_used: tick });
                 }
             }
@@ -587,10 +551,8 @@ impl DiagnosisEngine {
             let mut stripe = self.stripes[index].lock().expect("stripe lock poisoned");
             match stripe.map.get(&fp) {
                 Some(slot) if slot.last_used == used => {
-                    let fits = slot.cache.len();
                     stripe.map.remove(&fp);
                     self.slot_count.fetch_sub(1, Ordering::SeqCst);
-                    self.total_fits.fetch_sub(fits, Ordering::SeqCst);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     return true;
                 }
@@ -600,24 +562,12 @@ impl DiagnosisEngine {
         false
     }
 
-    /// Applies the slot-count bound and, if configured, the fitted-cache budget.
-    /// The just-checked-in slot carries the newest tick, so it is never the LRU
-    /// victim of the capacity bound (capacity is at least 1); the fit budget stops
-    /// at one remaining slot, so a single over-budget slot is kept rather than
-    /// looping forever.
+    /// Applies the slot-count bound. The just-checked-in slot carries the newest
+    /// tick, so it is never the LRU victim (capacity is at least 1).
     fn evict_over_bounds(&self) {
         while self.slot_count.load(Ordering::SeqCst) > self.capacity {
             if !self.evict_lru() {
                 break;
-            }
-        }
-        if let Some(budget) = self.fit_budget {
-            while self.slot_count.load(Ordering::SeqCst) > 1
-                && self.total_fits.load(Ordering::SeqCst) > budget
-            {
-                if !self.evict_lru() {
-                    break;
-                }
             }
         }
     }
@@ -629,9 +579,8 @@ impl DiagnosisEngine {
     /// the generation under.
     pub fn invalidate(&self, fingerprint: u64) {
         let mut stripe = self.stripe(fingerprint).lock().expect("stripe lock poisoned");
-        if let Some(slot) = stripe.map.remove(&fingerprint) {
+        if stripe.map.remove(&fingerprint).is_some() {
             self.slot_count.fetch_sub(1, Ordering::SeqCst);
-            self.total_fits.fetch_sub(slot.cache.len(), Ordering::SeqCst);
         }
         self.generation.fetch_add(1, Ordering::SeqCst);
     }
@@ -646,10 +595,8 @@ impl DiagnosisEngine {
             self.stripes.iter().map(|s| s.lock().expect("stripe lock poisoned")).collect();
         self.generation.fetch_add(1, Ordering::SeqCst);
         for stripe in &mut stripes {
-            for (_, slot) in stripe.map.drain() {
-                self.slot_count.fetch_sub(1, Ordering::SeqCst);
-                self.total_fits.fetch_sub(slot.cache.len(), Ordering::SeqCst);
-            }
+            self.slot_count.fetch_sub(stripe.map.len(), Ordering::SeqCst);
+            stripe.map.clear();
         }
     }
 
@@ -716,7 +663,7 @@ impl DiagnosisEngine {
         crate::snapshot::serialize_slots(&data, interner)
     }
 
-    /// Rebuilds an engine (default capacity, no fit budget) from a
+    /// Rebuilds an engine (default capacity) from a
     /// [`DiagnosisEngine::snapshot`], re-interning metric identities against
     /// `interner`. Fitted entries rebuild bit-identically
     /// ([`diads_stats::Kde::from_parts`] with the recorded bandwidth); negative
@@ -729,7 +676,6 @@ impl DiagnosisEngine {
             let tick = engine.tick.fetch_add(1, Ordering::SeqCst) + 1;
             let mut stripe = engine.stripe(fingerprint).lock().expect("stripe lock poisoned");
             engine.slot_count.fetch_add(1, Ordering::SeqCst);
-            engine.total_fits.fetch_add(cache.len(), Ordering::SeqCst);
             stripe.map.insert(fingerprint, Slot { cache, evidence: None, last_used: tick });
         }
         engine.evict_over_bounds();
@@ -752,6 +698,15 @@ mod tests {
     use super::*;
     use crate::workflow::ScoreKey;
     use diads_db::OperatorId;
+
+    /// Fitted and negative cache entries across every checked-in slot.
+    fn cached_fits(engine: &DiagnosisEngine) -> usize {
+        engine
+            .stripes
+            .iter()
+            .map(|s| s.lock().unwrap().map.values().map(|slot| slot.cache.len()).sum::<usize>())
+            .sum()
+    }
 
     fn warm_slot(engine: &DiagnosisEngine, fingerprint: u64) {
         engine.with_slot_tracked(fingerprint, |c, _| {
@@ -869,7 +824,7 @@ mod tests {
         assert_eq!(restored.snapshot(interner), json, "snapshots are deterministic");
         assert!(restored.is_warm(11));
         assert!(restored.is_warm(u64::MAX));
-        assert_eq!(restored.total_cached_fits(), engine.total_cached_fits());
+        assert_eq!(cached_fits(&restored), cached_fits(&engine));
         restored.with_slot_tracked(11, |c, _| {
             assert!(
                 matches!(c.probe(&ScoreKey::OperatorRows(OperatorId(2))), Some(None)),
@@ -888,39 +843,6 @@ mod tests {
         assert!(!restored.has_evidence(11));
         assert!(DiagnosisEngine::restore("{\"version\":9,\"slots\":[]}", interner).is_err());
         assert!(DiagnosisEngine::restore("not json", interner).is_err());
-    }
-
-    #[test]
-    fn fit_budget_recycles_by_total_fits() {
-        let engine = DiagnosisEngine::with_fit_budget(1);
-        assert_eq!(engine.fit_budget(), Some(1));
-        assert_eq!(DiagnosisEngine::new().fit_budget(), None);
-        warm_slot(&engine, 1);
-        assert_eq!(engine.total_cached_fits(), 1);
-        // A second one-fit slot pushes the total to 2 > 1: the older slot is
-        // recycled, the just-checked-in one survives.
-        warm_slot(&engine, 2);
-        assert!(!engine.is_warm(1), "over-budget fits recycle the LRU slot");
-        assert!(engine.is_warm(2), "the most recent slot is always kept");
-        assert_eq!(engine.total_cached_fits(), 1);
-        assert_eq!(engine.stats().evictions, 1);
-    }
-
-    #[test]
-    fn single_over_budget_slot_is_kept() {
-        let engine = DiagnosisEngine::with_fit_budget(1);
-        engine.with_slot_tracked(9, |c, _| {
-            for op in 1..=3 {
-                c.fit_or_insert_with(ScoreKey::OperatorElapsed(OperatorId(op)), || {
-                    Some(vec![1.0, 1.1, 0.9, 1.05, 0.95])
-                });
-            }
-        });
-        // One slot holding three fits exceeds the budget, but evicting it would
-        // leave the engine permanently cold — the last slot is exempt.
-        assert!(engine.is_warm(9));
-        assert_eq!(engine.total_cached_fits(), 3);
-        assert_eq!(engine.stats().evictions, 0);
     }
 
     #[test]
@@ -949,7 +871,7 @@ mod tests {
         assert_eq!(stats.warm_checkouts, THREADS * (ITERS - 1));
         assert_eq!(stats.evictions, 0);
         assert_eq!(engine.slot_count(), THREADS as usize);
-        assert_eq!(engine.total_cached_fits(), THREADS as usize);
+        assert_eq!(cached_fits(&engine), THREADS as usize);
 
         // Contended case: every thread hammers ONE fingerprint. Warm/cold split
         // depends on interleaving (checked-out slots are absent, so concurrent
@@ -975,7 +897,7 @@ mod tests {
         assert!(stats.cold_checkouts >= 1);
         assert_eq!(stats.evictions, 0);
         assert_eq!(shared.slot_count(), 1);
-        assert_eq!(shared.total_cached_fits(), 1, "concurrent fits of one key merge");
+        assert_eq!(cached_fits(&shared), 1, "concurrent fits of one key merge");
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub enum Stage {
 
 impl Stage {
     /// The standard stages in workflow order.
-    pub const ALL: [Stage; 6] = [
+    pub(crate) const ALL: [Stage; 6] = [
         Stage::PlanDiffing,
         Stage::CorrelatedOperators,
         Stage::DependencyAnalysis,
@@ -357,7 +357,7 @@ pub struct StageCtx<'a, 'ctx> {
 /// drivers use them for lazy execution and downstream invalidation), and a `run`
 /// that reads and writes the [`DiagnosisState`] ledger through a [`StageCtx`].
 pub trait DiagnosisStage {
-    /// The stage's display name (also the key for [`DiagnosisPipeline::skip_named`]
+    /// The stage's display name (also the key for `DiagnosisPipeline::skip_named`
     /// and [`DiagnosisPipeline::insert_after`]).
     fn name(&self) -> &str;
 
@@ -689,11 +689,6 @@ impl DiagnosisPipeline {
         &self.workflow
     }
 
-    /// Mutable access to the workflow (threshold tweaks between runs).
-    pub fn workflow_mut(&mut self) -> &mut DiagnosisWorkflow {
-        &mut self.workflow
-    }
-
     /// The stage names, in execution order.
     pub fn stage_names(&self) -> Vec<&str> {
         self.stages.iter().map(|s| s.name()).collect()
@@ -726,7 +721,7 @@ impl DiagnosisPipeline {
     }
 
     /// Removes the stage named `name` (standard or custom); a no-op when absent.
-    pub fn skip_named(mut self, name: &str) -> Self {
+    pub(crate) fn skip_named(mut self, name: &str) -> Self {
         self.stages.retain(|s| s.name() != name);
         self
     }
@@ -739,7 +734,7 @@ impl DiagnosisPipeline {
 
     /// Inserts a stage right after the stage named `after` (standard or custom), or
     /// appends it when no such stage exists.
-    pub fn insert_after_named(mut self, after: &str, stage: Box<dyn DiagnosisStage>) -> Self {
+    pub(crate) fn insert_after_named(mut self, after: &str, stage: Box<dyn DiagnosisStage>) -> Self {
         match self.position(after) {
             Some(i) => self.stages.insert(i + 1, stage),
             None => self.stages.push(stage),

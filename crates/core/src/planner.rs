@@ -95,7 +95,7 @@ impl RankedRemediation {
 
     /// The distinct cause ids the set addresses, joined with `" + "` in candidate
     /// order.
-    pub fn cause_label(&self) -> String {
+    pub(crate) fn cause_label(&self) -> String {
         let mut ids: Vec<&str> = Vec::new();
         for c in &self.candidates {
             if !ids.contains(&c.cause_id.as_str()) {

@@ -94,14 +94,6 @@ impl<'a> WorkflowSession<'a> {
         &self.state
     }
 
-    /// Mutable access to the ledger — the "edit a module's result" affordance. The
-    /// caller is responsible for downstream invalidation
-    /// ([`WorkflowSession::invalidate_downstream`]); the typed edit helpers (e.g.
-    /// [`WorkflowSession::edit_correlated_operators`]) do both.
-    pub fn state_mut(&mut self) -> &mut DiagnosisState {
-        &mut self.state
-    }
-
     /// The stage trail executed so far (one entry per stage execution).
     pub fn trail(&self) -> &[StageProvenance] {
         &self.trail

@@ -132,7 +132,7 @@ impl Condition {
     }
 
     /// An absence condition.
-    pub fn excludes(kind: SymptomKind, weight: f64) -> Self {
+    pub(crate) fn excludes(kind: SymptomKind, weight: f64) -> Self {
         Condition { present: false, kind, weight }
     }
 }
@@ -147,13 +147,6 @@ pub struct RootCauseEntry {
     pub description: String,
     /// The weighted conditions.
     pub conditions: Vec<Condition>,
-}
-
-impl RootCauseEntry {
-    /// Sum of the entry's condition weights (should be 100).
-    pub fn total_weight(&self) -> f64 {
-        self.conditions.iter().map(|c| c.weight).sum()
-    }
 }
 
 /// A root cause scored against the observed symptoms.
@@ -296,16 +289,6 @@ impl SymptomsDatabase {
         SymptomsDatabase { entries }
     }
 
-    /// Adds (or replaces, by id) an entry — the §7 "self-evolving symptoms database"
-    /// extension point.
-    pub fn add_entry(&mut self, entry: RootCauseEntry) {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.id == entry.id) {
-            *existing = entry;
-        } else {
-            self.entries.push(entry);
-        }
-    }
-
     /// The entries.
     pub fn entries(&self) -> &[RootCauseEntry] {
         &self.entries
@@ -391,7 +374,8 @@ mod tests {
         let db = SymptomsDatabase::builtin();
         assert_eq!(db.entries().len(), 10);
         for entry in db.entries() {
-            assert!((entry.total_weight() - 100.0).abs() < 1e-9, "{}", entry.id);
+            let total: f64 = entry.conditions.iter().map(|c| c.weight).sum();
+            assert!((total - 100.0).abs() < 1e-9, "{}", entry.id);
         }
     }
 
@@ -444,24 +428,6 @@ mod tests {
     fn empty_database_scores_nothing() {
         let db = SymptomsDatabase::empty();
         assert!(db.evaluate(&scenario1_symptoms()).is_empty());
-    }
-
-    #[test]
-    fn add_entry_replaces_by_id() {
-        let mut db = SymptomsDatabase::builtin();
-        let n = db.entries().len();
-        db.add_entry(RootCauseEntry {
-            id: "cpu-saturation".into(),
-            description: "replaced".into(),
-            conditions: vec![Condition::requires(SymptomKind::CpuSaturated, 100.0)],
-        });
-        assert_eq!(db.entries().len(), n);
-        db.add_entry(RootCauseEntry {
-            id: "firmware-bug".into(),
-            description: "new".into(),
-            conditions: vec![Condition::requires(SymptomKind::DiskFailureEvent, 100.0)],
-        });
-        assert_eq!(db.entries().len(), n + 1);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub struct Testbed {
     /// cross-diagnosis KDE-fit cache keyed by ((history fingerprint, store
     /// content), variable) — see [`ScenarioOutcome::engine_fingerprint`].
     /// Freshly built testbeds get a private engine; batch runners
-    /// ([`Testbed::run_scenarios_with_engine`]) swap in one fleet-level engine so
+    /// (`Testbed::run_scenarios_with_engine`) swap in one fleet-level engine so
     /// every outcome in the batch shares warm fits.
     pub engine: Arc<DiagnosisEngine>,
 }
@@ -154,7 +154,7 @@ impl Testbed {
     }
 
     /// The candidate plan whose fingerprint matches, if any.
-    pub fn plan_by_fingerprint(&self, fingerprint: &str) -> Option<&Plan> {
+    pub(crate) fn plan_by_fingerprint(&self, fingerprint: &str) -> Option<&Plan> {
         self.query.candidates.iter().find(|p| p.fingerprint() == fingerprint)
     }
 
@@ -244,7 +244,7 @@ impl Testbed {
     /// Runs a batch of scenarios sequentially, attaching every outcome's testbed to
     /// the given fleet-level engine: diagnoses of identically-labelled histories —
     /// even across independently-built stores — share KDE fits.
-    pub fn run_scenarios_with_engine(
+    pub(crate) fn run_scenarios_with_engine(
         scenarios: &[Scenario],
         engine: &Arc<DiagnosisEngine>,
     ) -> Vec<ScenarioOutcome> {

@@ -158,7 +158,7 @@ pub struct DiagnosisContext<'a> {
 impl<'a> DiagnosisContext<'a> {
     /// The window in which configuration changes are considered "recent": from the
     /// start of the last satisfactory run to the end of the last unsatisfactory run.
-    pub fn change_window(&self) -> TimeRange {
+    pub(crate) fn change_window(&self) -> TimeRange {
         let start = self.history.satisfactory().last().map(|r| r.record.start).unwrap_or(Timestamp::ZERO);
         let end = self
             .history
@@ -333,11 +333,6 @@ impl DiagnosisWorkflow {
     /// A workflow with the built-in symptoms database and default thresholds.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A workflow with a custom symptoms database.
-    pub fn with_symptoms_db(symptoms_db: SymptomsDatabase) -> Self {
-        DiagnosisWorkflow { config: WorkflowConfig::default(), symptoms_db }
     }
 
     // ----- Module PD -----

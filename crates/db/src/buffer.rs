@@ -22,18 +22,13 @@ impl BufferCache {
         BufferCache { capacity_pages: (config.shared_buffers_mb as f64) * 1024.0 * 1024.0 / 8192.0 }
     }
 
-    /// Cache capacity in 8 KB pages.
-    pub fn capacity_pages(&self) -> f64 {
-        self.capacity_pages
-    }
-
     /// Hit ratio for scans of `table`, given the total working set of the query's
     /// tables (all competing for the same buffers).
     ///
     /// The model gives each table a share of the cache proportional to the inverse of
     /// its size (small hot tables win), then the hit ratio is `min(1, share / pages)`,
     /// floored at a small constant because even cold scans reuse some pages.
-    pub fn hit_ratio(&self, catalog: &Catalog, table: &str, competing_tables: &[String]) -> f64 {
+    pub(crate) fn hit_ratio(&self, catalog: &Catalog, table: &str, competing_tables: &[String]) -> f64 {
         let Some(t) = catalog.table(table) else { return 0.0 };
         let pages = t.pages() as f64;
         // Weight = 1/size, normalised across the competing set (including this table).
@@ -114,7 +109,7 @@ mod tests {
         let big = BufferCache::new(&DbConfig { shared_buffers_mb: 8192, ..DbConfig::default() });
         let small = BufferCache::new(&DbConfig { shared_buffers_mb: 64, ..DbConfig::default() });
         assert!(big.hit_ratio(&cat, "part", &tables) > small.hit_ratio(&cat, "part", &tables));
-        assert!(big.capacity_pages() > small.capacity_pages());
+        assert!(big.capacity_pages > small.capacity_pages);
     }
 
     #[test]

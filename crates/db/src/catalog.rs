@@ -196,11 +196,6 @@ impl Catalog {
         self.tables.get(name)
     }
 
-    /// Mutable access to a table (bulk DML faults use this to change data properties).
-    pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
-    }
-
     /// An index by name.
     pub fn index(&self, name: &str) -> Option<&Index> {
         self.indexes.get(name)

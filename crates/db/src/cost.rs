@@ -55,7 +55,12 @@ impl CostModel {
 
     /// Cost of a single operator (excluding its children), using `stats` for
     /// cardinalities and `catalog` for physical properties (page counts, clustering).
-    pub fn operator_cost(&self, node: &PlanNode, catalog: &Catalog, stats: &dyn StatsProvider) -> Cost {
+    pub(crate) fn operator_cost(
+        &self,
+        node: &PlanNode,
+        catalog: &Catalog,
+        stats: &dyn StatsProvider,
+    ) -> Cost {
         let cfg = &self.config;
         let out_rows = node.output_rows(stats);
         let in_rows = node.input_rows(stats);
@@ -133,16 +138,6 @@ impl CostModel {
         plan.operators()
             .iter()
             .fold(Cost::ZERO, |acc, node| acc.plus(self.operator_cost(node, catalog, stats)))
-    }
-
-    /// Per-operator cost breakdown of a plan, in operator order.
-    pub fn per_operator_costs(
-        &self,
-        plan: &Plan,
-        catalog: &Catalog,
-        stats: &dyn StatsProvider,
-    ) -> Vec<(crate::plan::OperatorId, Cost)> {
-        plan.operators().iter().map(|node| (node.id, self.operator_cost(node, catalog, stats))).collect()
     }
 }
 
@@ -248,9 +243,8 @@ mod tests {
                 PlanNode::hash(PlanNode::seq_scan("nation", 1.0)),
             ),
         );
-        let per_op = model.per_operator_costs(&plan, &cat, &cat);
-        assert_eq!(per_op.len(), plan.operator_count());
-        let total: f64 = per_op.iter().map(|(_, c)| c.total()).sum();
+        let total: f64 =
+            plan.operators().iter().map(|node| model.operator_cost(node, &cat, &cat).total()).sum();
         assert!((total - model.plan_cost(&plan, &cat, &cat).total()).abs() < 1e-6);
 
         let before = model.plan_cost(&plan, &cat, &cat).total();

@@ -6,8 +6,6 @@
 //! database layer to SAN volumes. Plans carry a structural *fingerprint* so module PD
 //! can decide whether satisfactory and unsatisfactory runs used the same plan.
 
-use std::collections::BTreeMap;
-
 use crate::catalog::{Catalog, StatsSnapshot};
 
 /// A plan-operator identifier (`O1`, `O2`, ... in pre-order).
@@ -59,14 +57,6 @@ impl OperatorKind {
     /// Whether this operator reads base-table data (and therefore touches a volume).
     pub fn is_leaf(self) -> bool {
         matches!(self, OperatorKind::SeqScan | OperatorKind::IndexScan)
-    }
-
-    /// Whether the operator must consume its entire input before producing output.
-    pub fn is_blocking(self) -> bool {
-        matches!(
-            self,
-            OperatorKind::Hash | OperatorKind::Sort | OperatorKind::Aggregate | OperatorKind::Materialize
-        )
     }
 
     /// Display label used in plan renderings.
@@ -174,11 +164,6 @@ impl PlanNode {
         Self::node(OperatorKind::NestedLoop, selectivity, vec![outer, inner])
     }
 
-    /// A merge join of two children.
-    pub fn merge_join(selectivity: f64, outer: PlanNode, inner: PlanNode) -> Self {
-        Self::node(OperatorKind::MergeJoin, selectivity, vec![outer, inner])
-    }
-
     /// A sort over a child.
     pub fn sort(child: PlanNode) -> Self {
         Self::node(OperatorKind::Sort, 1.0, vec![child])
@@ -187,11 +172,6 @@ impl PlanNode {
     /// An aggregation retaining `selectivity` of its input groups.
     pub fn aggregate(selectivity: f64, child: PlanNode) -> Self {
         Self::node(OperatorKind::Aggregate, selectivity, vec![child])
-    }
-
-    /// A materialisation of a child.
-    pub fn materialize(child: PlanNode) -> Self {
-        Self::node(OperatorKind::Materialize, 1.0, vec![child])
     }
 
     /// A LIMIT retaining `selectivity` of its input.
@@ -314,31 +294,6 @@ impl Plan {
         out
     }
 
-    /// The parent of each operator (the root has no parent).
-    pub fn parents(&self) -> BTreeMap<OperatorId, OperatorId> {
-        let mut map = BTreeMap::new();
-        fn walk(node: &PlanNode, map: &mut BTreeMap<OperatorId, OperatorId>) {
-            for c in &node.children {
-                map.insert(c.id, node.id);
-                walk(c, map);
-            }
-        }
-        walk(&self.root, &mut map);
-        map
-    }
-
-    /// The ancestors of an operator, nearest first (empty for the root or unknown ids).
-    pub fn ancestors_of(&self, id: OperatorId) -> Vec<OperatorId> {
-        let parents = self.parents();
-        let mut out = Vec::new();
-        let mut current = id;
-        while let Some(&p) = parents.get(&current) {
-            out.push(p);
-            current = p;
-        }
-        out
-    }
-
     /// The operator ids in the subtree rooted at `id` (including `id` itself).
     pub fn subtree_of(&self, id: OperatorId) -> Vec<OperatorId> {
         match self.operator(id) {
@@ -440,11 +395,8 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_and_subtrees() {
+    fn subtrees_hold_their_root_and_descendants() {
         let plan = small_plan();
-        // O3 = seq scan part: ancestors are the hash join (O2) and sort (O1).
-        assert_eq!(plan.ancestors_of(OperatorId(3)), vec![OperatorId(2), OperatorId(1)]);
-        assert_eq!(plan.ancestors_of(OperatorId(1)), Vec::<OperatorId>::new());
         // Subtree of O4 (hash) contains O4 and O5 (the supplier scan).
         assert_eq!(plan.subtree_of(OperatorId(4)), vec![OperatorId(4), OperatorId(5)]);
         assert!(plan.subtree_of(OperatorId(50)).is_empty());
@@ -524,9 +476,6 @@ mod tests {
         assert!(OperatorKind::SeqScan.is_leaf());
         assert!(OperatorKind::IndexScan.is_leaf());
         assert!(!OperatorKind::HashJoin.is_leaf());
-        assert!(OperatorKind::Sort.is_blocking());
-        assert!(OperatorKind::Hash.is_blocking());
-        assert!(!OperatorKind::HashJoin.is_blocking());
         assert_eq!(OperatorKind::SubPlanFilter.label(), "SubPlan Filter");
     }
 }

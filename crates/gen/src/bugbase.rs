@@ -117,6 +117,54 @@ mod tests {
         assert_eq!(parsed, entry);
     }
 
+    /// A one-overlay short-timeline entry with the given raw overlay hour fields.
+    fn crafted(onset_delay_hours: &str, window_hours: &str) -> String {
+        format!(
+            "{{\"plan\":{{\"id\":\"crafted\",\"seed\":\"1\",\"timeline\":\"short\",\"scale_factor\":10,\
+             \"noise\":{{\"kind\":\"none\"}},\"overlays\":[{{\"kind\":\"san-misconfiguration\",\
+             \"onset_delay_hours\":{onset_delay_hours},\"window_hours\":{window_hours},\"intensity\":1}}],\
+             \"expected\":[{{\"cause_id\":\"san-misconfiguration-contention\",\"min_confidence\":\"high\"}}]}},\
+             \"expected_violations\":[],\"notes\":\"\"}}"
+        )
+    }
+
+    #[test]
+    fn out_of_range_overlay_hours_are_errors_not_panics() {
+        assert!(BugbaseEntry::from_json(&crafted("0", "10")).is_ok());
+        assert!(BugbaseEntry::from_json(&crafted("0", "null")).is_ok());
+        for (onset, window) in [
+            ("40", "null"),   // onset past the short timeline's end
+            ("1e16", "null"), // hours-to-seconds overflow
+            ("-1", "null"),
+            ("0.5", "null"),
+            ("1e999", "null"),
+            ("0", "1e16"),
+            ("0", "-2"),
+            ("0", "2.5"),
+        ] {
+            let text = crafted(onset, window);
+            assert!(
+                BugbaseEntry::from_json(&text).is_err(),
+                "onset {onset}, window {window} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn checked_in_bugbase_entries_parse() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/bugbase");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                BugbaseEntry::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                parsed += 1;
+            }
+        }
+        assert!(parsed > 0, "no bugbase entries under {dir}");
+    }
+
     #[test]
     fn bare_plan_documents_parse_as_must_pass_entries() {
         let plan = Generator::new(7, TimelineKind::Short).plan(1);

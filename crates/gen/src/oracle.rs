@@ -19,10 +19,10 @@ use diads_inject::vocabulary::kind_info;
 use crate::plan::GenPlan;
 
 /// Impact bar (percent) a High-confidence expectation must also clear.
-pub const PRIMARY_IMPACT_PCT: f64 = 25.0;
+pub(crate) const PRIMARY_IMPACT_PCT: f64 = 25.0;
 /// Impact bar (percent) above which an unexplained High-confidence cause is
 /// spurious.
-pub const SPURIOUS_IMPACT_PCT: f64 = 50.0;
+pub(crate) const SPURIOUS_IMPACT_PCT: f64 = 50.0;
 
 /// One oracle violation.
 #[derive(Debug, Clone, PartialEq)]

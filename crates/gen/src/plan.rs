@@ -81,7 +81,7 @@ pub enum NoiseSpec {
 
 impl NoiseSpec {
     /// The collector-facing noise model.
-    pub fn to_model(self) -> NoiseModel {
+    pub(crate) fn to_model(self) -> NoiseModel {
         match self {
             NoiseSpec::None => NoiseModel::None,
             NoiseSpec::Gaussian { sigma } => NoiseModel::Gaussian { sigma },
@@ -110,7 +110,7 @@ pub struct OverlaySpec {
 
 impl OverlaySpec {
     /// The overlay's active window on `timeline`.
-    pub fn window_on(&self, timeline: &ScenarioTimeline) -> TimeRange {
+    pub(crate) fn window_on(&self, timeline: &ScenarioTimeline) -> TimeRange {
         let onset = self.onset_on(timeline);
         match self.window_hours {
             None => TimeRange::new(onset, timeline.end_time()),
@@ -119,7 +119,7 @@ impl OverlaySpec {
     }
 
     /// The overlay's onset instant on `timeline`.
-    pub fn onset_on(&self, timeline: &ScenarioTimeline) -> Timestamp {
+    pub(crate) fn onset_on(&self, timeline: &ScenarioTimeline) -> Timestamp {
         timeline.fault_time_after(Duration::from_hours(self.onset_delay_hours))
     }
 
@@ -133,7 +133,7 @@ impl OverlaySpec {
     ///
     /// # Panics
     /// Panics on a kind label not registered in the fault vocabulary.
-    pub fn to_fault(&self, timeline: &ScenarioTimeline) -> Fault {
+    pub(crate) fn to_fault(&self, timeline: &ScenarioTimeline) -> Fault {
         let window = self.window_on(timeline);
         let at = self.onset_on(timeline);
         let i = self.intensity;
@@ -219,6 +219,19 @@ fn confidence_name(level: ConfidenceLevel) -> &'static str {
         ConfidenceLevel::Medium => "medium",
         ConfidenceLevel::Low => "low",
     }
+}
+
+/// Reads an hour count: a finite, non-negative whole number whose length in
+/// seconds fits the simulated clock.
+fn hours(v: &Json, key: &str) -> Result<u64, String> {
+    let h = v.as_f64().ok_or_else(|| format!("plan: overlay {key:?} must be a number"))?;
+    if !(h >= 0.0 && h.fract() == 0.0 && h < u64::MAX as f64) {
+        return Err(format!("plan: overlay {key:?} must be a non-negative whole number, got {h}"));
+    }
+    let h = h as u64;
+    h.checked_mul(3_600)
+        .map(|_| h)
+        .ok_or_else(|| format!("plan: overlay {key:?} overflows the simulated clock"))
 }
 
 fn parse_confidence(s: &str) -> Result<ConfidenceLevel, String> {
@@ -324,6 +337,10 @@ impl GenPlan {
             },
             other => return Err(format!("plan: unknown noise kind {other:?}")),
         };
+        let (fault_secs, end_secs) = {
+            let t = timeline.timeline();
+            (t.fault_time().as_secs(), t.end_time().as_secs())
+        };
         let mut overlays = Vec::new();
         for o in doc.get("overlays").and_then(Json::as_array).ok_or("plan: missing \"overlays\"")? {
             let kind =
@@ -331,14 +348,28 @@ impl GenPlan {
             if kind_info(&kind).is_none() {
                 return Err(format!("plan: overlay kind {kind:?} is not in the fault vocabulary"));
             }
-            let onset_delay_hours =
-                o.get("onset_delay_hours")
-                    .and_then(Json::as_f64)
-                    .ok_or("plan: overlay missing \"onset_delay_hours\"")? as u64;
+            let onset_delay_hours = hours(
+                o.get("onset_delay_hours").ok_or("plan: overlay missing \"onset_delay_hours\"")?,
+                "onset_delay_hours",
+            )?;
+            let onset_secs = fault_secs
+                .checked_add(onset_delay_hours * 3_600)
+                .filter(|&onset| onset < end_secs)
+                .ok_or_else(|| {
+                    format!(
+                        "plan: overlay onset {onset_delay_hours} h after the fault time is at or after \
+                         the {} timeline's end",
+                        timeline.as_str()
+                    )
+                })?;
             let window_hours = match o.get("window_hours") {
                 None | Some(Json::Null) => None,
                 Some(v) => {
-                    Some(v.as_f64().ok_or("plan: overlay \"window_hours\" must be a number or null")? as u64)
+                    let h = hours(v, "window_hours")?;
+                    onset_secs
+                        .checked_add(h * 3_600)
+                        .ok_or("plan: overlay \"window_hours\" overflows the simulated clock")?;
+                    Some(h)
                 }
             };
             let intensity =

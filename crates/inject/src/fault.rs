@@ -117,7 +117,7 @@ impl Fault {
     }
 
     /// When the fault first takes effect.
-    pub fn effective_at(&self) -> Timestamp {
+    pub(crate) fn effective_at(&self) -> Timestamp {
         match self {
             Fault::SanMisconfiguration { window, .. } => window.start,
             Fault::ExternalVolumeContention { window, .. } => window.start,

@@ -99,7 +99,7 @@ impl ScenarioTimeline {
 
     /// The window from the fault to the end of the simulation (the default "active"
     /// window of injected contention).
-    pub fn fault_window(&self) -> TimeRange {
+    pub(crate) fn fault_window(&self) -> TimeRange {
         TimeRange::new(self.fault_time(), self.end_time())
     }
 
@@ -111,7 +111,7 @@ impl ScenarioTimeline {
 
     /// The active window of a fault whose onset is `delay` after the primary fault
     /// time (running to the end of the simulation).
-    pub fn fault_window_after(&self, delay: Duration) -> TimeRange {
+    pub(crate) fn fault_window_after(&self, delay: Duration) -> TimeRange {
         TimeRange::new(self.fault_time_after(delay), self.end_time())
     }
 }
@@ -152,7 +152,7 @@ pub struct Scenario {
 impl Scenario {
     /// Returns a copy of the scenario with the shorter test timeline, re-deriving the
     /// fault windows (only scenarios built by this module's constructors are supported).
-    pub fn with_timeline(&self, timeline: ScenarioTimeline) -> Scenario {
+    pub(crate) fn with_timeline(&self, timeline: ScenarioTimeline) -> Scenario {
         let builder: fn(ScenarioTimeline) -> Scenario = match self.id.as_str() {
             "scenario-1" => scenario_1,
             "scenario-1b" => scenario_1b,
@@ -199,10 +199,10 @@ impl Scenario {
 /// A composer starts from an id, a name and a timeline (defaults: scale factor 10,
 /// the Table-1 Gaussian collector noise) and accumulates faults in injection-time
 /// order. Faults are overlaid either one at a time ([`ScenarioComposer::fault`],
-/// [`ScenarioComposer::timed_fault`]) or wholesale from an existing scenario
+/// `ScenarioComposer::timed_fault`) or wholesale from an existing scenario
 /// ([`ScenarioComposer::overlay`], which rebases the donor onto the composer's
 /// timeline and merges its expected causes). Onset staggering comes from the
-/// timeline helpers ([`ScenarioTimeline::fault_window_after`] /
+/// timeline helpers (`ScenarioTimeline::fault_window_after` /
 /// [`ScenarioTimeline::fault_time_after`]): each fault carries its own window or
 /// instant, so two faults need not start together.
 #[derive(Debug, Clone)]
@@ -255,14 +255,14 @@ impl ScenarioComposer {
 
     /// Overlays a fault, injected at its own effective time (the start of its
     /// window, or its instant). Stagger onsets by building the fault with
-    /// [`ScenarioTimeline::fault_window_after`] / [`ScenarioTimeline::fault_time_after`].
+    /// `ScenarioTimeline::fault_window_after` / [`ScenarioTimeline::fault_time_after`].
     pub fn fault(self, fault: Fault) -> Self {
         self.timed_fault(TimedFault::new(fault))
     }
 
     /// Overlays a fault with an explicit injection time (for staging configuration
     /// ahead of activity).
-    pub fn timed_fault(mut self, fault: TimedFault) -> Self {
+    pub(crate) fn timed_fault(mut self, fault: TimedFault) -> Self {
         self.scenario.faults.push(fault);
         self.scenario.faults.sort_by_key(|f| f.inject_at);
         self
@@ -273,7 +273,7 @@ impl ScenarioComposer {
     /// causes that another donor expects as primary are dropped).
     ///
     /// A donor already on the composer's timeline is taken as-is; any other donor
-    /// is rebased through [`Scenario::with_timeline`], which only knows this
+    /// is rebased through `Scenario::with_timeline`, which only knows this
     /// module's constructors.
     ///
     /// # Panics

@@ -7,7 +7,7 @@
 //! the `figure4_metrics` harness can verify that the default testbed actually reports
 //! every listed metric.
 
-use crate::ids::{ComponentKind, Layer};
+use crate::ids::ComponentKind;
 use crate::metric::MetricName;
 
 /// Database-layer metrics (Figure 4, first column).
@@ -83,26 +83,6 @@ pub fn storage_metrics() -> Vec<MetricName> {
         MetricName::TotalIos,
         MetricName::Utilization,
     ]
-}
-
-/// Every metric of the Figure-4 catalog, in layer order.
-pub fn all_metrics() -> Vec<MetricName> {
-    let mut v = database_metrics();
-    v.extend(server_metrics());
-    v.extend(network_metrics());
-    v.extend(storage_metrics());
-    v
-}
-
-/// The metrics of one layer.
-pub fn metrics_for_layer(layer: Layer) -> Vec<MetricName> {
-    match layer {
-        Layer::Database => database_metrics(),
-        Layer::Server => server_metrics(),
-        Layer::Network => network_metrics(),
-        Layer::Storage => storage_metrics(),
-        Layer::Workload => Vec::new(),
-    }
 }
 
 /// The metrics a component of the given kind is expected to report.
@@ -191,6 +171,16 @@ pub fn metrics_for_component(kind: ComponentKind) -> Vec<MetricName> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::Layer;
+
+    /// Every metric of the Figure-4 catalog, in layer order.
+    fn all_metrics() -> Vec<MetricName> {
+        let mut v = database_metrics();
+        v.extend(server_metrics());
+        v.extend(network_metrics());
+        v.extend(storage_metrics());
+        v
+    }
 
     #[test]
     fn catalog_sizes_match_figure4_shape() {
@@ -226,13 +216,6 @@ mod tests {
         for m in storage_metrics() {
             assert_eq!(m.layer(), Layer::Storage, "{m}");
         }
-    }
-
-    #[test]
-    fn metrics_for_layer_round_trips() {
-        assert_eq!(metrics_for_layer(Layer::Database), database_metrics());
-        assert_eq!(metrics_for_layer(Layer::Storage), storage_metrics());
-        assert!(metrics_for_layer(Layer::Workload).is_empty());
     }
 
     #[test]

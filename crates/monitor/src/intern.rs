@@ -80,14 +80,14 @@ fn fnv1a(parts: &[&[u8]]) -> u64 {
 
 /// Stable identity hash of a component: depends only on (kind, name), never on
 /// intern order. Deterministic across threads, processes and platforms.
-pub fn component_identity_hash(component: &ComponentId) -> u64 {
+pub(crate) fn component_identity_hash(component: &ComponentId) -> u64 {
     fnv1a(&[b"component", component.kind.label().as_bytes(), component.name.as_bytes()])
 }
 
 /// Stable identity hash of a metric name. Built-in metrics and [`MetricName::Custom`]
 /// metrics hash under distinct tags, so `Custom("writeIO")` never collides with the
 /// built-in `writeIO`.
-pub fn metric_identity_hash(metric: &MetricName) -> u64 {
+pub(crate) fn metric_identity_hash(metric: &MetricName) -> u64 {
     match metric {
         MetricName::Custom(name) => fnv1a(&[b"metric-custom", name.as_bytes()]),
         builtin => fnv1a(&[b"metric", builtin.short_name().as_bytes()]),
@@ -271,12 +271,12 @@ impl Interner {
 
     /// The stable identity hash of an interned component (precomputed at intern
     /// time, read lock-free).
-    pub fn component_hash(&self, sym: ComponentSym) -> u64 {
+    pub(crate) fn component_hash(&self, sym: ComponentSym) -> u64 {
         self.components.get(sym.index()).expect("component symbol from a different interner").hash
     }
 
     /// The stable identity hash of an interned metric (read lock-free).
-    pub fn metric_hash(&self, sym: MetricSym) -> u64 {
+    pub(crate) fn metric_hash(&self, sym: MetricSym) -> u64 {
         self.metrics.get(sym.index()).expect("metric symbol from a different interner").hash
     }
 
@@ -288,12 +288,14 @@ impl Interner {
     }
 
     /// Number of distinct components interned.
-    pub fn component_count(&self) -> usize {
+    #[cfg(test)]
+    fn component_count(&self) -> usize {
         self.read().component_syms.len()
     }
 
     /// Number of distinct metrics interned.
-    pub fn metric_count(&self) -> usize {
+    #[cfg(test)]
+    fn metric_count(&self) -> usize {
         self.read().metric_syms.len()
     }
 }

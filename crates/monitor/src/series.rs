@@ -33,12 +33,6 @@ impl TimeSeries {
         TimeSeries { points: Vec::new() }
     }
 
-    /// Creates a series from unsorted points.
-    pub fn from_points(mut points: Vec<DataPoint>) -> Self {
-        points.sort_by_key(|p| p.time);
-        TimeSeries { points }
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -90,11 +84,6 @@ impl TimeSeries {
         &self.points[lo..hi]
     }
 
-    /// Iterates over the values within a range without allocating.
-    pub fn iter_in(&self, range: TimeRange) -> impl Iterator<Item = f64> + '_ {
-        self.range(range).iter().map(|p| p.value)
-    }
-
     /// Mean of the values within a range, if the range contains any points.
     pub fn mean_in(&self, range: TimeRange) -> Option<f64> {
         mean_of(self.range(range))
@@ -127,48 +116,6 @@ impl TimeSeries {
             mean_of(&points[cursor..end])
         })
     }
-
-    /// Maximum value within a range, if any.
-    pub fn max_in(&self, range: TimeRange) -> Option<f64> {
-        self.range(range).iter().map(|p| p.value).fold(None, |acc, v| match acc {
-            None => Some(v),
-            Some(a) => Some(a.max(v)),
-        })
-    }
-
-    /// Sum of values within a range (0.0 if empty) — sensible for counter-style metrics.
-    pub fn sum_in(&self, range: TimeRange) -> f64 {
-        self.range(range).iter().map(|p| p.value).sum()
-    }
-
-    /// Down-samples the series to one averaged point per `bucket_secs` seconds.
-    ///
-    /// This models what a coarse monitoring interval does to bursty signals: the
-    /// returned series places each averaged point at the *start* of its bucket.
-    pub fn downsample(&self, bucket_secs: u64) -> TimeSeries {
-        if bucket_secs == 0 || self.points.is_empty() {
-            return self.clone();
-        }
-        let mut out = TimeSeries::new();
-        let mut bucket_start = self.points[0].time.as_secs() / bucket_secs * bucket_secs;
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for p in &self.points {
-            let b = p.time.as_secs() / bucket_secs * bucket_secs;
-            if b != bucket_start && n > 0 {
-                out.push(Timestamp::new(bucket_start), sum / n as f64);
-                sum = 0.0;
-                n = 0;
-                bucket_start = b;
-            }
-            sum += p.value;
-            n += 1;
-        }
-        if n > 0 {
-            out.push(Timestamp::new(bucket_start), sum / n as f64);
-        }
-        out
-    }
 }
 
 /// Mean of a slice's values, `None` when it is empty.
@@ -197,7 +144,6 @@ fn seek(points: &[DataPoint], from: usize, time: Timestamp) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Duration;
 
     fn series() -> TimeSeries {
         let mut s = TimeSeries::new();
@@ -220,21 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn from_points_sorts() {
-        let s = TimeSeries::from_points(vec![
-            DataPoint::new(Timestamp::new(5), 5.0),
-            DataPoint::new(Timestamp::new(1), 1.0),
-        ]);
-        assert_eq!(s.points()[0].time, Timestamp::new(1));
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
     fn range_query_is_half_open() {
         let s = series();
         let r = TimeRange::new(Timestamp::new(20), Timestamp::new(50));
-        let vals: Vec<f64> = s.iter_in(r).collect();
+        let vals: Vec<f64> = s.range(r).iter().map(|p| p.value).collect();
         assert_eq!(vals, vec![2.0, 3.0, 4.0]);
         assert_eq!(s.range(TimeRange::new(Timestamp::new(200), Timestamp::new(300))).len(), 0);
     }
@@ -244,43 +179,7 @@ mod tests {
         let s = series();
         let r = TimeRange::new(Timestamp::new(0), Timestamp::new(100));
         assert_eq!(s.mean_in(r), Some(4.5));
-        assert_eq!(s.max_in(r), Some(9.0));
-        assert_eq!(s.sum_in(r), 45.0);
         let empty = TimeRange::new(Timestamp::new(500), Timestamp::new(600));
         assert_eq!(s.mean_in(empty), None);
-        assert_eq!(s.max_in(empty), None);
-        assert_eq!(s.sum_in(empty), 0.0);
-    }
-
-    #[test]
-    fn downsample_averages_buckets() {
-        let s = series(); // points every 10s for 100s
-        let d = s.downsample(50);
-        assert_eq!(d.len(), 2);
-        // First bucket covers t=0..50 -> values 0..4, mean 2.0
-        assert_eq!(d.points()[0].value, 2.0);
-        assert_eq!(d.points()[0].time, Timestamp::new(0));
-        // Second bucket covers t=50..100 -> values 5..9, mean 7.0
-        assert_eq!(d.points()[1].value, 7.0);
-    }
-
-    #[test]
-    fn downsample_smooths_bursts() {
-        // A burst of 100 for one sample inside an otherwise-idle 5-minute interval
-        // nearly disappears after averaging — the paper's "noisy data" effect.
-        let mut s = TimeSeries::new();
-        for i in 0..30 {
-            s.push(Timestamp::new(i * 10), if i == 7 { 100.0 } else { 1.0 });
-        }
-        let d = s.downsample(Duration::from_mins(5).as_secs());
-        assert_eq!(d.len(), 1);
-        assert!(d.points()[0].value < 5.0);
-    }
-
-    #[test]
-    fn downsample_zero_bucket_is_identity() {
-        let s = series();
-        assert_eq!(s.downsample(0), s);
-        assert_eq!(TimeSeries::new().downsample(60).len(), 0);
     }
 }

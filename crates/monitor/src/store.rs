@@ -11,7 +11,7 @@
 //! what lets fleet-level diagnosis caches compare keys across testbeds.
 //!
 //! Internally the series map is **sharded by [`ComponentSym`]**: every component's
-//! series live in exactly one of [`MetricStore::SHARD_COUNT`] sorted shards. Reads
+//! series live in exactly one of `MetricStore::SHARD_COUNT` sorted shards. Reads
 //! stay lock-free borrows (a key addresses its shard directly; full iteration is a
 //! deterministic k-way merge in key order, identical to the pre-sharding `BTreeMap`
 //! order), while [`MetricStore::sharded_writer`] temporarily splits the store into a
@@ -70,7 +70,7 @@ fn point_hash(key: MetricKey, time: Timestamp, value: f64) -> u64 {
 /// An in-memory store of metric time series keyed by interned (component, metric)
 /// symbols.
 ///
-/// Series are partitioned across [`MetricStore::SHARD_COUNT`] `BTreeMap` shards by
+/// Series are partitioned across `MetricStore::SHARD_COUNT` `BTreeMap` shards by
 /// component symbol. Within a shard, key order keeps iteration deterministic (symbol
 /// order = first-recorded order, which is deterministic for a deterministic
 /// simulation) and groups each component's series contiguously, so per-component
@@ -91,14 +91,6 @@ impl EpochId {
     /// The zero-based seal index of the epoch.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Rebuilds an id from its raw seal index (e.g. when restoring a persisted
-    /// watermark). The id is only meaningful against the store that sealed it —
-    /// consumers must re-validate via
-    /// [`MetricStore::epoch_cumulative_fingerprint`] before trusting it.
-    pub fn from_index(index: u64) -> Self {
-        EpochId(index)
     }
 }
 
@@ -202,7 +194,7 @@ fn shard_index(component: ComponentSym) -> usize {
 impl MetricStore {
     /// Number of shards the series map is split into. A power of two so the shard of
     /// a symbol is a mask, not a division.
-    pub const SHARD_COUNT: usize = 16;
+    pub(crate) const SHARD_COUNT: usize = 16;
 
     /// Creates an empty store sharing the process-global [`Interner`].
     pub fn new() -> Self {
@@ -310,9 +302,9 @@ impl MetricStore {
     ///
     /// Sealing snapshots the cumulative content fingerprints (store-wide and
     /// per-shard) and every series' length. The snapshot makes two queries cheap:
-    /// [`Self::epoch_fingerprint`] (what was recorded *during* an epoch) is a
-    /// wrapping difference of consecutive snapshots, and [`Self::delta_since`] (what
-    /// was recorded *after* an epoch) is a suffix slice per series. Sealing is
+    /// [`Self::epoch_cumulative_fingerprint`] (the store's content when the epoch
+    /// sealed) is a lookup, and [`Self::delta_since`] (what was recorded *after* an
+    /// epoch) is a suffix slice per series. Sealing is
     /// O(dirty series + shards) — shards untouched since the previous seal share
     /// its watermark snapshot — and does not interrupt recording; the next
     /// observation simply starts the next open window.
@@ -355,11 +347,6 @@ impl MetricStore {
         self.point_count().saturating_sub(sealed)
     }
 
-    /// The most recently sealed epoch, if any.
-    pub fn latest_epoch(&self) -> Option<EpochId> {
-        self.sealed.len().checked_sub(1).map(|i| EpochId(i as u64))
-    }
-
     /// The cumulative store fingerprint at the moment `epoch` sealed — by
     /// construction equal to what [`Self::content_fingerprint`] returned right then.
     /// This is the validation anchor for persisted watermarks: a store "contains"
@@ -368,51 +355,18 @@ impl MetricStore {
         self.sealed.get(epoch.index()).map(|e| e.cumulative)
     }
 
-    /// The content fingerprint of exactly the observations recorded *during*
-    /// `epoch` — the same order-independent mixing as
-    /// [`Self::content_fingerprint`], recovered as the wrapping difference of the
-    /// cumulative snapshots bracketing the epoch. "What changed since fingerprint
-    /// F" is therefore an O(#epochs) scan over these diffs, not a re-hash.
-    pub fn epoch_fingerprint(&self, epoch: EpochId) -> Option<u64> {
-        let sealed = self.sealed.get(epoch.index())?;
-        let prev = epoch.index().checked_sub(1).map(|i| self.sealed[i].cumulative).unwrap_or(0);
-        Some(sealed.cumulative.wrapping_sub(prev))
-    }
-
-    /// Per-shard fingerprints of the observations recorded during `epoch` (index
-    /// `i` covers shard `i`). Lets a consumer localise a change to the shards — and
-    /// hence the component groups — that actually received data.
-    pub fn epoch_shard_fingerprints(&self, epoch: EpochId) -> Option<Vec<u64>> {
-        let sealed = self.sealed.get(epoch.index())?;
-        let prev = epoch.index().checked_sub(1).map(|i| self.sealed[i].shard_contents.as_slice());
-        Some(
-            sealed
-                .shard_contents
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| c.wrapping_sub(prev.map(|p| p[i]).unwrap_or(0)))
-                .collect(),
-        )
-    }
-
-    /// The most recent sealed epoch whose cumulative fingerprint equals
-    /// `fingerprint`, if any — O(#epochs).
-    pub fn epoch_at_fingerprint(&self, fingerprint: u64) -> Option<EpochId> {
-        self.sealed.iter().rposition(|e| e.cumulative == fingerprint).map(|i| EpochId(i as u64))
-    }
-
     /// Whether suffix-based deltas are still exact. Turns `false` (permanently) once
     /// any series receives an out-of-order observation after the first seal: a
     /// non-tail insert can land before a watermark, so the suffix past it would no
     /// longer be "everything recorded since".
-    pub fn deltas_intact(&self) -> bool {
+    pub(crate) fn deltas_intact(&self) -> bool {
         self.shards.iter().all(|s| !s.delta_poisoned)
     }
 
     /// Everything recorded after `epoch` sealed, as per-key borrowed suffix slices
     /// (later sealed epochs and the open window included). Returns `None` when the
     /// epoch is unknown or when a post-seal out-of-order insert made suffixes
-    /// inexact ([`Self::deltas_intact`]) — consumers then fall back to a full pass.
+    /// inexact (`Self::deltas_intact`) — consumers then fall back to a full pass.
     pub fn delta_since(&self, epoch: EpochId) -> Option<MetricDelta<'_>> {
         let sealed = self.sealed.get(epoch.index())?;
         if !self.deltas_intact() {
@@ -499,11 +453,6 @@ impl MetricStore {
         self.series(component, metric).and_then(|s| s.mean_in(range))
     }
 
-    /// Sum of a metric within a time range (0.0 if absent).
-    pub fn sum_in(&self, component: &ComponentId, metric: &MetricName, range: TimeRange) -> f64 {
-        self.series(component, metric).map(|s| s.sum_in(range)).unwrap_or(0.0)
-    }
-
     // ----- Enumeration (cold path: resolves and sorts for stable public order) -----
 
     /// Every series key of one component, in metric-symbol order. Zero allocations:
@@ -569,25 +518,6 @@ impl MetricStore {
     /// Total number of recorded data points across all series.
     pub fn point_count(&self) -> usize {
         self.shards.iter().flat_map(|s| s.series.values()).map(|s| s.len()).sum()
-    }
-
-    /// Merges another store into this one (used when assembling a testbed from the SAN
-    /// and database collectors). Stores sharing an interner (the default) copy keys
-    /// directly; otherwise symbols are re-interned through the rich identities.
-    pub fn merge(&mut self, other: &MetricStore) {
-        let shared = Arc::ptr_eq(&self.interner, &other.interner);
-        for (key, series) in other.iter() {
-            let own = if shared {
-                key
-            } else {
-                let (component, metric) = other.resolve(key);
-                self.intern(component, metric)
-            };
-            let shard = self.shard_mut(own.component);
-            for p in series.points() {
-                shard.push(own, p.time, p.value);
-            }
-        }
     }
 
     /// Iterates over every (key, series) pair in key (symbol) order — a deterministic
@@ -708,28 +638,10 @@ pub struct ShardedWriter<'a> {
 }
 
 impl<'a> ShardedWriter<'a> {
-    /// The shared interner behind the writer.
-    pub fn interner(&self) -> &Arc<Interner> {
-        &self.interner
-    }
-
     /// Records one observation by interned key, locking only the owning shard.
     pub fn record_key(&self, key: MetricKey, time: Timestamp, value: f64) {
         let mut shard = self.shards[shard_index(key.component)].lock().expect("shard lock poisoned");
         shard.push(key, time, value);
-    }
-
-    /// Records a batch of observations for one key under a single shard lock.
-    pub fn record_points(&self, key: MetricKey, points: &[DataPoint]) {
-        let mut shard = self.shards[shard_index(key.component)].lock().expect("shard lock poisoned");
-        for p in points {
-            shard.push(key, p.time, p.value);
-        }
-    }
-
-    /// Number of independent shards (and thus the writer's maximum concurrency).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// A thread-local batching view over this writer (default flush threshold).
@@ -783,7 +695,7 @@ pub struct BatchedWriter<'w, 'a> {
 impl BatchedWriter<'_, '_> {
     /// Default per-shard flush threshold: large enough to amortize a shard lock
     /// over many points, small enough to keep buffers cache-resident.
-    pub const DEFAULT_THRESHOLD: usize = 256;
+    pub(crate) const DEFAULT_THRESHOLD: usize = 256;
 
     /// Records one observation by interned key into the owning shard's buffer,
     /// flushing that shard if it reached the threshold.
@@ -797,7 +709,8 @@ impl BatchedWriter<'_, '_> {
     }
 
     /// Number of points currently buffered (not yet visible in the store).
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
         self.buffers.iter().map(Vec::len).sum()
     }
 
@@ -874,10 +787,8 @@ mod tests {
             vec![0.0, 1.0, 2.0, 3.0, 4.0]
         );
         assert_eq!(store.mean_in(&volume("V1"), &MetricName::WriteIo, r), Some(2.0));
-        assert_eq!(store.sum_in(&volume("V1"), &MetricName::WriteIo, r), 10.0);
         // Unknown series behave as empty.
         assert_eq!(store.mean_in(&volume("V1"), &MetricName::ReadIo, r), None);
-        assert_eq!(store.sum_in(&volume("V9"), &MetricName::ReadIo, r), 0.0);
         // Zero-copy range access returns the same values as a borrowed slice.
         let points = store.points_in(&volume("V1"), &MetricName::WriteIo, r);
         assert_eq!(points.len(), 5);
@@ -923,34 +834,6 @@ mod tests {
         // keys_of covers exactly the component's series.
         let sym = store.interner().component_sym(&volume("V1")).unwrap();
         assert_eq!(store.keys_of(sym).count(), 2);
-    }
-
-    #[test]
-    fn merge_combines_points_across_interners() {
-        // Separate private interners on purpose: symbols must not be assumed shared,
-        // so this exercises the re-interning merge path.
-        let mut a = isolated_store();
-        a.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(0), 1.0);
-        let mut b = isolated_store();
-        b.record(&volume("V2"), &MetricName::ReadIo, Timestamp::new(0), 3.0);
-        b.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(60), 2.0);
-        a.merge(&b);
-        assert_eq!(a.series_count(), 2);
-        assert_eq!(a.series(&volume("V1"), &MetricName::WriteIo).unwrap().len(), 2);
-        assert_eq!(a.series(&volume("V2"), &MetricName::ReadIo).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn merge_with_shared_interner_copies_keys_directly() {
-        // The default: both stores share the global interner, so keys are identities
-        // and the merge needs no re-interning to agree with per-store lookups.
-        let mut a = MetricStore::new();
-        a.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(0), 1.0);
-        let mut b = MetricStore::new();
-        b.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(60), 2.0);
-        let key_b = b.key_of(&volume("V1"), &MetricName::WriteIo).unwrap();
-        a.merge(&b);
-        assert_eq!(a.series_by_key(key_b).unwrap().len(), 2, "b's key addresses a's merged series");
     }
 
     #[test]
@@ -1014,7 +897,6 @@ mod tests {
         }
         {
             let writer = par.sharded_writer();
-            assert_eq!(writer.shard_count(), MetricStore::SHARD_COUNT);
             for t in 0..50u64 {
                 let (_, kp) = keys[(t % 10) as usize];
                 writer.record_key(kp, Timestamp::new(t), t as f64);
@@ -1053,15 +935,6 @@ mod tests {
             assert_eq!(points.len(), 100);
             assert!(points.windows(2).all(|w| w[0].time <= w[1].time));
         }
-    }
-
-    #[test]
-    fn record_points_batches_under_one_lock() {
-        let mut store = MetricStore::new();
-        let key = store.intern(&volume("V1"), &MetricName::WriteIo);
-        let batch: Vec<DataPoint> = (0..5).map(|t| DataPoint::new(Timestamp::new(t), t as f64)).collect();
-        store.sharded_writer().record_points(key, &batch);
-        assert_eq!(store.series_by_key(key).unwrap().points(), &batch[..]);
     }
 
     #[test]
@@ -1150,40 +1023,28 @@ mod tests {
     }
 
     #[test]
-    fn epoch_fingerprints_fold_to_the_content_fingerprint() {
+    fn epoch_cumulative_fingerprints_snapshot_the_content_fingerprint() {
         let mut store = isolated_store();
         let k1 = store.intern(&volume("V1"), &MetricName::WriteIo);
         let k2 = store.intern(&volume("V2"), &MetricName::ReadIo);
         assert_eq!(store.epoch_count(), 0);
-        assert!(store.latest_epoch().is_none());
 
         store.record_key(k1, Timestamp::new(10), 1.0);
+        let at_e0 = store.content_fingerprint();
         let e0 = store.seal_epoch();
         store.record_key(k1, Timestamp::new(20), 2.0);
         store.record_key(k2, Timestamp::new(30), 3.0);
+        let at_e1 = store.content_fingerprint();
         let e1 = store.seal_epoch();
         store.record_key(k2, Timestamp::new(40), 4.0);
 
+        // Each seal snapshots the live fingerprint of that moment; later appends
+        // move the live fingerprint but never an earlier snapshot.
         assert_eq!(store.epoch_count(), 2);
-        assert_eq!(store.latest_epoch(), Some(e1));
-        // The cumulative snapshot at each seal matches the live fingerprint then,
-        // and the per-epoch diffs plus the open window fold back to the total.
-        let open = store.content_fingerprint().wrapping_sub(store.epoch_cumulative_fingerprint(e1).unwrap());
-        let folded = store
-            .epoch_fingerprint(e0)
-            .unwrap()
-            .wrapping_add(store.epoch_fingerprint(e1).unwrap())
-            .wrapping_add(open);
-        assert_eq!(folded, store.content_fingerprint());
-        // Per-shard diffs fold to the per-epoch diff.
-        let shard_sum =
-            store.epoch_shard_fingerprints(e1).unwrap().into_iter().fold(0u64, |acc, f| acc.wrapping_add(f));
-        assert_eq!(shard_sum, store.epoch_fingerprint(e1).unwrap());
-        // Fingerprint lookup resolves the seal point.
-        let f0 = store.epoch_cumulative_fingerprint(e0).unwrap();
-        assert_eq!(store.epoch_at_fingerprint(f0), Some(e0));
-        assert_eq!(store.epoch_at_fingerprint(0xdead_beef), None);
-        assert!(store.epoch_fingerprint(EpochId::from_index(9)).is_none());
+        assert_eq!(store.epoch_cumulative_fingerprint(e0), Some(at_e0));
+        assert_eq!(store.epoch_cumulative_fingerprint(e1), Some(at_e1));
+        assert_ne!(store.content_fingerprint(), at_e1);
+        assert!(store.epoch_cumulative_fingerprint(EpochId(9)).is_none());
     }
 
     #[test]
@@ -1207,7 +1068,7 @@ mod tests {
         assert_eq!(dk2, k2);
         assert_eq!(pts2.len(), 1, "brand-new series appears in full");
         assert_eq!(delta.earliest_time(), Some(Timestamp::new(20)));
-        assert!(store.delta_since(EpochId::from_index(5)).is_none(), "unknown epoch");
+        assert!(store.delta_since(EpochId(5)).is_none(), "unknown epoch");
 
         // A later epoch's delta starts past its own watermark.
         let e1 = store.seal_epoch();

@@ -37,14 +37,6 @@ impl Timestamp {
     pub fn since(self, earlier: Timestamp) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Renders as `HH:MM:SS` of simulated time (days roll into hours).
-    pub fn to_clock_string(self) -> String {
-        let h = self.0 / 3600;
-        let m = (self.0 % 3600) / 60;
-        let s = self.0 % 60;
-        format!("{h:02}:{m:02}:{s:02}")
-    }
 }
 
 impl std::fmt::Display for Timestamp {
@@ -79,11 +71,6 @@ impl Duration {
     /// Length in seconds.
     pub fn as_secs(self) -> u64 {
         self.0
-    }
-
-    /// Length in (fractional) minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60.0
     }
 
     /// Sum of two durations.
@@ -170,7 +157,6 @@ mod tests {
         assert_eq!(Duration::from_hours(2).as_secs(), 7200);
         assert_eq!(Duration::from_secs(100).scale(1.5).as_secs(), 150);
         assert_eq!(Duration::from_secs(100).scale(-2.0), Duration::ZERO);
-        assert!((Duration::from_secs(90).as_mins_f64() - 1.5).abs() < 1e-12);
         assert_eq!(Duration::from_secs(10).plus(Duration::from_secs(5)).as_secs(), 15);
     }
 
@@ -202,6 +188,5 @@ mod tests {
         let r = TimeRange::with_duration(Timestamp::new(60), Duration::from_mins(1));
         assert_eq!(r.end, Timestamp::new(120));
         assert_eq!(format!("{r}"), "[t+60s, t+120s)");
-        assert_eq!(Timestamp::new(3661).to_clock_string(), "01:01:01");
     }
 }

@@ -165,7 +165,7 @@ impl SanSimulator {
     }
 
     /// Total external load offered to a volume at an instant.
-    pub fn external_volume_load(&self, volume: &str, t: Timestamp) -> IoProfile {
+    pub(crate) fn external_volume_load(&self, volume: &str, t: Timestamp) -> IoProfile {
         let mut total = IoProfile::IDLE;
         for w in &self.workloads {
             if w.volume == volume {
@@ -206,7 +206,7 @@ impl SanSimulator {
     /// The utilisation is the fraction of the second the disk spends servicing the
     /// back-end I/O of every volume in its pool (RAID amplification included) plus any
     /// rebuild traffic.
-    pub fn disk_utilization(&self, disk: &str, t: Timestamp, extra: &[VolumeLoad]) -> f64 {
+    pub(crate) fn disk_utilization(&self, disk: &str, t: Timestamp, extra: &[VolumeLoad]) -> f64 {
         let Some(d) = self.topology.disk(disk) else { return 0.0 };
         if d.failed {
             return 0.0;
@@ -272,12 +272,6 @@ impl SanSimulator {
             write_ms: write_service * queue_factor,
             disk_utilization: utilization,
         }
-    }
-
-    /// Convenience: the average *read* latency (ms) a database page read against this
-    /// volume experiences at `t`, given the query's own concurrent load.
-    pub fn page_read_latency_ms(&self, volume: &str, t: Timestamp, extra: &[VolumeLoad]) -> f64 {
-        self.volume_response(volume, t, extra).read_ms
     }
 
     /// Steps through a time range and records raw performance samples for every SAN
@@ -529,7 +523,7 @@ mod tests {
         let mut sim = quiet_sim();
         let t0 = Timestamp::new(0);
         sim.topology_mut().create_volume(t0, "Vprime", "P1", 50).unwrap();
-        let baseline = sim.page_read_latency_ms("V1", Timestamp::new(5_000), &[]);
+        let baseline = sim.volume_response("V1", Timestamp::new(5_000), &[]).read_ms;
         sim.add_workload(ExternalWorkload::steady(
             "etl-on-vprime",
             "app-server",
@@ -538,10 +532,10 @@ mod tests {
             window(1_000, 100_000),
         ))
         .unwrap();
-        let contended = sim.page_read_latency_ms("V1", Timestamp::new(5_000), &[]);
+        let contended = sim.volume_response("V1", Timestamp::new(5_000), &[]).read_ms;
         assert!(contended > baseline * 2.0, "baseline {baseline} contended {contended}");
         // V2 lives on P2 and is unaffected.
-        let v2 = sim.page_read_latency_ms("V2", Timestamp::new(5_000), &[]);
+        let v2 = sim.volume_response("V2", Timestamp::new(5_000), &[]).read_ms;
         assert!(v2 < baseline * 1.5, "v2 latency {v2} should stay near baseline {baseline}");
     }
 

@@ -36,28 +36,6 @@ impl RaidLevel {
         }
     }
 
-    /// Fraction of raw capacity usable for data.
-    ///
-    /// RAID-5 efficiency depends on the stripe width (`disks`).
-    pub fn capacity_efficiency(self, disks: usize) -> f64 {
-        match self {
-            RaidLevel::Raid0 => 1.0,
-            RaidLevel::Raid1 | RaidLevel::Raid10 => 0.5,
-            RaidLevel::Raid5 => {
-                if disks <= 1 {
-                    1.0
-                } else {
-                    (disks as f64 - 1.0) / disks as f64
-                }
-            }
-        }
-    }
-
-    /// Whether the level survives a single-disk failure.
-    pub fn tolerates_disk_failure(self) -> bool {
-        !matches!(self, RaidLevel::Raid0)
-    }
-
     /// Multiplier applied to the pool's background load while a rebuild is in progress.
     ///
     /// A rebuild reads every surviving disk and writes the replacement, stealing a large
@@ -104,17 +82,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_efficiency() {
-        assert_eq!(RaidLevel::Raid0.capacity_efficiency(4), 1.0);
-        assert_eq!(RaidLevel::Raid1.capacity_efficiency(2), 0.5);
-        assert!((RaidLevel::Raid5.capacity_efficiency(6) - 5.0 / 6.0).abs() < 1e-12);
-        assert_eq!(RaidLevel::Raid5.capacity_efficiency(1), 1.0);
-    }
-
-    #[test]
     fn failure_tolerance_and_rebuild() {
-        assert!(!RaidLevel::Raid0.tolerates_disk_failure());
-        assert!(RaidLevel::Raid5.tolerates_disk_failure());
         assert!(RaidLevel::Raid5.rebuild_load_factor() > RaidLevel::Raid10.rebuild_load_factor());
         assert_eq!(RaidLevel::Raid0.rebuild_load_factor(), 0.0);
     }

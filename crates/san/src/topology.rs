@@ -164,11 +164,6 @@ impl SanTopology {
         self.subsystems.get(name)
     }
 
-    /// All server names.
-    pub fn server_names(&self) -> Vec<String> {
-        self.servers.keys().cloned().collect()
-    }
-
     /// All volume names.
     pub fn volume_names(&self) -> Vec<String> {
         self.volumes.keys().cloned().collect()
@@ -177,11 +172,6 @@ impl SanTopology {
     /// All pool names.
     pub fn pool_names(&self) -> Vec<String> {
         self.pools.keys().cloned().collect()
-    }
-
-    /// All disk names.
-    pub fn disk_names(&self) -> Vec<String> {
-        self.disks.keys().cloned().collect()
     }
 
     /// All switch names.
@@ -232,11 +222,6 @@ impl SanTopology {
     /// The configuration/system event log.
     pub fn events(&self) -> &EventStore {
         &self.events
-    }
-
-    /// Records an event on the topology timeline.
-    pub fn record_event(&mut self, event: Event) {
-        self.events.record(event);
     }
 
     // ---- mutations that emit events ----
@@ -344,20 +329,6 @@ impl SanTopology {
     }
 
     // ---- component-id helpers ----
-
-    /// The monitored component ids of every entity in the topology.
-    pub fn all_component_ids(&self) -> Vec<ComponentId> {
-        use diads_monitor::ComponentKind as K;
-        let mut out = Vec::new();
-        out.extend(self.servers.keys().map(|n| ComponentId::new(K::Server, n.clone())));
-        out.extend(self.hbas.keys().map(|n| ComponentId::new(K::Hba, n.clone())));
-        out.extend(self.switches.keys().map(|n| ComponentId::new(K::FcSwitch, n.clone())));
-        out.extend(self.subsystems.keys().map(|n| ComponentId::new(K::StorageSubsystem, n.clone())));
-        out.extend(self.pools.keys().map(|n| ComponentId::new(K::StoragePool, n.clone())));
-        out.extend(self.volumes.keys().map(|n| ComponentId::new(K::StorageVolume, n.clone())));
-        out.extend(self.disks.keys().map(|n| ComponentId::new(K::Disk, n.clone())));
-        out
-    }
 }
 
 /// Fluent builder for [`SanTopology`].
@@ -560,10 +531,10 @@ mod tests {
     #[test]
     fn paper_testbed_structure() {
         let t = paper_testbed();
-        assert_eq!(t.server_names().len(), 2);
+        assert_eq!(t.servers.len(), 2);
         assert_eq!(t.volume_names(), vec!["V1", "V2", "V3", "V4"]);
         assert_eq!(t.pool_names(), vec!["P1", "P2"]);
-        assert_eq!(t.disk_names().len(), 10);
+        assert_eq!(t.disks.len(), 10);
         assert_eq!(t.pool_of_volume("V1").unwrap().name, "P1");
         assert_eq!(t.pool_of_volume("V2").unwrap().name, "P2");
         assert_eq!(t.disks_of_volume("V2").len(), 6);
@@ -573,7 +544,6 @@ mod tests {
         assert!(t.volumes_sharing_disks("V1").is_empty());
         assert!(t.zoning.can_access("db-server", "DS6000", "V1"));
         assert!(!t.zoning.can_access("app-server", "DS6000", "V1"));
-        assert_eq!(t.all_component_ids().len(), 2 + 2 + 2 + 1 + 2 + 4 + 10);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub enum BurstPattern {
 
 impl BurstPattern {
     /// Intensity multiplier at an instant, relative to the base profile.
-    pub fn intensity_at(&self, t: Timestamp, window_start: Timestamp) -> f64 {
+    pub(crate) fn intensity_at(&self, t: Timestamp, window_start: Timestamp) -> f64 {
         match *self {
             BurstPattern::Steady => 1.0,
             BurstPattern::Bursty { period_secs, burst_secs, multiplier, idle_fraction } => {
@@ -149,7 +149,7 @@ impl ExternalWorkload {
     }
 
     /// Whether the workload is active at the given instant.
-    pub fn is_active_at(&self, t: Timestamp) -> bool {
+    pub(crate) fn is_active_at(&self, t: Timestamp) -> bool {
         self.active.contains(t)
     }
 

@@ -61,24 +61,9 @@ impl LunMapping {
         self.map.entry(volume.into()).or_default().insert(server.into());
     }
 
-    /// Revokes `server`'s access to `volume`.
-    pub fn unmap(&mut self, volume: &str, server: &str) {
-        if let Some(set) = self.map.get_mut(volume) {
-            set.remove(server);
-            if set.is_empty() {
-                self.map.remove(volume);
-            }
-        }
-    }
-
     /// Whether `server` is allowed to access `volume`.
-    pub fn is_mapped(&self, volume: &str, server: &str) -> bool {
+    pub(crate) fn is_mapped(&self, volume: &str, server: &str) -> bool {
         self.map.get(volume).is_some_and(|s| s.contains(server))
-    }
-
-    /// All servers mapped to a volume.
-    pub fn servers_for(&self, volume: &str) -> Vec<String> {
-        self.map.get(volume).map(|s| s.iter().cloned().collect()).unwrap_or_default()
     }
 
     /// All volumes a server is mapped to.
@@ -108,11 +93,6 @@ impl ZoningConfig {
         } else {
             self.zones.push(zone);
         }
-    }
-
-    /// The zones, in insertion order.
-    pub fn zones(&self) -> &[Zone] {
-        &self.zones
     }
 
     /// Whether the fabric configuration lets `server` reach `subsystem` at all.
@@ -171,21 +151,11 @@ mod tests {
     }
 
     #[test]
-    fn unmap_revokes_access() {
-        let mut cfg = config();
-        cfg.lun_mapping.unmap("V1", "db-server");
-        assert!(!cfg.can_access("db-server", "DS6000", "V1"));
-        assert!(cfg.lun_mapping.servers_for("V1").is_empty());
-        // Unmapping a non-existent pair is a no-op.
-        cfg.lun_mapping.unmap("V9", "nobody");
-    }
-
-    #[test]
     fn add_zone_replaces_by_name() {
         let mut cfg = config();
-        assert_eq!(cfg.zones().len(), 1);
+        assert_eq!(cfg.zones.len(), 1);
         cfg.add_zone(Zone::new("db-zone", vec!["other".into()], vec!["DS6000".into()]));
-        assert_eq!(cfg.zones().len(), 1);
+        assert_eq!(cfg.zones.len(), 1);
         assert!(!cfg.zoned("db-server", "DS6000"));
         assert!(cfg.zoned("other", "DS6000"));
     }
@@ -194,6 +164,5 @@ mod tests {
     fn mapping_lookups() {
         let cfg = config();
         assert_eq!(cfg.lun_mapping.volumes_for("db-server"), vec!["V1".to_string(), "V2".to_string()]);
-        assert_eq!(cfg.lun_mapping.servers_for("V1"), vec!["db-server".to_string()]);
     }
 }

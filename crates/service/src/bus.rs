@@ -80,7 +80,8 @@ impl EventHub {
     }
 
     /// Number of subscribers still attached (as of the last publish).
-    pub fn subscriber_count(&self) -> usize {
+    #[cfg(test)]
+    fn subscriber_count(&self) -> usize {
         self.subscribers.lock().expect("subscriber lock poisoned").len()
     }
 }

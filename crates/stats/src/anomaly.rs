@@ -9,7 +9,7 @@
 //! exercise).
 
 use crate::dist::std_normal_cdf;
-use crate::kde::{Bandwidth, Kde};
+use crate::kde::Kde;
 use crate::robust::mad;
 use crate::summary::{median, quantile, Summary};
 use crate::Result;
@@ -39,7 +39,6 @@ pub trait AnomalyDetector {
 /// The paper's detector: Gaussian KDE over satisfactory observations, score = CDF.
 #[derive(Debug, Clone, Default)]
 pub struct KdeDetector {
-    bandwidth: Option<Bandwidth>,
     kde: Option<Kde>,
 }
 
@@ -47,11 +46,6 @@ impl KdeDetector {
     /// Creates an unfitted detector with the default (Silverman) bandwidth.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an unfitted detector with an explicit bandwidth strategy.
-    pub fn with_bandwidth(bandwidth: Bandwidth) -> Self {
-        KdeDetector { bandwidth: Some(bandwidth), kde: None }
     }
 
     /// Access to the fitted KDE, if any.
@@ -62,11 +56,7 @@ impl KdeDetector {
 
 impl AnomalyDetector for KdeDetector {
     fn fit(&mut self, satisfactory: &[f64]) -> Result<()> {
-        let kde = match self.bandwidth {
-            Some(bw) => Kde::fit_with(satisfactory, bw)?,
-            None => Kde::fit(satisfactory)?,
-        };
-        self.kde = Some(kde);
+        self.kde = Some(Kde::fit(satisfactory)?);
         Ok(())
     }
 
@@ -214,11 +204,6 @@ impl AnomalyDetector for PercentileDetector {
     }
 }
 
-/// Scores a batch of observations with any detector, returning `(observation, score)`.
-pub fn score_batch<D: AnomalyDetector + ?Sized>(detector: &D, observations: &[f64]) -> Vec<(f64, f64)> {
-    observations.iter().map(|&o| (o, detector.score(o))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,16 +266,6 @@ mod tests {
         assert!(d.cutoff().is_finite());
         let mut bad = PercentileDetector::new(1.5);
         assert!(bad.fit(&satisfactory()).is_err());
-    }
-
-    #[test]
-    fn score_batch_pairs_observations() {
-        let mut d = KdeDetector::new();
-        d.fit(&satisfactory()).unwrap();
-        let scored = score_batch(&d, &[9.0, 30.0]);
-        assert_eq!(scored.len(), 2);
-        assert_eq!(scored[0].0, 9.0);
-        assert!(scored[1].1 > scored[0].1);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl GaussianNaiveBayes {
         })
     }
 
-    /// Number of features per row the model was trained with.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
     /// Posterior probability that the feature vector belongs to an unsatisfactory run.
     ///
     /// # Errors
@@ -130,30 +125,6 @@ impl GaussianNaiveBayes {
             RunLabel::Satisfactory
         })
     }
-
-    /// Per-feature "blame" score: the normalised contribution of each feature to the
-    /// unsatisfactory log-likelihood ratio. Features with higher scores are more
-    /// responsible for the model considering the run unsatisfactory; this is how a
-    /// model-based comparator would nominate operators for the correlated-operator set.
-    ///
-    /// # Errors
-    /// Same conditions as [`Self::prob_unsatisfactory`].
-    pub fn feature_blame(&self, features: &[f64]) -> Result<Vec<f64>> {
-        if features.len() != self.n_features {
-            return Err(StatsError::LengthMismatch { left: self.n_features, right: features.len() });
-        }
-        crate::ensure_finite(features)?;
-        let contributions: Vec<f64> = (0..self.n_features)
-            .map(|j| {
-                normal_log_pdf(features[j], self.unsatisfactory.means[j], self.unsatisfactory.std_devs[j])
-                    - normal_log_pdf(features[j], self.satisfactory.means[j], self.satisfactory.std_devs[j])
-            })
-            .collect();
-        let max = contributions.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let min = contributions.iter().cloned().fold(f64::INFINITY, f64::min);
-        let range = (max - min).max(1e-12);
-        Ok(contributions.iter().map(|c| (c - min) / range).collect())
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +149,7 @@ mod tests {
     #[test]
     fn fit_and_classify() {
         let model = GaussianNaiveBayes::fit(&training_data()).unwrap();
-        assert_eq!(model.n_features(), 2);
+        assert_eq!(model.n_features, 2);
         assert_eq!(model.classify(&[10.1, 5.0]).unwrap(), RunLabel::Satisfactory);
         assert_eq!(model.classify(&[20.5, 5.1]).unwrap(), RunLabel::Unsatisfactory);
         let p = model.prob_unsatisfactory(&[19.0, 5.0]).unwrap();
@@ -204,14 +175,6 @@ mod tests {
         let model = GaussianNaiveBayes::fit(&training_data()).unwrap();
         assert!(model.classify(&[1.0]).is_err());
         assert!(model.prob_unsatisfactory(&[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn feature_blame_points_at_the_shifted_feature() {
-        let model = GaussianNaiveBayes::fit(&training_data()).unwrap();
-        let blame = model.feature_blame(&[20.0, 5.0]).unwrap();
-        assert_eq!(blame.len(), 2);
-        assert!(blame[0] > blame[1], "feature 0 carries the anomaly: {blame:?}");
     }
 
     #[test]

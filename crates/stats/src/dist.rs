@@ -1,4 +1,4 @@
-//! Elementary distribution functions (normal PDF/CDF, error function).
+//! Elementary distribution functions (normal CDF and log-PDF, error function).
 //!
 //! The Gaussian-kernel KDE used by DIADS needs the standard normal CDF `Φ` to
 //! evaluate `prob(S <= u)` in closed form: the CDF of a Gaussian mixture is the
@@ -10,7 +10,7 @@
 ///
 /// Maximum absolute error is about `1.5e-7`, which is more than sufficient for
 /// anomaly scores compared against a 0.8 threshold.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     // Constants of the A&S 7.1.26 approximation.
     const A1: f64 = 0.254_829_592;
     const A2: f64 = -0.284_496_736;
@@ -26,25 +26,9 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Standard normal probability density function.
-pub fn std_normal_pdf(x: f64) -> f64 {
-    const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
-    INV_SQRT_2PI * (-0.5 * x * x).exp()
-}
-
 /// Standard normal cumulative distribution function `Φ(x)`.
 pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// PDF of a normal distribution with the given mean and standard deviation.
-///
-/// A degenerate distribution (`std_dev == 0`) returns `+inf` at the mean and 0 elsewhere.
-pub fn normal_pdf(x: f64, mean: f64, std_dev: f64) -> f64 {
-    if std_dev <= 0.0 {
-        return if (x - mean).abs() < f64::EPSILON { f64::INFINITY } else { 0.0 };
-    }
-    std_normal_pdf((x - mean) / std_dev) / std_dev
 }
 
 /// CDF of a normal distribution with the given mean and standard deviation.
@@ -104,17 +88,10 @@ mod tests {
     }
 
     #[test]
-    fn std_normal_pdf_reference_points() {
-        assert_close(std_normal_pdf(0.0), 0.398_942_280_4, 1e-9);
-        assert_close(std_normal_pdf(1.0), 0.241_970_724_5, 1e-9);
-        assert_close(std_normal_pdf(-1.0), std_normal_pdf(1.0), 1e-12);
-    }
-
-    #[test]
     fn scaled_normal_cdf_and_pdf() {
         assert_close(normal_cdf(10.0, 10.0, 2.0), 0.5, 1e-7);
         assert_close(normal_cdf(12.0, 10.0, 2.0), 0.841_344_746, 1e-6);
-        assert_close(normal_pdf(10.0, 10.0, 2.0), 0.398_942_280_4 / 2.0, 1e-9);
+        assert_close(normal_log_pdf(10.0, 10.0, 2.0).exp(), 0.398_942_280_4 / 2.0, 1e-9);
     }
 
     #[test]
@@ -122,14 +99,16 @@ mod tests {
         assert_eq!(normal_cdf(0.9, 1.0, 0.0), 0.0);
         assert_eq!(normal_cdf(1.0, 1.0, 0.0), 1.0);
         assert_eq!(normal_cdf(1.1, 1.0, 0.0), 1.0);
-        assert_eq!(normal_pdf(0.9, 1.0, 0.0), 0.0);
+        assert_eq!(normal_log_pdf(0.9, 1.0, 0.0), f64::NEG_INFINITY);
     }
 
     #[test]
     fn log_pdf_matches_pdf() {
         let cases = [(0.3_f64, 0.0, 1.0), (2.5, 1.0, 0.7), (-4.0, -2.0, 3.0)];
         for (x, m, s) in cases {
-            assert_close(normal_log_pdf(x, m, s).exp(), normal_pdf(x, m, s), 1e-9);
+            let z = (x - m) / s;
+            let pdf = (-0.5 * z * z).exp() / (s * (2.0 * std::f64::consts::PI).sqrt());
+            assert_close(normal_log_pdf(x, m, s).exp(), pdf, 1e-9);
         }
     }
 }

@@ -7,7 +7,7 @@
 //! apply exactly the same machinery to component performance metrics and operator
 //! record counts.
 
-use crate::dist::{normal_cdf, normal_pdf};
+use crate::dist::normal_cdf;
 use crate::summary::{quantile_of_sorted, Summary};
 use crate::{ensure_finite, Result, StatsError};
 
@@ -69,7 +69,7 @@ impl Kde {
     /// # Errors
     /// Returns an error if the sample is empty, contains non-finite values, or a
     /// non-positive fixed bandwidth is supplied.
-    pub fn fit_with(samples: &[f64], bandwidth: Bandwidth) -> Result<Self> {
+    pub(crate) fn fit_with(samples: &[f64], bandwidth: Bandwidth) -> Result<Self> {
         if samples.is_empty() {
             return Err(StatsError::EmptySample);
         }
@@ -129,7 +129,7 @@ impl Kde {
     /// # Errors
     /// Returns an error if `delta` contains non-finite values (or `rule` carries an
     /// invalid fixed bandwidth).
-    pub fn extended_with(&self, delta: &[f64], rule: Bandwidth) -> Result<Self> {
+    pub(crate) fn extended_with(&self, delta: &[f64], rule: Bandwidth) -> Result<Self> {
         ensure_finite(delta)?;
         if delta.is_empty() {
             return Ok(self.clone());
@@ -183,13 +183,6 @@ impl Kde {
         let lo = self.samples.partition_point(|&s| s < x - cut);
         let hi = self.samples.partition_point(|&s| s <= x + cut);
         (lo, hi)
-    }
-
-    /// Estimated probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let n = self.samples.len() as f64;
-        let (lo, hi) = self.active_window(x);
-        self.samples[lo..hi].iter().map(|&s| normal_pdf(x, s, self.bandwidth)).sum::<f64>() / n
     }
 
     /// Estimated cumulative distribution `P(S <= x)`.
@@ -259,7 +252,7 @@ impl Kde {
     ///
     /// Useful for metrics where a drop is as suspicious as a rise (e.g. cache hit
     /// ratios); 0 means perfectly typical, 1 means extreme in either direction.
-    pub fn two_sided_score(&self, u: f64) -> f64 {
+    pub(crate) fn two_sided_score(&self, u: f64) -> f64 {
         (2.0 * (self.cdf(u) - 0.5)).abs()
     }
 }
@@ -281,23 +274,12 @@ fn resolve_bandwidth(sorted: &[f64], bandwidth: Bandwidth) -> Result<f64> {
     Ok(h.max(bandwidth_floor(sorted)))
 }
 
-/// Silverman's rule-of-thumb bandwidth.
+/// Silverman's rule-of-thumb bandwidth of a non-empty, finite, ascending sample.
 ///
 /// Uses the robust spread `min(sd, IQR / 1.34)`; falls back to the non-zero one when
-/// either is zero, and to a relative floor when the sample is degenerate. The rule
-/// runs over a sorted copy, so the result depends only on the sample multiset and
-/// equals the bandwidth [`Kde::fit`] picks before its degenerate-sample floor.
-pub fn silverman_bandwidth(samples: &[f64]) -> f64 {
-    if samples.is_empty() || ensure_finite(samples).is_err() {
-        return bandwidth_floor(samples);
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    silverman_bandwidth_of_sorted(&sorted)
-}
-
-/// [`silverman_bandwidth`] of a non-empty, finite, ascending sample: the quartiles
-/// are read straight off it instead of from two sorted copies.
+/// either is zero, and to a relative floor when the sample is degenerate. The
+/// quartiles are read straight off the sorted sample instead of from two sorted
+/// copies.
 fn silverman_bandwidth_of_sorted(sorted: &[f64]) -> f64 {
     let n = sorted.len() as f64;
     let sd = Summary::from_sample(sorted).ok().and_then(|s| s.std_dev()).unwrap_or(0.0);
@@ -316,7 +298,7 @@ fn silverman_bandwidth_of_sorted(sorted: &[f64]) -> f64 {
 }
 
 /// Scott's rule bandwidth: `1.06 * sd * n^(-1/5)`.
-pub fn scott_bandwidth(samples: &[f64]) -> f64 {
+pub(crate) fn scott_bandwidth(samples: &[f64]) -> f64 {
     let n = samples.len() as f64;
     let sd = Summary::from_sample(samples).ok().and_then(|s| s.std_dev()).unwrap_or(0.0);
     if sd <= 0.0 {
@@ -358,20 +340,6 @@ mod tests {
         }
         assert!(kde.cdf(50.0) < 0.01);
         assert!(kde.cdf(150.0) > 0.99);
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        let kde = Kde::fit(&sample_normal_like()).unwrap();
-        // Trapezoidal integration over a wide range.
-        let (lo, hi, steps) = (60.0, 140.0, 4000);
-        let dx = (hi - lo) / steps as f64;
-        let mut area = 0.0;
-        for i in 0..steps {
-            let x0 = lo + i as f64 * dx;
-            area += 0.5 * (kde.pdf(x0) + kde.pdf(x0 + dx)) * dx;
-        }
-        assert!((area - 1.0).abs() < 0.01, "area = {area}");
     }
 
     #[test]
@@ -418,8 +386,8 @@ mod tests {
     #[test]
     fn bandwidth_rules_are_positive_and_ordered() {
         let s = sample_normal_like();
-        let h_silverman = silverman_bandwidth(&s);
-        let h_scott = scott_bandwidth(&s);
+        let h_silverman = Kde::fit_with(&s, Bandwidth::Silverman).unwrap().bandwidth();
+        let h_scott = Kde::fit_with(&s, Bandwidth::Scott).unwrap().bandwidth();
         assert!(h_silverman > 0.0 && h_scott > 0.0);
         // Scott uses sd with a larger constant; Silverman uses min(sd, iqr/1.34) * 0.9.
         assert!(h_scott >= h_silverman);
@@ -491,8 +459,7 @@ mod tests {
         ];
         for unsorted in &samples {
             let floor = |h: f64| h.max(bandwidth_floor(unsorted));
-            let expected = floor(silverman_bandwidth(unsorted)).to_bits();
-            assert_eq!(floor(silverman_via_public_iqr(unsorted)).to_bits(), expected, "{unsorted:?}");
+            let expected = floor(silverman_via_public_iqr(unsorted)).to_bits();
             assert_eq!(Kde::fit(unsorted).unwrap().bandwidth().to_bits(), expected, "fit {unsorted:?}");
             for split in 1..unsorted.len() {
                 let (head, tail) = unsorted.split_at(split);

@@ -19,11 +19,10 @@
 //!   ablation baselines used by the `kde_vs_baseline` experiment).
 //! * [`bayes::GaussianNaiveBayes`] — the simple parametric "advanced model" comparator
 //!   for the paper's observation that KDE needs only a few tens of samples.
-//! * [`correlation`] — Pearson / Spearman correlation used by dependency analysis.
-//! * [`summary`], [`robust`], [`histogram`] — descriptive statistics shared by the
-//!   database-statistics and monitoring layers.
+//! * [`summary`], [`robust`] — descriptive statistics shared by the detectors and
+//!   the KDE bandwidth selectors.
 //! * [`spectrum::LatencySpectrum`] — exact nearest-rank percentile reporting
-//!   (p50/p99/p999) for the fleet-scale load benchmarks.
+//!   (p50/p99/p999) for the service loop's latency and staleness statistics.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -31,9 +30,7 @@
 pub mod anomaly;
 pub mod bayes;
 pub mod cache;
-pub mod correlation;
 pub mod dist;
-pub mod histogram;
 pub mod kde;
 pub mod robust;
 pub mod spectrum;
@@ -42,7 +39,6 @@ pub mod summary;
 pub use anomaly::{AnomalyDetector, KdeDetector, MadDetector, PercentileDetector, ZScoreDetector};
 pub use bayes::GaussianNaiveBayes;
 pub use cache::ScoringCache;
-pub use correlation::{pearson, spearman};
 pub use kde::{Bandwidth, Kde};
 pub use spectrum::LatencySpectrum;
 pub use summary::Summary;

@@ -1,85 +1,21 @@
-//! Robust statistics: median absolute deviation, trimmed means, outlier masks.
+//! Robust statistics: the median absolute deviation.
 //!
 //! The monitoring data DIADS consumes is noisy (coarse sampling intervals average away
-//! bursts, and collection glitches inject spikes). The robust estimators here are used
-//! by the noise-handling paths of the collector and by the MAD-based baseline detector.
+//! bursts, and collection glitches inject spikes). The MAD-based baseline detector
+//! scales its scores by this spread estimate, which a few spikes barely move.
 
-use crate::summary::{median, quantile};
-use crate::{ensure_finite, Result, StatsError};
+use crate::summary::median;
+use crate::Result;
 
 /// Median absolute deviation (MAD) of a sample, scaled by 1.4826 so that it is a
 /// consistent estimator of the standard deviation for normal data.
 ///
 /// # Errors
-/// Returns [`StatsError::EmptySample`] for an empty sample.
+/// Returns [`crate::StatsError::EmptySample`] for an empty sample.
 pub fn mad(sample: &[f64]) -> Result<f64> {
     let m = median(sample)?;
     let deviations: Vec<f64> = sample.iter().map(|v| (v - m).abs()).collect();
     Ok(1.4826 * median(&deviations)?)
-}
-
-/// Trimmed mean: drops the lowest and highest `trim_fraction` of observations
-/// before averaging. `trim_fraction` must be in `[0, 0.5)`.
-///
-/// # Errors
-/// Returns [`StatsError::InvalidParameter`] for an out-of-range fraction and
-/// [`StatsError::EmptySample`] for an empty sample.
-pub fn trimmed_mean(sample: &[f64], trim_fraction: f64) -> Result<f64> {
-    if !(0.0..0.5).contains(&trim_fraction) {
-        return Err(StatsError::InvalidParameter("trim fraction must be in [0, 0.5)"));
-    }
-    if sample.is_empty() {
-        return Err(StatsError::EmptySample);
-    }
-    ensure_finite(sample)?;
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let k = (sorted.len() as f64 * trim_fraction).floor() as usize;
-    let kept = &sorted[k..sorted.len() - k];
-    if kept.is_empty() {
-        return Err(StatsError::NotEnoughSamples { required: 2 * k + 1, got: sample.len() });
-    }
-    Ok(kept.iter().sum::<f64>() / kept.len() as f64)
-}
-
-/// Marks observations lying outside `median ± threshold * MAD` as outliers.
-///
-/// Returns a boolean mask aligned with the input: `true` means outlier. A degenerate
-/// sample (MAD == 0) marks every value different from the median as an outlier.
-///
-/// # Errors
-/// Returns [`StatsError::EmptySample`] for an empty sample.
-pub fn mad_outlier_mask(sample: &[f64], threshold: f64) -> Result<Vec<bool>> {
-    let m = median(sample)?;
-    let spread = mad(sample)?;
-    Ok(sample
-        .iter()
-        .map(
-            |&v| {
-                if spread > 0.0 {
-                    (v - m).abs() > threshold * spread
-                } else {
-                    (v - m).abs() > f64::EPSILON
-                }
-            },
-        )
-        .collect())
-}
-
-/// Winsorises a sample: values below the `lower` quantile or above the `upper`
-/// quantile are clamped to those quantiles. Useful for taming monitoring spikes
-/// before fitting a KDE when noise is known to be heavy-tailed.
-///
-/// # Errors
-/// Returns [`StatsError::InvalidParameter`] if `lower >= upper` or either is outside
-/// `[0, 1]`, and propagates sample errors.
-pub fn winsorise(sample: &[f64], lower: f64, upper: f64) -> Result<Vec<f64>> {
-    if lower >= upper {
-        return Err(StatsError::InvalidParameter("lower quantile must be below upper"));
-    }
-    let lo = quantile(sample, lower)?;
-    let hi = quantile(sample, upper)?;
-    Ok(sample.iter().map(|&v| v.clamp(lo, hi)).collect())
 }
 
 #[cfg(test)]
@@ -102,41 +38,5 @@ mod tests {
         let m_clean = mad(&clean).unwrap();
         let m_dirty = mad(&dirty).unwrap();
         assert!((m_clean - m_dirty).abs() < 1.0, "MAD should barely move: {m_clean} vs {m_dirty}");
-    }
-
-    #[test]
-    fn trimmed_mean_ignores_extremes() {
-        let data = [1.0, 2.0, 3.0, 4.0, 100.0];
-        let tm = trimmed_mean(&data, 0.2).unwrap();
-        assert!((tm - 3.0).abs() < 1e-12);
-        assert!(trimmed_mean(&data, 0.5).is_err());
-        assert!(trimmed_mean(&data, -0.1).is_err());
-        assert!(trimmed_mean(&[], 0.1).is_err());
-        // Zero trim equals plain mean.
-        assert!((trimmed_mean(&data, 0.0).unwrap() - 22.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn outlier_mask_flags_spikes() {
-        let data = [10.0, 10.2, 9.9, 10.1, 9.8, 30.0, 10.0];
-        let mask = mad_outlier_mask(&data, 5.0).unwrap();
-        assert_eq!(mask.iter().filter(|&&b| b).count(), 1);
-        assert!(mask[5]);
-    }
-
-    #[test]
-    fn outlier_mask_on_degenerate_sample() {
-        let data = [5.0, 5.0, 5.0, 7.0];
-        let mask = mad_outlier_mask(&data, 3.0).unwrap();
-        assert_eq!(mask, vec![false, false, false, true]);
-    }
-
-    #[test]
-    fn winsorise_clamps_tails() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 100.0];
-        let w = winsorise(&data, 0.05, 0.9).unwrap();
-        let max = w.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(max < 100.0);
-        assert!(winsorise(&data, 0.9, 0.1).is_err());
     }
 }

@@ -1,15 +1,14 @@
 //! Latency-spectrum accounting: exact percentiles over recorded samples.
 //!
-//! Fleet-scale benchmarks report latency *distributions*, not means — a mean hides
-//! exactly the tail (lock convoys, cold engine slots, eviction refits) that
-//! fleet-level concurrency work is supposed to fix. [`LatencySpectrum`] collects
-//! raw samples and answers nearest-rank percentile queries (p50/p99/p999) exactly:
-//! no binning, no approximation, no external dependencies.
+//! The service loop reports latency *distributions*, not means — a mean hides
+//! exactly the tail (lock convoys, cold engine slots, eviction refits).
+//! [`LatencySpectrum`] collects raw samples and answers nearest-rank percentile
+//! queries (p50/p99/p999) exactly: no binning, no approximation, no external
+//! dependencies.
 //!
 //! Samples are kept unsorted on insert and sorted lazily on the first query after
 //! a mutation, so recording stays O(1) in the measurement loop and the O(n log n)
-//! sort is paid once, off the timed path. Per-thread spectra merge losslessly with
-//! [`LatencySpectrum::merge`].
+//! sort is paid once, off the timed path.
 
 /// An exact latency (or any scalar) distribution: records samples, answers
 /// nearest-rank percentile queries.
@@ -40,19 +39,6 @@ impl LatencySpectrum {
         if sample.is_finite() {
             self.samples.push(sample);
         }
-    }
-
-    /// Records every sample of a slice.
-    pub fn record_all(&mut self, samples: &[f64]) {
-        for &s in samples {
-            self.record(s);
-        }
-    }
-
-    /// Merges another spectrum's samples into this one (lossless: percentiles of
-    /// the merged spectrum are percentiles of the union of samples).
-    pub fn merge(&mut self, other: &LatencySpectrum) {
-        self.samples.extend_from_slice(&other.samples);
     }
 
     /// Number of recorded samples.
@@ -143,7 +129,9 @@ mod tests {
 
     fn spectrum_of(samples: &[f64]) -> LatencySpectrum {
         let mut s = LatencySpectrum::new();
-        s.record_all(samples);
+        for &v in samples {
+            s.record(v);
+        }
         s
     }
 
@@ -202,18 +190,17 @@ mod tests {
 
     #[test]
     fn non_finite_samples_are_dropped() {
-        let mut s = LatencySpectrum::new();
-        s.record_all(&[1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 3.0]);
+        let mut s = spectrum_of(&[1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 3.0]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.max(), Some(3.0));
     }
 
     #[test]
-    fn merge_is_lossless_and_interleaves_with_queries() {
+    fn recording_interleaves_with_queries() {
         let mut a = spectrum_of(&[1.0, 3.0, 5.0]);
-        assert_eq!(a.p50(), Some(3.0)); // force a sort before the merge
-        let b = spectrum_of(&[2.0, 4.0]);
-        a.merge(&b);
+        assert_eq!(a.p50(), Some(3.0)); // force a sort before recording more
+        a.record(2.0);
+        a.record(4.0);
         assert_eq!(a.len(), 5);
         assert_eq!(a.p50(), Some(3.0));
         assert_eq!(a.max(), Some(5.0));

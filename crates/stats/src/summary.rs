@@ -98,11 +98,6 @@ impl Summary {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
     }
 
-    /// Population variance (n denominator); `None` for an empty summary.
-    pub fn population_variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
     /// Sample standard deviation.
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
@@ -190,7 +185,7 @@ mod tests {
         let s = Summary::from_sample(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
         assert_eq!(s.count(), 8);
         assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((s.population_variance().unwrap() - 4.0).abs() < 1e-12);
+        assert!((s.variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min().unwrap(), 2.0);
         assert_eq!(s.max().unwrap(), 9.0);
         assert_eq!(s.sum(), 40.0);

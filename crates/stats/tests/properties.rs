@@ -1,16 +1,15 @@
 //! Property-based tests for the statistics layer invariants the diagnosis workflow
-//! relies on: anomaly scores are probabilities, CDFs are monotone, correlations are
-//! bounded and symmetric, histograms conserve mass.
+//! relies on: anomaly scores are probabilities, CDFs are monotone, detectors are
+//! monotone in the observation, summaries and quantiles stay within the sample's range.
 //!
 //! `proptest` is not vendored in this environment, so the properties are driven by a
 //! deterministic splitmix64 case generator: every property is checked over a few
 //! hundred pseudo-random cases with a fixed seed, which keeps failures reproducible.
 
 use diads_monitor::rng::SplitMix64;
-use diads_stats::histogram::{EquiDepthHistogram, EquiWidthHistogram};
 use diads_stats::kde::Kde;
 use diads_stats::summary::{median, quantile, Summary};
-use diads_stats::{pearson, spearman, AnomalyDetector, KdeDetector, MadDetector, ZScoreDetector};
+use diads_stats::{AnomalyDetector, KdeDetector, MadDetector, ZScoreDetector};
 
 /// Deterministic case generator over the workspace's shared splitmix64 PRNG.
 struct Gen {
@@ -119,52 +118,6 @@ fn detectors_are_monotone_in_the_observation() {
 }
 
 #[test]
-fn pearson_is_bounded_and_symmetric() {
-    let mut g = Gen::new(5);
-    for _ in 0..CASES {
-        let n = g.usize_in(2, 40);
-        let x: Vec<f64> = (0..n).map(|_| g.f64_in(-1.0e4, 1.0e4)).collect();
-        let y: Vec<f64> = (0..n).map(|_| g.f64_in(-1.0e4, 1.0e4)).collect();
-        let rxy = pearson(&x, &y).unwrap();
-        let ryx = pearson(&y, &x).unwrap();
-        assert!((-1.0..=1.0).contains(&rxy));
-        assert!((rxy - ryx).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn pearson_is_scale_invariant() {
-    let mut g = Gen::new(6);
-    for _ in 0..CASES {
-        let n = g.usize_in(3, 30);
-        let x: Vec<f64> = (0..n).map(|_| g.f64_in(-1.0e3, 1.0e3)).collect();
-        let y: Vec<f64> = (0..n).map(|_| g.f64_in(-1.0e3, 1.0e3)).collect();
-        let scale = g.f64_in(0.1, 100.0);
-        let shift = g.f64_in(-100.0, 100.0);
-        let y2: Vec<f64> = y.iter().map(|v| v * scale + shift).collect();
-        let r1 = pearson(&x, &y).unwrap();
-        let r2 = pearson(&x, &y2).unwrap();
-        // Positive scaling preserves the coefficient (up to numerical error), unless
-        // variance collapsed to the zero-variance special case.
-        if r1.abs() > 1e-6 && r2 != 0.0 {
-            assert!((r1 - r2).abs() < 1e-6, "{r1} vs {r2}");
-        }
-    }
-}
-
-#[test]
-fn spearman_is_bounded() {
-    let mut g = Gen::new(7);
-    for _ in 0..CASES {
-        let n = g.usize_in(2, 40);
-        let x: Vec<f64> = (0..n).map(|_| g.f64_in(-1.0e4, 1.0e4)).collect();
-        let y: Vec<f64> = (0..n).map(|_| g.f64_in(-1.0e4, 1.0e4)).collect();
-        let r = spearman(&x, &y).unwrap();
-        assert!((-1.0..=1.0).contains(&r));
-    }
-}
-
-#[test]
 fn summary_mean_is_within_min_max() {
     let mut g = Gen::new(8);
     for _ in 0..CASES {
@@ -200,35 +153,5 @@ fn median_is_between_min_and_max() {
         let min = sample.iter().cloned().fold(f64::MAX, f64::min);
         let max = sample.iter().cloned().fold(f64::MIN, f64::max);
         assert!(m >= min - 1e-9 && m <= max + 1e-9);
-    }
-}
-
-#[test]
-fn equi_width_histogram_conserves_mass() {
-    let mut g = Gen::new(11);
-    for _ in 0..CASES {
-        let sample = g.sample(1, 200, -50.0, 150.0);
-        let mut h = EquiWidthHistogram::new(0.0, 100.0, 10).unwrap();
-        for &v in &sample {
-            h.add(v);
-        }
-        let binned: u64 = h.counts().iter().sum();
-        assert_eq!(binned + h.underflow() + h.overflow(), sample.len() as u64);
-        assert_eq!(h.total(), sample.len() as u64);
-    }
-}
-
-#[test]
-fn equi_depth_selectivity_is_monotone() {
-    let mut g = Gen::new(12);
-    for _ in 0..CASES {
-        let sample = finite_sample(&mut g, 2);
-        let a = g.f64_in(-1.0e6, 1.0e6);
-        let b = g.f64_in(-1.0e6, 1.0e6);
-        let h = EquiDepthHistogram::build(&sample, 8).unwrap();
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        assert!(h.selectivity_le(lo) <= h.selectivity_le(hi) + 1e-9);
-        let sel = h.selectivity_range(lo, hi);
-        assert!((0.0..=1.0).contains(&sel));
     }
 }

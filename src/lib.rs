@@ -6,7 +6,7 @@
 //!
 //! This facade crate re-exports the workspace's crates under one roof:
 //!
-//! * [`stats`] — KDE anomaly scoring, correlation, baseline detectors;
+//! * [`stats`] — KDE anomaly scoring, the scoring cache, baseline detectors;
 //! * [`monitor`] — component identities, the Figure-4 metric catalog, time-series and
 //!   event stores, the noisy interval collector;
 //! * [`san`] — the SAN simulator (topology, zoning, RAID, external workloads,
