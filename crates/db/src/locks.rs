@@ -54,6 +54,11 @@ impl LockManager {
     pub fn locks_held(&self, t: Timestamp) -> u64 {
         self.windows.iter().filter(|w| w.window.contains(t)).count() as u64
     }
+
+    /// Whether any contention is active at `t`.
+    pub fn any_contention_at(&self, t: Timestamp) -> bool {
+        self.locks_held(t) > 0
+    }
 }
 
 #[cfg(test)]
@@ -92,5 +97,13 @@ mod tests {
         assert_eq!(m.locks_held(Timestamp::new(1_600)), 2);
         assert_eq!(m.locks_held(Timestamp::new(100)), 0);
         assert_eq!(m.windows().len(), 2);
+    }
+
+    #[test]
+    fn any_contention_flag() {
+        let m = manager();
+        assert!(m.any_contention_at(Timestamp::new(1_000)));
+        assert!(!m.any_contention_at(Timestamp::new(0)));
+        assert!(!LockManager::new().any_contention_at(Timestamp::new(1_000)));
     }
 }

@@ -164,6 +164,11 @@ impl EventStore {
         self.events.iter().filter(|e| range.contains(e.time)).collect()
     }
 
+    /// Events about a specific component.
+    pub fn for_component(&self, component: &ComponentId) -> Vec<&Event> {
+        self.events.iter().filter(|e| &e.component == component).collect()
+    }
+
     /// Events of a specific kind.
     pub fn of_kind(&self, kind: &EventKind) -> Vec<&Event> {
         self.events.iter().filter(|e| &e.kind == kind).collect()
@@ -230,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn filters_by_range_and_kind() {
+    fn filters_by_range_component_and_kind() {
         let mut store = EventStore::new();
         store.record(ev(10, "V1", EventKind::VolumeCreated));
         store.record(ev(20, "V1", EventKind::LunMappingChanged));
@@ -239,6 +244,7 @@ mod tests {
 
         let range = TimeRange::new(Timestamp::new(15), Timestamp::new(35));
         assert_eq!(store.in_range(range).len(), 2);
+        assert_eq!(store.for_component(&ComponentId::volume("V1")).len(), 2);
         assert_eq!(store.of_kind(&EventKind::DiskFailure).len(), 1);
     }
 

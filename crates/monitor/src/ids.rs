@@ -88,6 +88,19 @@ impl ComponentKind {
         }
     }
 
+    /// Whether the component is a *logical* entity (volume, pool, tablespace, operator,
+    /// workload) as opposed to a physical device.
+    pub fn is_logical(self) -> bool {
+        matches!(
+            self,
+            ComponentKind::Tablespace
+                | ComponentKind::PlanOperator
+                | ComponentKind::StoragePool
+                | ComponentKind::StorageVolume
+                | ComponentKind::ExternalWorkload
+        )
+    }
+
     /// Short human-readable label used in rendered APGs.
     pub fn label(self) -> &'static str {
         match self {
@@ -215,6 +228,16 @@ mod tests {
         assert_eq!(ComponentKind::FcSwitch.layer(), Layer::Network);
         assert_eq!(ComponentKind::StorageVolume.layer(), Layer::Storage);
         assert_eq!(ComponentKind::ExternalWorkload.layer(), Layer::Workload);
+    }
+
+    #[test]
+    fn logical_vs_physical() {
+        assert!(ComponentKind::StorageVolume.is_logical());
+        assert!(ComponentKind::StoragePool.is_logical());
+        assert!(ComponentKind::PlanOperator.is_logical());
+        assert!(!ComponentKind::Disk.is_logical());
+        assert!(!ComponentKind::FcSwitch.is_logical());
+        assert!(!ComponentKind::Server.is_logical());
     }
 
     #[test]

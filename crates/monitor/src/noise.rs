@@ -34,6 +34,11 @@ pub enum NoiseModel {
 }
 
 impl NoiseModel {
+    /// A light default noise model for production-like monitoring data.
+    pub fn default_production() -> Self {
+        NoiseModel::Gaussian { sigma: 0.05 }
+    }
+
     /// Applies the model to one value, drawing randomness from `rng`. Never returns
     /// a negative number, since every metric in the Figure-4 catalog is a
     /// non-negative counter, time or percentage.

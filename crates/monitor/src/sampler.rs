@@ -69,6 +69,11 @@ impl IntervalSampler {
         IntervalSampler { interval, model: noise, seed, open: Vec::new() }
     }
 
+    /// A production-like sampler: 5-minute intervals, light Gaussian noise.
+    pub fn production_default(seed: u64) -> Self {
+        Self::new(Duration::from_mins(5), NoiseModel::default_production(), seed)
+    }
+
     /// The sampling interval.
     pub fn interval(&self) -> Duration {
         self.interval
@@ -280,5 +285,11 @@ mod tests {
                 assert_eq!(x.value.to_bits(), y.value.to_bits(), "per-series stream drifted");
             }
         }
+    }
+
+    #[test]
+    fn production_default_uses_five_minute_interval() {
+        let s = IntervalSampler::production_default(1);
+        assert_eq!(s.interval(), Duration::from_mins(5));
     }
 }

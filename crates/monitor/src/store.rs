@@ -520,6 +520,25 @@ impl MetricStore {
         self.shards.iter().flat_map(|s| s.series.values()).map(|s| s.len()).sum()
     }
 
+    /// Merges another store into this one (used when assembling a testbed from the SAN
+    /// and database collectors). Stores sharing an interner (the default) copy keys
+    /// directly; otherwise symbols are re-interned through the rich identities.
+    pub fn merge(&mut self, other: &MetricStore) {
+        let shared = Arc::ptr_eq(&self.interner, &other.interner);
+        for (key, series) in other.iter() {
+            let own = if shared {
+                key
+            } else {
+                let (component, metric) = other.resolve(key);
+                self.intern(component, metric)
+            };
+            let shard = self.shard_mut(own.component);
+            for p in series.points() {
+                shard.push(own, p.time, p.value);
+            }
+        }
+    }
+
     /// Iterates over every (key, series) pair in key (symbol) order — a deterministic
     /// k-way merge of the shards, identical to the pre-sharding single-map order. Use
     /// [`Self::resolve`] on the keys for rich identities, or [`Self::iter_sorted`]
@@ -834,6 +853,34 @@ mod tests {
         // keys_of covers exactly the component's series.
         let sym = store.interner().component_sym(&volume("V1")).unwrap();
         assert_eq!(store.keys_of(sym).count(), 2);
+    }
+
+    #[test]
+    fn merge_combines_points_across_interners() {
+        // Separate private interners on purpose: symbols must not be assumed shared,
+        // so this exercises the re-interning merge path.
+        let mut a = isolated_store();
+        a.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(0), 1.0);
+        let mut b = isolated_store();
+        b.record(&volume("V2"), &MetricName::ReadIo, Timestamp::new(0), 3.0);
+        b.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(60), 2.0);
+        a.merge(&b);
+        assert_eq!(a.series_count(), 2);
+        assert_eq!(a.series(&volume("V1"), &MetricName::WriteIo).unwrap().len(), 2);
+        assert_eq!(a.series(&volume("V2"), &MetricName::ReadIo).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn merge_with_shared_interner_copies_keys_directly() {
+        // The default: both stores share the global interner, so keys are identities
+        // and the merge needs no re-interning to agree with per-store lookups.
+        let mut a = MetricStore::new();
+        a.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(0), 1.0);
+        let mut b = MetricStore::new();
+        b.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(60), 2.0);
+        let key_b = b.key_of(&volume("V1"), &MetricName::WriteIo).unwrap();
+        a.merge(&b);
+        assert_eq!(a.series_by_key(key_b).unwrap().len(), 2, "b's key addresses a's merged series");
     }
 
     #[test]

@@ -62,6 +62,20 @@ pub fn outer_path(topology: &SanTopology, workloads: &[ExternalWorkload], volume
     path
 }
 
+/// Every volume the given server can do I/O to (zoned and LUN-mapped).
+pub fn accessible_volumes(topology: &SanTopology, server: &str) -> Vec<String> {
+    topology
+        .volume_names()
+        .into_iter()
+        .filter(|v| {
+            topology
+                .pool_of_volume(v)
+                .map(|p| topology.zoning.can_access(server, &p.subsystem, v))
+                .unwrap_or(false)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,5 +140,13 @@ mod tests {
         assert!(!path.contains(&ComponentId::external_workload("unrelated-on-v1")));
         // V1 shares no disks with anything in the default testbed.
         assert!(outer_path(&t, &[], "V1").is_empty());
+    }
+
+    #[test]
+    fn accessible_volumes_respects_zoning_and_mapping() {
+        let t = paper_testbed();
+        assert_eq!(accessible_volumes(&t, "db-server"), vec!["V1", "V2"]);
+        assert_eq!(accessible_volumes(&t, "app-server"), vec!["V3", "V4"]);
+        assert!(accessible_volumes(&t, "nobody").is_empty());
     }
 }

@@ -204,6 +204,11 @@ impl AnomalyDetector for PercentileDetector {
     }
 }
 
+/// Scores a batch of observations with any detector, returning `(observation, score)`.
+pub fn score_batch<D: AnomalyDetector + ?Sized>(detector: &D, observations: &[f64]) -> Vec<(f64, f64)> {
+    observations.iter().map(|&o| (o, detector.score(o))).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +271,16 @@ mod tests {
         assert!(d.cutoff().is_finite());
         let mut bad = PercentileDetector::new(1.5);
         assert!(bad.fit(&satisfactory()).is_err());
+    }
+
+    #[test]
+    fn score_batch_pairs_observations() {
+        let mut d = KdeDetector::new();
+        d.fit(&satisfactory()).unwrap();
+        let scored = score_batch(&d, &[9.0, 30.0]);
+        assert_eq!(scored.len(), 2);
+        assert_eq!(scored[0].0, 9.0);
+        assert!(scored[1].1 > scored[0].1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Elementary distribution functions (normal CDF and log-PDF, error function).
+//! Elementary distribution functions (normal PDF, CDF and log-PDF, error function).
 //!
 //! The Gaussian-kernel KDE used by DIADS needs the standard normal CDF `Φ` to
 //! evaluate `prob(S <= u)` in closed form: the CDF of a Gaussian mixture is the
@@ -24,6 +24,12 @@ pub(crate) fn erf(x: f64) -> f64 {
     let t = 1.0 / (1.0 + P * x);
     let y = 1.0 - (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * (-x * x).exp();
     sign * y
+}
+
+/// Standard normal probability density function.
+pub fn std_normal_pdf(x: f64) -> f64 {
+    const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
+    INV_SQRT_2PI * (-0.5 * x * x).exp()
 }
 
 /// Standard normal cumulative distribution function `Φ(x)`.
@@ -85,6 +91,13 @@ mod tests {
         assert_close(std_normal_cdf(1.959_964), 0.975, 1e-5);
         assert_close(std_normal_cdf(6.0), 1.0, 1e-6);
         assert_close(std_normal_cdf(-6.0), 0.0, 1e-6);
+    }
+
+    #[test]
+    fn std_normal_pdf_reference_points() {
+        assert_close(std_normal_pdf(0.0), 0.398_942_280_4, 1e-9);
+        assert_close(std_normal_pdf(1.0), 0.241_970_724_5, 1e-9);
+        assert_close(std_normal_pdf(-1.0), std_normal_pdf(1.0), 1e-12);
     }
 
     #[test]

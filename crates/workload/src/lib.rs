@@ -3,17 +3,19 @@
 //! The workload layer of the DIADS reproduction (*"Why Did My Query Slow Down?"*,
 //! CIDR 2009): a TPC-H-like schema laid out over the paper's two volumes, the
 //! 25-operator / 9-leaf execution plan of Figure 1 for TPC-H Query 2 (plus alternative
-//! plans the optimizer can fall back to). The run schedule that produces the
-//! satisfactory/unsatisfactory history DIADS diagnoses is the scenario timeline of
-//! `diads-inject`.
+//! plans the optimizer can fall back to), a couple of companion report queries, and the
+//! periodic report-generation schedule that produces the satisfactory/unsatisfactory
+//! run history DIADS diagnoses.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod queries;
+pub mod runner;
 pub mod tpch;
 
-pub use queries::{q2_plan_candidates, ReportQuery};
+pub use queries::{q1_plan_candidates, q2_plan_candidates, q3_plan_candidates, ReportQuery};
+pub use runner::{periodic_schedule, ReportWorkload};
 pub use tpch::{tpch_catalog, TpchLayout};
 
 #[cfg(test)]
@@ -25,5 +27,8 @@ mod tests {
         let catalog = tpch_catalog(1.0, &TpchLayout::paper_default());
         let candidates = q2_plan_candidates(&catalog);
         assert!(!candidates.is_empty());
+        let schedule =
+            periodic_schedule(diads_monitor::Timestamp::new(0), diads_monitor::Duration::from_hours(2), 3);
+        assert_eq!(schedule.len(), 3);
     }
 }

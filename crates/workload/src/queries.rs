@@ -172,6 +172,63 @@ pub fn q2_plan_candidates(catalog: &Catalog) -> Vec<Plan> {
     vec![q2_paper_plan(catalog), q2_seqscan_part_plan(catalog), q2_part_driven_plan(catalog)]
 }
 
+/// TPC-H Q1-style pricing-summary report: a full scan of lineitem feeding sort and
+/// aggregation. One candidate only — there is no alternative access path.
+pub fn q1_plan_candidates(_catalog: &Catalog) -> Vec<Plan> {
+    let root = PlanNode::sort(PlanNode::aggregate(0.0001, PlanNode::seq_scan("lineitem", 0.98)));
+    vec![Plan::new("q1-seq-aggregate", "TPC-H Q1", root)]
+}
+
+/// TPC-H Q3-style shipping-priority report: customer ⋈ orders ⋈ lineitem with a sort
+/// and limit, in hash-join and index-nested-loop flavours.
+pub fn q3_plan_candidates(catalog: &Catalog) -> Vec<Plan> {
+    let c_sel = catalog.table("customer").map(|t| t.predicate_selectivity).unwrap_or(0.2);
+    let o_sel = catalog.table("orders").map(|t| t.predicate_selectivity).unwrap_or(0.3);
+    let hash_flavour = PlanNode::limit(
+        0.001,
+        PlanNode::sort(PlanNode::aggregate(
+            0.3,
+            PlanNode::hash_join(
+                0.5,
+                PlanNode::seq_scan("lineitem", 0.5),
+                PlanNode::hash(PlanNode::hash_join(
+                    o_sel,
+                    PlanNode::seq_scan("orders", o_sel),
+                    PlanNode::hash(PlanNode::seq_scan("customer", c_sel)),
+                )),
+            ),
+        )),
+    );
+    let index_flavour = PlanNode::limit(
+        0.001,
+        PlanNode::sort(PlanNode::aggregate(
+            0.3,
+            PlanNode::nested_loop(
+                0.5,
+                PlanNode::nested_loop(
+                    o_sel,
+                    PlanNode::seq_scan("customer", c_sel),
+                    PlanNode::index_scan("orders", "orders_custkey_idx", o_sel),
+                ),
+                PlanNode::index_scan("lineitem", "lineitem_orderkey_idx", 0.5),
+            ),
+        )),
+    );
+    vec![
+        Plan::new("q3-hash-joins", "TPC-H Q3", hash_flavour),
+        Plan::new("q3-index-nested-loops", "TPC-H Q3", index_flavour),
+    ]
+}
+
+/// The standard report queries of the reproduction.
+pub fn report_queries(catalog: &Catalog) -> Vec<ReportQuery> {
+    vec![
+        ReportQuery { name: "TPC-H Q2".into(), candidates: q2_plan_candidates(catalog) },
+        ReportQuery { name: "TPC-H Q1".into(), candidates: q1_plan_candidates(catalog) },
+        ReportQuery { name: "TPC-H Q3".into(), candidates: q3_plan_candidates(catalog) },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,5 +310,24 @@ mod tests {
         assert_ne!(choice.plan.name, "q2-figure1");
         // The surviving plan has a different fingerprint than the paper plan.
         assert_ne!(choice.plan.fingerprint(), q2_paper_plan(&cat).fingerprint());
+    }
+
+    #[test]
+    fn other_report_queries_are_available() {
+        let cat = catalog();
+        let queries = report_queries(&cat);
+        assert_eq!(queries.len(), 3);
+        assert_eq!(q1_plan_candidates(&cat).len(), 1);
+        assert_eq!(q3_plan_candidates(&cat).len(), 2);
+        let q3 = &queries[2];
+        assert!(q3.candidate("q3-hash-joins").is_some());
+        assert!(q3.candidate("missing").is_none());
+        // Every candidate of every query is feasible against the full catalog.
+        let optimizer = Optimizer::new(DbConfig::paper_default());
+        for q in &queries {
+            for p in &q.candidates {
+                assert!(optimizer.is_feasible(p, &cat), "{} not feasible", p.name);
+            }
+        }
     }
 }
