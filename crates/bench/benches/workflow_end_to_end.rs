@@ -15,7 +15,7 @@ fn bench_workflow(c: &mut Criterion) {
     let events = outcome.testbed.all_events();
     let ctx = outcome.context(&apg, &events);
     let workflow = DiagnosisWorkflow::new();
-    let pipeline = DiagnosisPipeline::with_workflow(workflow.clone());
+    let pipeline = DiagnosisPipeline::with_workflow(workflow);
 
     let mut group = c.benchmark_group("workflow");
     group.sample_size(20);

@@ -88,7 +88,7 @@ fn main() {
     let events = outcome.testbed.all_events();
     let ctx = outcome.context(&apg, &events);
     let workflow = DiagnosisWorkflow::new();
-    let pipeline = DiagnosisPipeline::with_workflow(workflow.clone());
+    let pipeline = DiagnosisPipeline::with_workflow(workflow);
     let cos = workflow.correlated_operators(&ctx, &mut DiagnosisCache::new());
 
     {

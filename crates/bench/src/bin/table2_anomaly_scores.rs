@@ -5,7 +5,7 @@
 //! simulated controller exposes the same counters at both the volume (front-end) and
 //! pool (back-end) level, and the table prints both so the contention on V1's spindles
 //! (pool P1, caused by the interloper volume V') is visible exactly where it physically
-//! happens. See EXPERIMENTS.md for the paper-vs-measured comparison.
+//! happens.
 //!
 //! Run with `cargo run --release -p diads-bench --bin table2_anomaly_scores`.
 
@@ -25,7 +25,7 @@ fn scores_for(scenario: &diads_inject::Scenario) -> Vec<((&'static str, &'static
     // Score every component (pruning off) so both volumes appear even when only one is
     // on the correlated operators' paths.
     let mut unpruned = DiagnosisWorkflow::new();
-    unpruned.config.prune_by_dependency_paths = false;
+    unpruned.prune_by_dependency_paths = false;
     let da = unpruned.dependency_analysis(&ctx, &cos, &mut cache);
 
     let rows = [

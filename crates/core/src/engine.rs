@@ -456,21 +456,12 @@ impl DiagnosisEngine {
     }
 
     /// Runs `f` with the slot of `fingerprint` checked out (created empty on first
-    /// use) and whether the checkout was warm, returning `f`'s result. The mutex is
-    /// held only while checking the slot out and back in, never across `f`;
-    /// concurrent users of one fingerprint each get a working cache and their fits
-    /// are merged afterwards. While a slot is checked out it is absent from the map,
-    /// so [`DiagnosisEngine::is_warm`] reports only checked-in slots. A check-in
-    /// that pushes the map over capacity recycles the least-recently-used slot.
-    pub fn with_slot_tracked<R>(
-        &self,
-        fingerprint: u64,
-        f: impl FnOnce(&mut DiagnosisCache, bool) -> R,
-    ) -> R {
+    /// use) and whether the checkout was warm, then checks the slot back in with its
+    /// evidence ledger untouched.
+    #[cfg(test)]
+    fn with_slot_tracked<R>(&self, fingerprint: u64, f: impl FnOnce(&mut DiagnosisCache, bool) -> R) -> R {
         let mut slot = self.checkout(fingerprint);
         let out = f(&mut slot.cache, slot.warm);
-        // The evidence ledger rides along untouched: stage-level users (interactive
-        // sessions) neither read nor invalidate it.
         self.checkin(fingerprint, slot.cache, slot.evidence, slot.generation);
         out
     }

@@ -69,4 +69,4 @@ pub use runs::{LabeledRun, RunHistory};
 pub use session::WorkflowSession;
 pub use symptoms::{Condition, RootCauseEntry, ScoredCause, Symptom, SymptomKind, SymptomsDatabase};
 pub use testbed::{ScenarioOutcome, Testbed};
-pub use workflow::{DiagnosisCache, DiagnosisContext, DiagnosisWorkflow, WorkflowConfig};
+pub use workflow::{DiagnosisCache, DiagnosisContext, DiagnosisWorkflow};

@@ -336,11 +336,11 @@ fn missing_pd() -> PlanDiffResult {
     }
 }
 
-/// Everything a stage sees while running: the workflow (config + symptoms database),
+/// Everything a stage sees while running: the workflow (its module methods),
 /// the immutable diagnosis context, the shared scoring cache, and the evidence
 /// ledger it reads from and writes to.
 pub struct StageCtx<'a, 'ctx> {
-    /// The workflow whose config and symptoms database the stages consult.
+    /// The workflow whose module methods the stages call.
     pub workflow: &'a DiagnosisWorkflow,
     /// The immutable inputs of the diagnosis (APG, history, stores, topology).
     pub ctx: &'a DiagnosisContext<'ctx>,
@@ -640,7 +640,7 @@ impl ContextSource<'_, '_> {
 }
 
 /// The composable diagnosis pipeline: an ordered stage list, the workflow whose
-/// config/symptoms database the stages consult, and event sinks.
+/// module methods the stages call, and event sinks.
 ///
 /// [`DiagnosisPipeline::standard`] is the paper's Figure-2 sequence and is
 /// bit-identical to the pre-pipeline monolithic workflow (all golden pins
@@ -660,13 +660,13 @@ impl Default for DiagnosisPipeline {
 
 impl DiagnosisPipeline {
     /// The paper's standard PD → CO → DA → CR → SD → IA pipeline with the default
-    /// workflow (built-in symptoms database, paper thresholds).
+    /// workflow (dependency-path pruning on).
     pub fn standard() -> Self {
         Self::with_workflow(DiagnosisWorkflow::new())
     }
 
-    /// The standard stage sequence over a custom workflow (tuned thresholds or a
-    /// custom symptoms database).
+    /// The standard stage sequence over a given workflow (e.g. the unpruned
+    /// ablation).
     pub fn with_workflow(workflow: DiagnosisWorkflow) -> Self {
         let stages = Stage::ALL.iter().map(|s| Box::new(*s) as Box<dyn DiagnosisStage>).collect();
         DiagnosisPipeline { stages, ..Self::empty(workflow) }

@@ -32,7 +32,7 @@
 //! evaluates **compound change sets** — pairs of candidates addressing *different*
 //! causes (e.g. revert the config AND remove the interloper), applied to one fork
 //! via [`whatif::evaluate_set_with_baseline`] and ranked alongside the singles.
-//! The pair search is bounded by [`PlannerConfig::max_compound_sets`].
+//! The pair search evaluates at most four sets.
 
 use diads_inject::scenarios::cause_ids;
 use diads_monitor::{ComponentId, ComponentKind, Timestamp};
@@ -42,23 +42,24 @@ use crate::pipeline::{DiagnosisStage, Stage, StageCtx};
 use crate::testbed::{ScenarioOutcome, Testbed, DB_SERVER};
 use crate::whatif::{self, ProposedChange, WhatIfOutcome};
 
-/// Tunables of the remediation planner.
+/// The remediation planner's tunable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// The instant the report query is (hypothetically) executed at. Pick a time
     /// inside the unsatisfactory period when every injected/observed problem is
     /// active — e.g. the start of the last report run.
     pub evaluate_at: Timestamp,
-    /// Minimum confidence a ranked cause needs before candidates are derived from
-    /// it (default: [`ConfidenceLevel::Medium`] — low-confidence causes are noise).
-    pub min_confidence: ConfidenceLevel,
-    /// Candidate budget for the compound search: at most this many two-change sets
-    /// are evaluated, taken in derivation order over pairs of successfully
-    /// evaluated singles that address different causes (default: 4; 0 disables the
-    /// compound search). Each set costs one fork and one execution, the same as a
-    /// single candidate.
-    pub max_compound_sets: usize,
 }
+
+/// Minimum confidence a ranked cause needs before candidates are derived from it
+/// (low-confidence causes are noise).
+const MIN_CONFIDENCE: ConfidenceLevel = ConfidenceLevel::Medium;
+
+/// Candidate budget for the compound search: at most this many two-change sets are
+/// evaluated, taken in derivation order over pairs of successfully evaluated
+/// singles that address different causes. Each set costs one fork and one
+/// execution, the same as a single candidate.
+const MAX_COMPOUND_SETS: usize = 4;
 
 /// A candidate change derived from one ranked cause, before evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,13 +173,7 @@ impl Planner {
     /// A planner evaluating at `evaluate_at`, deriving candidates from causes of at
     /// least [`ConfidenceLevel::Medium`] and evaluating up to 4 compound sets.
     pub fn new(evaluate_at: Timestamp) -> Self {
-        Planner {
-            config: PlannerConfig {
-                evaluate_at,
-                min_confidence: ConfidenceLevel::Medium,
-                max_compound_sets: 4,
-            },
-        }
+        Planner { config: PlannerConfig { evaluate_at } }
     }
 
     /// A planner for a completed scenario: evaluates at the start of the last
@@ -255,7 +250,7 @@ impl Planner {
         let mut sets_evaluated = 0;
         'pairs: for i in 0..singles {
             for j in (i + 1)..singles {
-                if sets_evaluated >= self.config.max_compound_sets {
+                if sets_evaluated >= MAX_COMPOUND_SETS {
                     break 'pairs;
                 }
                 let (a, b) = (&ranked[i].candidates[0], &ranked[j].candidates[0]);
@@ -297,7 +292,7 @@ impl Planner {
             }
         };
         for cause in causes {
-            if cause.confidence < self.config.min_confidence {
+            if cause.confidence < MIN_CONFIDENCE {
                 continue;
             }
             match cause.id {

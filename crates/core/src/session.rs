@@ -10,30 +10,16 @@
 //! assembles the same provenance-carrying report batch diagnosis produces —
 //! interactive and batch share one execution path.
 //!
-//! A session scores through a private [`DiagnosisCache`] by default, or through a
-//! fleet-level [`DiagnosisEngine`] slot ([`WorkflowSession::with_engine`]): every
-//! stage execution then checks the slot out and back in, so an interactive drill
-//! warms the same fits later batch diagnoses reuse.
+//! A session scores through its own [`DiagnosisCache`], so re-executed stages
+//! reuse the fits of earlier executions; the fits die with the session.
 
-use std::sync::Arc;
-
-use crate::diagnosis::{DiagnosisProvenance, DiagnosisReport, EngineProvenance, StageProvenance};
-use crate::engine::DiagnosisEngine;
+use crate::diagnosis::{DiagnosisProvenance, DiagnosisReport, StageProvenance};
 use crate::pipeline::{CancelToken, DiagnosisPipeline, DiagnosisState, Stage};
 use crate::workflow::{
     CorrelatedOperatorsResult, DependencyAnalysisResult, DiagnosisCache, DiagnosisContext, DiagnosisWorkflow,
     ImpactResult, PlanDiffResult, RecordCountResult, SymptomsResult,
 };
 use diads_db::OperatorId;
-
-/// Where a session's KDE fits live.
-enum SessionCache {
-    /// A private cache owned by the session (fits die with it).
-    Private(DiagnosisCache),
-    /// A fleet-level engine slot, checked out per stage execution. `first_warm`
-    /// remembers whether the session's first checkout found warmed fits.
-    Engine { engine: Arc<DiagnosisEngine>, fingerprint: u64, first_warm: Option<bool> },
-}
 
 /// A step-by-step workflow session: stages are executed one at a time, results can
 /// be inspected and edited before the next stage consumes them, and stages can be
@@ -42,7 +28,7 @@ enum SessionCache {
 pub struct WorkflowSession<'a> {
     pipeline: DiagnosisPipeline,
     ctx: DiagnosisContext<'a>,
-    cache: SessionCache,
+    cache: DiagnosisCache,
     state: DiagnosisState,
     /// Which pipeline stages (by index) have completed since the last invalidation.
     completed: Vec<bool>,
@@ -63,25 +49,11 @@ impl<'a> WorkflowSession<'a> {
         WorkflowSession {
             pipeline,
             ctx,
-            cache: SessionCache::Private(DiagnosisCache::new()),
+            cache: DiagnosisCache::new(),
             state: DiagnosisState::default(),
             completed,
             trail: Vec::new(),
         }
-    }
-
-    /// Starts a session whose stages score through the fleet-level engine slot of
-    /// `fingerprint` (typically [`crate::testbed::ScenarioOutcome::engine_fingerprint`]):
-    /// the interactive drill and later batch diagnoses share warm fits.
-    pub fn with_engine(
-        pipeline: DiagnosisPipeline,
-        ctx: DiagnosisContext<'a>,
-        engine: Arc<DiagnosisEngine>,
-        fingerprint: u64,
-    ) -> Self {
-        let mut session = Self::with_pipeline(pipeline, ctx);
-        session.cache = SessionCache::Engine { engine, fingerprint, first_warm: None };
-        session
     }
 
     /// The pipeline the session drives.
@@ -135,18 +107,7 @@ impl<'a> WorkflowSession<'a> {
                 }
             }
         }
-        let provenance = match &mut self.cache {
-            SessionCache::Private(cache) => {
-                self.pipeline.run_stage_at(index, &self.ctx, cache, &mut self.state)
-            }
-            SessionCache::Engine { engine, fingerprint, first_warm } => {
-                let (provenance, warm) = engine.with_slot_tracked(*fingerprint, |cache, warm| {
-                    (self.pipeline.run_stage_at(index, &self.ctx, cache, &mut self.state), warm)
-                });
-                first_warm.get_or_insert(warm);
-                provenance
-            }
-        };
+        let provenance = self.pipeline.run_stage_at(index, &self.ctx, &mut self.cache, &mut self.state);
         self.completed[index] = true;
         self.trail.push(provenance);
     }
@@ -261,16 +222,14 @@ impl<'a> WorkflowSession<'a> {
             }
             self.run_index(index);
         }
-        let engine = match &self.cache {
-            SessionCache::Private(_) => None,
-            SessionCache::Engine { fingerprint, first_warm, .. } => {
-                Some(EngineProvenance { fingerprint: *fingerprint, warm: first_warm.unwrap_or(false) })
-            }
-        };
         let report = self.pipeline.assemble(
             &self.ctx,
             &self.state,
-            DiagnosisProvenance { stages: self.trail.clone(), engine, epochs_applied: 0, cancelled_at },
+            DiagnosisProvenance {
+                stages: self.trail.clone(),
+                cancelled_at,
+                ..DiagnosisProvenance::default()
+            },
         );
         if report.provenance.cancelled_at.is_none() {
             self.pipeline.emitter().run_completed(&report, &self.state);

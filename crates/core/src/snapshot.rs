@@ -19,6 +19,8 @@
 //! `diagnose_incremental` against a pre-restart watermark falls back to a (warm)
 //! cold-path run and re-records its evidence.
 
+use std::collections::HashSet;
+
 use diads_db::OperatorId;
 use diads_monitor::{ComponentId, ComponentKind, Interner, MetricKey, MetricName};
 use diads_stats::Kde;
@@ -94,7 +96,8 @@ pub(crate) fn serialize_slots(slots: &[SlotData], interner: &Interner) -> String
 }
 
 /// Parses a snapshot back into per-slot caches (in the serialized LRU order),
-/// re-interning metric identities against `interner`.
+/// re-interning metric identities against `interner`. A fingerprint listed twice
+/// is an error: an engine holds one slot per fingerprint.
 pub(crate) fn parse_slots(json: &str, interner: &Interner) -> Result<Vec<(u64, DiagnosisCache)>, String> {
     let doc = Json::parse(json)?;
     let version = doc.get("version").and_then(Json::as_f64).ok_or("missing version")?;
@@ -103,6 +106,7 @@ pub(crate) fn parse_slots(json: &str, interner: &Interner) -> Result<Vec<(u64, D
     }
     let slots = doc.get("slots").and_then(Json::as_array).ok_or("missing slots array")?;
     let mut out = Vec::with_capacity(slots.len());
+    let mut seen = HashSet::with_capacity(slots.len());
     for slot in slots {
         let fingerprint: u64 = slot
             .get("fingerprint")
@@ -110,6 +114,9 @@ pub(crate) fn parse_slots(json: &str, interner: &Interner) -> Result<Vec<(u64, D
             .ok_or("slot missing fingerprint")?
             .parse()
             .map_err(|e| format!("bad fingerprint: {e}"))?;
+        if !seen.insert(fingerprint) {
+            return Err(format!("duplicate slot fingerprint {fingerprint}"));
+        }
         let mut cache = DiagnosisCache::new();
         for entry in slot.get("fits").and_then(Json::as_array).ok_or("slot missing fits array")? {
             let key = parse_key(entry, interner)?;
@@ -141,6 +148,9 @@ fn parse_key(entry: &Json, interner: &Interner) -> Result<ScoreKey, String> {
     let kind = entry.get("kind").and_then(Json::as_str).ok_or("fit entry missing kind")?;
     let operator = || -> Result<OperatorId, String> {
         let raw = entry.get("operator").and_then(Json::as_f64).ok_or("operator entry missing id")?;
+        if raw.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&raw) {
+            return Err(format!("operator id {raw} is not a u32"));
+        }
         Ok(OperatorId(raw as u32))
     };
     match kind {
@@ -462,6 +472,33 @@ mod tests {
         // Nesting up to the cap still parses.
         let nested = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&nested).is_ok());
+    }
+
+    fn restore(snapshot: &str) -> Result<crate::engine::DiagnosisEngine, String> {
+        crate::engine::DiagnosisEngine::restore(snapshot, Interner::global())
+    }
+
+    #[test]
+    fn duplicate_fingerprints_are_an_error() {
+        let slot = r#"{"fingerprint":"7","fits":[]}"#;
+        let err = restore(&format!(r#"{{"version":1,"slots":[{slot},{slot}]}}"#)).err();
+        assert_eq!(err.as_deref(), Some("duplicate slot fingerprint 7"));
+        assert_eq!(restore(&format!(r#"{{"version":1,"slots":[{slot}]}}"#)).unwrap().slot_count(), 1);
+    }
+
+    #[test]
+    fn operator_ids_outside_u32_are_an_error() {
+        let snapshot = |id: &str| {
+            format!(
+                r#"{{"version":1,"slots":[{{"fingerprint":"1","fits":[{{"kind":"opRows","operator":{id},"samples":null}}]}}]}}"#
+            )
+        };
+        for bad in ["-1", "1.5", "1e20", "4294967296"] {
+            assert!(restore(&snapshot(bad)).is_err(), "operator id {bad} must be rejected");
+        }
+        for good in ["0", "3", "4294967295"] {
+            assert!(restore(&snapshot(good)).is_ok(), "operator id {good} must restore");
+        }
     }
 
     #[test]

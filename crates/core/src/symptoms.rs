@@ -7,6 +7,8 @@
 //! is the sum of the weights of its satisfied conditions, bucketed into high (≥ 80 %),
 //! medium (≥ 50 %) and low (< 50 %).
 
+use std::sync::OnceLock;
+
 use diads_monitor::{ComponentId, Timestamp};
 
 use crate::diagnosis::ConfidenceLevel;
@@ -181,7 +183,13 @@ impl SymptomsDatabase {
     /// The built-in database developed for query-slowdown diagnosis: entries for the
     /// root causes the evaluation scenarios inject plus common distractors
     /// (buffer-pool misconfiguration, CPU saturation, disk failure, RAID rebuild).
-    pub fn builtin() -> Self {
+    /// Built once per process and shared by every diagnosis.
+    pub fn builtin() -> &'static SymptomsDatabase {
+        static BUILTIN: OnceLock<SymptomsDatabase> = OnceLock::new();
+        BUILTIN.get_or_init(Self::build_builtin)
+    }
+
+    fn build_builtin() -> Self {
         use SymptomKind as S;
         let entries = vec![
             RootCauseEntry {
@@ -422,6 +430,11 @@ mod tests {
         let lock = noisy.iter().find(|c| c.cause_id == "table-lock-contention").unwrap();
         assert_eq!(lock.confidence, ConfidenceLevel::High);
         assert!((lock.confidence_score - 80.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn builtin_is_built_once_and_shared() {
+        assert!(std::ptr::eq(SymptomsDatabase::builtin(), SymptomsDatabase::builtin()));
     }
 
     #[test]

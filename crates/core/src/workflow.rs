@@ -108,31 +108,11 @@ fn cached_score(
     Some(score.unwrap_or(0.0))
 }
 
-/// Tunables of the workflow.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkflowConfig {
-    /// Anomaly-score threshold for operators and component metrics (the paper uses 0.8).
-    pub anomaly_threshold: f64,
-    /// Two-sided score threshold for record-count changes.
-    pub record_count_threshold: f64,
-    /// Impact percentage above which a high-confidence cause is considered actionable.
-    pub actionable_impact_pct: f64,
-    /// Whether dependency-path pruning is enabled (the ablation flag: when off, DA
-    /// scores *every* monitored component instead of only those on the correlated
-    /// operators' dependency paths).
-    pub prune_by_dependency_paths: bool,
-}
+/// Anomaly-score threshold for operators and component metrics (the paper uses 0.8).
+const ANOMALY_THRESHOLD: f64 = 0.8;
 
-impl Default for WorkflowConfig {
-    fn default() -> Self {
-        WorkflowConfig {
-            anomaly_threshold: 0.8,
-            record_count_threshold: 0.8,
-            actionable_impact_pct: 25.0,
-            prune_by_dependency_paths: true,
-        }
-    }
-}
+/// Two-sided score threshold for record-count changes.
+const RECORD_COUNT_THRESHOLD: f64 = 0.8;
 
 /// Everything the workflow needs to diagnose one slowdown.
 #[derive(Debug, Clone, Copy)]
@@ -314,23 +294,24 @@ impl ImpactResult {
 // The workflow
 // ---------------------------------------------------------------------------
 
-/// The DIADS diagnosis workflow.
-#[derive(Debug, Clone)]
+/// The DIADS diagnosis workflow. Module SD scores against the built-in
+/// [`SymptomsDatabase`].
+#[derive(Debug, Clone, Copy)]
 pub struct DiagnosisWorkflow {
-    /// Workflow tunables.
-    pub config: WorkflowConfig,
-    /// The symptoms database used by module SD.
-    pub symptoms_db: SymptomsDatabase,
+    /// Whether dependency-path pruning is enabled (the ablation flag: when off, DA
+    /// scores *every* monitored component instead of only those on the correlated
+    /// operators' dependency paths).
+    pub prune_by_dependency_paths: bool,
 }
 
 impl Default for DiagnosisWorkflow {
     fn default() -> Self {
-        DiagnosisWorkflow { config: WorkflowConfig::default(), symptoms_db: SymptomsDatabase::builtin() }
+        DiagnosisWorkflow { prune_by_dependency_paths: true }
     }
 }
 
 impl DiagnosisWorkflow {
-    /// A workflow with the built-in symptoms database and default thresholds.
+    /// A workflow with the paper's thresholds and dependency-path pruning on.
     pub fn new() -> Self {
         Self::default()
     }
@@ -395,7 +376,7 @@ impl DiagnosisWorkflow {
             )
             .unwrap_or(0.0);
             scores.insert(op.id, score);
-            if score >= self.config.anomaly_threshold {
+            if score >= ANOMALY_THRESHOLD {
                 correlated.push(op.id);
             }
         }
@@ -404,34 +385,23 @@ impl DiagnosisWorkflow {
 
     // ----- Module DA -----
 
-    /// The component set DA scores, in deterministic order.
-    fn dependency_components(
+    /// The non-operator components DA scores, in deterministic order: those on the
+    /// dependency paths of the `correlated` operators, or — for the **re-drill**
+    /// pass (`None`), where a plan change leaves no correlated operators to prune
+    /// by — every one in the (new) plan's APG, still far narrower than the unpruned
+    /// every-component ablation.
+    fn components_to_score(
         &self,
         ctx: &DiagnosisContext<'_>,
-        cos: &CorrelatedOperatorsResult,
+        correlated: Option<&[OperatorId]>,
     ) -> Vec<ComponentId> {
-        if self.config.prune_by_dependency_paths {
-            ctx.apg
-                .components_on_paths(&cos.correlated)
-                .into_iter()
-                .filter(|c| c.kind != ComponentKind::PlanOperator)
-                .collect()
-        } else {
-            ctx.store.components().into_iter().filter(|c| c.kind != ComponentKind::PlanOperator).collect()
-        }
-    }
-
-    /// The component set the DA **re-drill** pass scores: every non-operator
-    /// component of the (new) plan's APG. Under a plan change there are no
-    /// correlated operators to prune by, so the re-drill widens to the whole
-    /// dependency graph of the plan actually running (still far narrower than the
-    /// unpruned every-component ablation).
-    fn redrill_components(&self, ctx: &DiagnosisContext<'_>) -> Vec<ComponentId> {
-        if self.config.prune_by_dependency_paths {
-            ctx.apg.all_components().into_iter().filter(|c| c.kind != ComponentKind::PlanOperator).collect()
-        } else {
-            ctx.store.components().into_iter().filter(|c| c.kind != ComponentKind::PlanOperator).collect()
-        }
+        let mut components: Vec<ComponentId> = match (self.prune_by_dependency_paths, correlated) {
+            (true, Some(operators)) => ctx.apg.components_on_paths(operators).into_iter().collect(),
+            (true, None) => ctx.apg.all_components().into_iter().collect(),
+            (false, _) => ctx.store.components(),
+        };
+        components.retain(|c| c.kind != ComponentKind::PlanOperator);
+        components
     }
 
     /// Module DA: anomaly scores for the performance metrics of components on the
@@ -443,13 +413,13 @@ impl DiagnosisWorkflow {
         cos: &CorrelatedOperatorsResult,
         cache: &mut DiagnosisCache,
     ) -> DependencyAnalysisResult {
-        let components = self.dependency_components(ctx, cos);
+        let components = self.components_to_score(ctx, Some(&cos.correlated));
         self.score_components(ctx, components, &ctx.satisfactory_runs(), cache)
     }
 
     /// Module DA, **re-drill** mode: invoked by the standard pipeline when PD has
     /// reported a plan change. The component set widens to every non-operator
-    /// component of the new plan's APG (`Self::redrill_components`) and the
+    /// component of the new plan's APG (`Self::components_to_score`) and the
     /// satisfactory baseline falls back to the full satisfactory history
     /// ([`DiagnosisContext::baseline_runs`]) — component metrics are plan-independent
     /// physical facts, so the old plan's runs remain a valid baseline for them.
@@ -458,7 +428,7 @@ impl DiagnosisWorkflow {
         ctx: &DiagnosisContext<'_>,
         cache: &mut DiagnosisCache,
     ) -> DependencyAnalysisResult {
-        let components = self.redrill_components(ctx);
+        let components = self.components_to_score(ctx, None);
         self.score_components(ctx, components, &ctx.baseline_runs(), cache)
     }
 
@@ -521,7 +491,7 @@ impl DiagnosisWorkflow {
                 // variable is not scoreable (the pre-refactor loop `continue`d here).
                 continue;
             };
-            if score >= self.config.anomaly_threshold {
+            if score >= ANOMALY_THRESHOLD {
                 flagged = true;
             }
             out.push(ComponentMetricScore {
@@ -567,7 +537,7 @@ impl DiagnosisWorkflow {
                 cached_score(cache, ScoreKey::OperatorRows(op), || sat, &unsat, true).unwrap_or(0.0)
             };
             scores.insert(op, score);
-            if score >= self.config.record_count_threshold {
+            if score >= RECORD_COUNT_THRESHOLD {
                 changed.push(op);
             }
         }
@@ -587,7 +557,7 @@ impl DiagnosisWorkflow {
         cr: &RecordCountResult,
     ) -> SymptomsResult {
         let symptoms = self.extract_symptoms(ctx, pd, cos, da, cr);
-        let causes = self.symptoms_db.evaluate(&symptoms);
+        let causes = SymptomsDatabase::builtin().evaluate(&symptoms);
         SymptomsResult { symptoms, causes }
     }
 
@@ -675,109 +645,36 @@ impl DiagnosisWorkflow {
             ctx.apg.leaf_volume_names().into_iter().collect()
         };
         for event in ctx.events.in_range(window) {
-            match event.kind {
+            let kind = match event.kind {
                 EventKind::VolumeCreated => {
-                    let new_volume = &event.component.name;
                     let shares_disks = ctx
                         .topology
-                        .pool_of_volume(new_volume)
+                        .pool_of_volume(&event.component.name)
                         .map(|pool| {
                             relevant_volumes.iter().any(|v| {
                                 ctx.topology.pool_of_volume(v).map(|p| p.name == pool.name).unwrap_or(false)
                             })
                         })
                         .unwrap_or(false);
-                    if shares_disks {
-                        symptoms.push(
-                            Symptom::about(
-                                SymptomKind::NewVolumeOnSharedDisks,
-                                event.component.clone(),
-                                event.detail.clone(),
-                                1.0,
-                            )
-                            .at(event.time),
-                        );
+                    if !shares_disks {
+                        continue;
                     }
+                    SymptomKind::NewVolumeOnSharedDisks
                 }
                 EventKind::ZoningChanged | EventKind::LunMappingChanged => {
-                    symptoms.push(
-                        Symptom::about(
-                            SymptomKind::ZoningOrMappingChanged,
-                            event.component.clone(),
-                            event.detail.clone(),
-                            1.0,
-                        )
-                        .at(event.time),
-                    );
+                    SymptomKind::ZoningOrMappingChanged
                 }
-                EventKind::DataPropertiesChanged => {
-                    symptoms.push(
-                        Symptom::about(
-                            SymptomKind::DataPropertiesChangedEvent,
-                            event.component.clone(),
-                            event.detail.clone(),
-                            1.0,
-                        )
-                        .at(event.time),
-                    );
-                }
-                EventKind::LockContention => {
-                    symptoms.push(
-                        Symptom::about(
-                            SymptomKind::LockContentionEvent,
-                            event.component.clone(),
-                            event.detail.clone(),
-                            1.0,
-                        )
-                        .at(event.time),
-                    );
-                }
-                EventKind::IndexDropped => {
-                    symptoms.push(
-                        Symptom::about(
-                            SymptomKind::IndexDroppedEvent,
-                            event.component.clone(),
-                            event.detail.clone(),
-                            1.0,
-                        )
-                        .at(event.time),
-                    );
-                }
-                EventKind::ConfigParameterChanged => {
-                    symptoms.push(
-                        Symptom::about(
-                            SymptomKind::ConfigParameterChangedEvent,
-                            event.component.clone(),
-                            event.detail.clone(),
-                            1.0,
-                        )
-                        .at(event.time),
-                    );
-                }
-                EventKind::RaidRebuildStarted => {
-                    symptoms.push(
-                        Symptom::about(
-                            SymptomKind::RaidRebuildEvent,
-                            event.component.clone(),
-                            event.detail.clone(),
-                            1.0,
-                        )
-                        .at(event.time),
-                    );
-                }
-                EventKind::DiskFailure => {
-                    symptoms.push(
-                        Symptom::about(
-                            SymptomKind::DiskFailureEvent,
-                            event.component.clone(),
-                            event.detail.clone(),
-                            1.0,
-                        )
-                        .at(event.time),
-                    );
-                }
-                _ => {}
-            }
+                EventKind::DataPropertiesChanged => SymptomKind::DataPropertiesChangedEvent,
+                EventKind::LockContention => SymptomKind::LockContentionEvent,
+                EventKind::IndexDropped => SymptomKind::IndexDroppedEvent,
+                EventKind::ConfigParameterChanged => SymptomKind::ConfigParameterChangedEvent,
+                EventKind::RaidRebuildStarted => SymptomKind::RaidRebuildEvent,
+                EventKind::DiskFailure => SymptomKind::DiskFailureEvent,
+                _ => continue,
+            };
+            symptoms.push(
+                Symptom::about(kind, event.component.clone(), event.detail.clone(), 1.0).at(event.time),
+            );
         }
 
         // External workloads active during the unsatisfactory period on disks shared
@@ -1196,9 +1093,9 @@ mod tests {
 
     #[test]
     fn workflow_config_defaults_match_the_paper() {
-        let cfg = WorkflowConfig::default();
-        assert_eq!(cfg.anomaly_threshold, 0.8);
-        assert!(cfg.prune_by_dependency_paths);
+        assert_eq!(ANOMALY_THRESHOLD, 0.8);
+        assert_eq!(RECORD_COUNT_THRESHOLD, 0.8);
+        assert!(DiagnosisWorkflow::new().prune_by_dependency_paths);
     }
 
     fn score(satisfactory: &[f64], unsatisfactory: &[f64], two_sided: bool) -> f64 {

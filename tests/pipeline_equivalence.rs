@@ -218,31 +218,6 @@ fn on_stage_complete_observers_stream_progress() {
     assert!(report.provenance.stages.iter().any(|s| s.cache_misses > 0), "cold run must fit variables");
 }
 
-/// An engine-backed interactive session warms the same fleet slot batch diagnosis
-/// uses: drilling interactively first makes the subsequent batch diagnosis warm.
-#[test]
-fn interactive_session_and_batch_diagnosis_share_engine_fits() {
-    let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
-    let apg = outcome.apg();
-    let events = outcome.testbed.all_events();
-    let ctx = outcome.context(&apg, &events);
-    let engine = Arc::clone(&outcome.testbed.engine);
-    let fingerprint = outcome.engine_fingerprint();
-
-    let mut session =
-        WorkflowSession::with_engine(DiagnosisPipeline::standard(), ctx, Arc::clone(&engine), fingerprint);
-    session.run_correlated_operators();
-    assert!(engine.is_warm(fingerprint), "each interactive stage checks the slot back in");
-    let interactive = session.finish();
-    assert_eq!(interactive.provenance.engine.map(|e| e.fingerprint), Some(fingerprint));
-
-    let before = engine.stats().warm_checkouts;
-    let batch = outcome.diagnose();
-    assert_eq!(interactive, batch, "interactive and batch must agree report-for-report");
-    assert!(engine.stats().warm_checkouts > before, "batch diagnosis must reuse the session's fits");
-    assert_eq!(batch.provenance.engine.map(|e| e.warm), Some(true));
-}
-
 /// The remediation planner as a custom stage appended after the standard
 /// sequence — the `insert_after` consumer the machinery was built for. The stage
 /// list grows by `"PLAN"`, the report's findings are bit-identical to the plain
@@ -309,7 +284,7 @@ fn plan_change_redrills_with_pruning_disabled() {
     let ctx = outcome.context(&apg, &events);
 
     let mut workflow = DiagnosisWorkflow::new();
-    workflow.config.prune_by_dependency_paths = false;
+    workflow.prune_by_dependency_paths = false;
     let report = DiagnosisPipeline::with_workflow(workflow).run(&ctx);
     assert!(report.plan_changed);
     assert!(

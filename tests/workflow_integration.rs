@@ -3,7 +3,7 @@
 
 use diads::core::baseline::{DbOnlyTool, SanOnlyTool};
 use diads::core::whatif::{evaluate, ProposedChange};
-use diads::core::{DiagnosisCache, DiagnosisWorkflow, Testbed, WorkflowConfig, WorkflowSession};
+use diads::core::{DiagnosisCache, DiagnosisWorkflow, Testbed, WorkflowSession};
 use diads::inject::scenarios::{scenario_1, ScenarioTimeline};
 use diads::monitor::{ComponentId, MetricName, Timestamp};
 
@@ -77,8 +77,7 @@ fn disabling_dependency_path_pruning_widens_the_search_space() {
     let ctx = outcome.context(&apg, &events);
 
     let pruned = DiagnosisWorkflow::new();
-    let mut unpruned = DiagnosisWorkflow::new();
-    unpruned.config = WorkflowConfig { prune_by_dependency_paths: false, ..WorkflowConfig::default() };
+    let unpruned = DiagnosisWorkflow { prune_by_dependency_paths: false };
 
     let mut cache = DiagnosisCache::new();
     let cos = pruned.correlated_operators(&ctx, &mut cache);
