@@ -25,11 +25,11 @@
 //! wins over concurrent in-flight check-ins, and relabelled histories land in fresh
 //! slots. Slots are additionally **LRU-bounded**: a long-running fleet accumulating
 //! distinct history fingerprints recycles its least-recently-used slot once the
-//! configurable capacity is exceeded (recycling costs at most a later re-fit), with
+//! capacity of 1024 slots is exceeded (recycling costs at most a later re-fit), with
 //! evictions observable through [`DiagnosisEngine::stats`].
 //!
 //! Diagnoses routed through the engine ([`DiagnosisEngine::diagnose`]) execute the
-//! composable [`crate::pipeline::DiagnosisPipeline`] — the same path batch and
+//! [`crate::pipeline::DiagnosisPipeline`] — the same path batch and
 //! interactive drivers use — and the emitted report's provenance records whether
 //! the slot checkout was warm or cold.
 
@@ -180,8 +180,9 @@ impl EngineStats {
 #[derive(Debug)]
 pub struct DiagnosisEngine {
     stripes: Vec<Mutex<Stripe>>,
-    /// Maximum number of warm slots kept (immutable after construction); the
-    /// globally least-recently-used slot is recycled when a check-in exceeds it.
+    /// Maximum number of warm slots kept (`DEFAULT_SLOT_CAPACITY` outside unit
+    /// tests); the globally least-recently-used slot is recycled when a check-in
+    /// exceeds it.
     capacity: usize,
     /// Bumped by every invalidation. A check-in whose
     /// checkout observed an older generation is dropped — conservative (an
@@ -229,7 +230,8 @@ impl DiagnosisEngine {
     /// Creates an empty engine bounded to at most `capacity` warm slots (at least
     /// one). Checkouts refresh a slot's recency; a check-in that exceeds the bound
     /// recycles the least-recently-used slot.
-    pub fn with_capacity(capacity: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let mut engine = Self::new();
         engine.capacity = capacity.max(1);
         engine
@@ -240,8 +242,9 @@ impl DiagnosisEngine {
         Arc::new(Self::new())
     }
 
-    /// The configured slot capacity.
-    pub fn capacity(&self) -> usize {
+    /// The slot capacity.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 

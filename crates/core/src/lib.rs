@@ -12,7 +12,7 @@
 //!   dependency paths), annotated with the monitoring data collected during each run;
 //! * the **diagnosis pipeline** ([`pipeline`], Figure 2): Plan Diffing → Correlated
 //!   Operators → Dependency Analysis → Correlated Record-counts → Symptoms Database →
-//!   Impact Analysis as composable [`pipeline::DiagnosisStage`]s over a typed
+//!   Impact Analysis as one fixed sequence of [`pipeline::Stage`]s over a typed
 //!   evidence ledger ([`pipeline::DiagnosisState`]), combining KDE-based anomaly
 //!   scoring with domain knowledge. The per-module computations live in
 //!   [`workflow`]; every driver — batch, the fleet-level [`engine`], the interactive
@@ -59,12 +59,9 @@ pub use diagnosis::{
 };
 pub use engine::{DiagnosisEngine, DiagnosisWatermark, EngineStats};
 pub use pipeline::{
-    CancelToken, DiagnosisPipeline, DiagnosisStage, DiagnosisState, EventSink, LedgerInputs, PipelineEvent,
-    Stage, StageCtx,
+    CancelToken, DiagnosisPipeline, DiagnosisState, EventSink, LedgerInputs, PipelineEvent, Stage,
 };
-pub use planner::{
-    Planner, PlannerConfig, PlannerStage, RankedRemediation, RemediationCandidate, RemediationPlan,
-};
+pub use planner::{Planner, PlannerConfig, RankedRemediation, RemediationCandidate, RemediationPlan};
 pub use runs::{LabeledRun, RunHistory};
 pub use session::WorkflowSession;
 pub use symptoms::{Condition, RootCauseEntry, ScoredCause, Symptom, SymptomKind, SymptomsDatabase};

@@ -1,19 +1,15 @@
-//! The composable diagnosis pipeline — the single execution path of the workflow.
+//! The diagnosis pipeline — the single execution path of the workflow.
 //!
-//! The paper's Figure-2 workflow is explicitly modular: PD, CO, DA, CR, SD and IA
-//! are separable drill-down stages combining ML and domain knowledge. This module
-//! makes that modularity a first-class API:
+//! The paper's Figure-2 workflow is one fixed drill-down: PD → CO → DA → CR → SD →
+//! IA, combining ML and domain knowledge. This module runs it:
 //!
-//! * [`DiagnosisStage`] is the stage contract — a name, declared prerequisites, and
-//!   `run(&mut StageCtx)`. The six standard stages are the [`Stage`] enum (which
-//!   implements the trait); custom stages are any other implementor.
+//! * [`Stage`] names the six stages. Every driver runs them in that order; the
+//!   interactive session runs them one at a time.
 //! * [`DiagnosisState`] is the typed **evidence ledger** stages read and write: one
-//!   slot per standard module result, replacing the ad-hoc locals the monolithic
-//!   workflow used to thread between modules.
-//! * [`DiagnosisPipeline`] is the builder and driver. [`DiagnosisPipeline::standard`]
-//!   reproduces the paper's sequence bit-identically; [`DiagnosisPipeline::skip`],
-//!   [`DiagnosisPipeline::insert_after`] and custom stages open new scenario shapes
-//!   (SAN-only triage that skips PD/CR, a re-scoring stage, …). Every run emits a
+//!   slot per module result, replacing the ad-hoc locals the monolithic workflow
+//!   used to thread between modules.
+//! * [`DiagnosisPipeline`] is the driver: the workflow whose module methods the
+//!   stages call, plus event sinks and an optional cancel token. Every run emits a
 //!   [`crate::diagnosis::DiagnosisReport`] carrying per-stage provenance (timings,
 //!   cache hit/miss deltas, engine warm/cold, re-drill markers) next to the findings.
 //!
@@ -28,13 +24,13 @@
 //! | [`PipelineEvent::StageStarted`] | before a stage executes (or replays) |
 //! | [`PipelineEvent::StageCompleted`] | after, with the stage's [`StageProvenance`] |
 //! | [`PipelineEvent::CausesRanked`] | after SD fills the ledger's cause ranking |
-//! | [`PipelineEvent::RemediationPlanned`] | when a stage writes the remediation slot |
+//! | [`PipelineEvent::RemediationPlanned`] | when the service loop plans remediation for a report |
 //! | [`PipelineEvent::RunCompleted`] | after assembly, with the full report |
 //! | [`PipelineEvent::Cancelled`] | when a [`CancelToken`] stops the run |
 //!
 //! # One executor
 //!
-//! Every run walks its stage list through one private executor. For each stage it
+//! Every run walks the six stages through one private executor. For each stage it
 //! either **executes** the stage or **replays** its slot from a prior evidence
 //! ledger. A stage executes when there is no prior, when an input it reads changed
 //! since the prior was recorded (see [`LedgerInputs`]), or when the result of a
@@ -52,8 +48,8 @@
 //!   still holds. A run whose every stage replays hands back the recorded
 //!   findings with fresh provenance and never builds the APG;
 //! * the interactive [`crate::session::WorkflowSession`]: one stage at a time
-//!   through [`DiagnosisPipeline::run_stage_at`], which is the executor's
-//!   per-stage body.
+//!   through [`DiagnosisPipeline::run_stage`], which is the executor's per-stage
+//!   body.
 //!
 //! Cancellation is checked **between stages**: a cancelled run stops before the next
 //! stage executes, emits [`PipelineEvent::Cancelled`], and still returns a
@@ -125,10 +121,8 @@ impl Stage {
         }
     }
 
-    /// The stages whose ledger slots this stage *reads*. Drivers use this for lazy
-    /// execution (run a stage's unmet prerequisites first); a prerequisite that was
-    /// skipped out of the pipeline is not an error — the reading stage falls back to
-    /// an empty (or, for PD, a "no plan-diff evidence") result.
+    /// The stages whose ledger slots this stage *reads*. The interactive session
+    /// uses this for lazy execution: it runs a stage's unmet prerequisites first.
     pub fn prerequisites(self) -> &'static [Stage] {
         match self {
             Stage::PlanDiffing => &[],
@@ -147,16 +141,16 @@ impl Stage {
         }
     }
 
-    /// The standard stage with the given short name, if any (`"PD"` →
-    /// [`Stage::PlanDiffing`], …). Custom stage names resolve to `None`.
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.iter().copied().find(|s| s.name() == name)
+    /// The slot index in workflow order (the position in `Stage::ALL`).
+    fn index(self) -> usize {
+        self as usize
     }
 
-    /// The slot index in the standard ledger order (used for downstream
-    /// invalidation).
-    fn index(self) -> usize {
-        Stage::ALL.iter().position(|s| *s == self).expect("every stage is in ALL")
+    /// Whether the stage runs in re-drill mode when PD found a plan change. PD
+    /// derives the plan change itself and IA works off whatever causes SD
+    /// produced, so neither re-drills.
+    fn redrills(self) -> bool {
+        !matches!(self, Stage::PlanDiffing | Stage::ImpactAnalysis)
     }
 
     /// The stages whose *results* feed this stage during incremental re-diagnosis.
@@ -202,7 +196,7 @@ impl Stage {
     }
 }
 
-/// One of the three inputs a standard stage may read (see [`Stage::reads`]).
+/// One of the three inputs a stage may read (see [`Stage::reads`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InputComponent {
     /// The labelled run history.
@@ -235,10 +229,10 @@ impl LedgerInputs {
     }
 }
 
-/// The typed evidence ledger of one diagnosis: every standard module result that the
-/// monolithic workflow used to thread through ad-hoc locals, as an inspectable (and
-/// editable) value. Stages read their inputs from here and write their output back;
-/// custom stages may rewrite any slot (e.g. a re-scoring stage adjusting `sd`).
+/// The typed evidence ledger of one diagnosis: every module result that the
+/// monolithic workflow used to thread through ad-hoc locals, as an inspectable value.
+/// Stages read their inputs from here and write their output back; the interactive
+/// session edits it between stages.
 #[derive(Debug, Clone, Default)]
 pub struct DiagnosisState {
     /// Module PD's result, once executed.
@@ -253,12 +247,7 @@ pub struct DiagnosisState {
     pub sd: Option<SymptomsResult>,
     /// Module IA's result, once executed.
     pub ia: Option<ImpactResult>,
-    /// The remediation planner's result, once a [`crate::planner::PlannerStage`]
-    /// has run. A custom-stage slot: it is not part of any standard stage's
-    /// completion tracking, and [`DiagnosisState::clear_after`] always clears it
-    /// (the plan is derived from SD's causes, so any upstream edit stales it).
-    pub remediation: Option<crate::planner::RemediationPlan>,
-    /// Fingerprints of the inputs the standard results were computed from, when the
+    /// Fingerprints of the inputs the results were computed from, when the
     /// ledger was produced by an evidence-recording run (engine-backed diagnoses).
     /// `None` for plain pipeline runs; incremental re-diagnosis requires it.
     pub inputs: Option<LedgerInputs>,
@@ -272,13 +261,13 @@ impl DiagnosisState {
     /// nothing, while DA widens to every component of the new plan's APG and SD
     /// falls back to the new plan's leaf volumes — both baselined against the full
     /// satisfactory history, so concurrent SAN-side causes surface alongside the
-    /// plan-change causes instead of being masked by them. A skipped PD reads as
-    /// "no plan-change evidence" and the ordinary drill-down proceeds.
+    /// plan-change causes instead of being masked by them. A PD that has not run
+    /// reads as "no plan-change evidence" and the ordinary drill-down proceeds.
     pub fn plan_changed(&self) -> bool {
         self.pd.as_ref().is_some_and(|pd| !pd.same_plan)
     }
 
-    /// Whether the given standard stage's ledger slot is filled.
+    /// Whether the given stage's ledger slot is filled.
     pub fn is_complete(&self, stage: Stage) -> bool {
         match stage {
             Stage::PlanDiffing => self.pd.is_some(),
@@ -290,15 +279,15 @@ impl DiagnosisState {
         }
     }
 
-    /// Names of the filled standard slots, in workflow order.
+    /// Names of the filled slots, in workflow order.
     pub fn completed(&self) -> Vec<&'static str> {
         Stage::ALL.iter().filter(|s| self.is_complete(**s)).map(|s| s.name()).collect()
     }
 
-    /// Empties one standard stage's ledger slot. Also drops the recorded input
-    /// fingerprints: an edited ledger no longer describes one consistent run, so it
-    /// must not seed incremental replay.
-    pub fn clear_slot(&mut self, stage: Stage) {
+    /// Empties one stage's ledger slot. Also drops the recorded input fingerprints:
+    /// an edited ledger no longer describes one consistent run, so it must not seed
+    /// incremental replay.
+    fn clear_slot(&mut self, stage: Stage) {
         self.inputs = None;
         match stage {
             Stage::PlanDiffing => self.pd = None,
@@ -310,18 +299,13 @@ impl DiagnosisState {
         }
     }
 
-    /// Clears every standard slot strictly after `stage` in workflow order — the
+    /// Clears every slot strictly after `stage` in workflow order — the
     /// downstream-invalidation rule for interactive edits (editing CO's result
-    /// invalidates DA, CR, SD and IA). Sessions over reordered pipelines invalidate
-    /// by *pipeline* order instead — see
-    /// [`crate::session::WorkflowSession::invalidate_downstream`].
+    /// invalidates DA, CR, SD and IA).
     pub fn clear_after(&mut self, stage: Stage) {
-        for s in Stage::ALL.iter().skip(stage.index() + 1) {
+        for s in &Stage::ALL[stage.index() + 1..] {
             self.clear_slot(*s);
         }
-        // The remediation plan is downstream of everything it reads (SD): any
-        // standard-slot invalidation stales it.
-        self.remediation = None;
     }
 }
 
@@ -336,54 +320,20 @@ fn missing_pd() -> PlanDiffResult {
     }
 }
 
-/// Everything a stage sees while running: the workflow (its module methods),
-/// the immutable diagnosis context, the shared scoring cache, and the evidence
-/// ledger it reads from and writes to.
-pub struct StageCtx<'a, 'ctx> {
-    /// The workflow whose module methods the stages call.
-    pub workflow: &'a DiagnosisWorkflow,
-    /// The immutable inputs of the diagnosis (APG, history, stores, topology).
-    pub ctx: &'a DiagnosisContext<'ctx>,
-    /// The diagnosis's KDE-fit cache — one per pipeline run (or an engine slot).
-    pub cache: &'a mut DiagnosisCache,
-    /// The evidence ledger.
-    pub state: &'a mut DiagnosisState,
-}
-
-/// One composable diagnosis stage.
-///
-/// A stage has a `name` (unique within a pipeline; the standard stages use the
-/// paper's module labels), declared `prerequisites` (the standard slots it reads —
-/// drivers use them for lazy execution and downstream invalidation), and a `run`
-/// that reads and writes the [`DiagnosisState`] ledger through a [`StageCtx`].
-pub trait DiagnosisStage {
-    /// The stage's display name (also the key for `DiagnosisPipeline::skip_named`
-    /// and [`DiagnosisPipeline::insert_after`]).
-    fn name(&self) -> &str;
-
-    /// The standard stages whose results this stage reads. Defaults to none.
-    fn prerequisites(&self) -> &[Stage] {
-        &[]
-    }
-
-    /// Executes the stage: read inputs from `ctx.state`, score through `ctx.cache`,
-    /// write the result back into `ctx.state`.
-    fn run(&self, ctx: &mut StageCtx<'_, '_>);
-}
-
-impl DiagnosisStage for Stage {
-    fn name(&self) -> &str {
-        Stage::name(*self)
-    }
-
-    fn prerequisites(&self) -> &[Stage] {
-        Stage::prerequisites(*self)
-    }
-
-    fn run(&self, s: &mut StageCtx<'_, '_>) {
+impl Stage {
+    /// Executes the stage: reads its inputs from `state`, scores through `cache`
+    /// and writes its result back into `state`. A prerequisite slot that is still
+    /// empty reads as an empty result (PD: "no plan-diff evidence").
+    fn run(
+        self,
+        workflow: &DiagnosisWorkflow,
+        ctx: &DiagnosisContext<'_>,
+        cache: &mut DiagnosisCache,
+        state: &mut DiagnosisState,
+    ) {
         match self {
             Stage::PlanDiffing => {
-                s.state.pd = Some(s.workflow.plan_diffing(s.ctx));
+                state.pd = Some(workflow.plan_diffing(ctx));
             }
             // CO/CR always execute: under a plan change their plan-filtered
             // satisfactory sample is empty and they score nothing, which is the
@@ -393,25 +343,25 @@ impl DiagnosisStage for Stage {
             // the plan-independent metric baseline — this is what surfaces a
             // concurrent SAN-side cause that the old plan-change gating masked.
             Stage::CorrelatedOperators => {
-                s.state.cos = Some(s.workflow.correlated_operators(s.ctx, s.cache));
+                state.cos = Some(workflow.correlated_operators(ctx, cache));
             }
             Stage::DependencyAnalysis => {
-                let result = if s.state.plan_changed() {
-                    s.workflow.dependency_analysis_redrill(s.ctx, s.cache)
+                let result = if state.plan_changed() {
+                    workflow.dependency_analysis_redrill(ctx, cache)
                 } else {
                     let fallback = CorrelatedOperatorsResult::default();
-                    let cos = s.state.cos.as_ref().unwrap_or(&fallback);
-                    s.workflow.dependency_analysis(s.ctx, cos, s.cache)
+                    let cos = state.cos.as_ref().unwrap_or(&fallback);
+                    workflow.dependency_analysis(ctx, cos, cache)
                 };
-                s.state.da = Some(result);
+                state.da = Some(result);
             }
             Stage::RecordCounts => {
                 let result = {
                     let fallback = CorrelatedOperatorsResult::default();
-                    let cos = s.state.cos.as_ref().unwrap_or(&fallback);
-                    s.workflow.record_counts(s.ctx, cos, s.cache)
+                    let cos = state.cos.as_ref().unwrap_or(&fallback);
+                    workflow.record_counts(ctx, cos, cache)
                 };
-                s.state.cr = Some(result);
+                state.cr = Some(result);
             }
             Stage::Symptoms => {
                 let result = {
@@ -419,13 +369,13 @@ impl DiagnosisStage for Stage {
                     let fallback_cos = CorrelatedOperatorsResult::default();
                     let fallback_da = DependencyAnalysisResult::default();
                     let fallback_cr = RecordCountResult::default();
-                    let pd = s.state.pd.as_ref().unwrap_or(&fallback_pd);
-                    let cos = s.state.cos.as_ref().unwrap_or(&fallback_cos);
-                    let da = s.state.da.as_ref().unwrap_or(&fallback_da);
-                    let cr = s.state.cr.as_ref().unwrap_or(&fallback_cr);
-                    s.workflow.symptoms(s.ctx, pd, cos, da, cr)
+                    let pd = state.pd.as_ref().unwrap_or(&fallback_pd);
+                    let cos = state.cos.as_ref().unwrap_or(&fallback_cos);
+                    let da = state.da.as_ref().unwrap_or(&fallback_da);
+                    let cr = state.cr.as_ref().unwrap_or(&fallback_cr);
+                    workflow.symptoms(ctx, pd, cos, da, cr)
                 };
-                s.state.sd = Some(result);
+                state.sd = Some(result);
             }
             Stage::ImpactAnalysis => {
                 let result = {
@@ -433,13 +383,13 @@ impl DiagnosisStage for Stage {
                     let fallback_da = DependencyAnalysisResult::default();
                     let fallback_cr = RecordCountResult::default();
                     let fallback_sd = SymptomsResult::default();
-                    let cos = s.state.cos.as_ref().unwrap_or(&fallback_cos);
-                    let da = s.state.da.as_ref().unwrap_or(&fallback_da);
-                    let cr = s.state.cr.as_ref().unwrap_or(&fallback_cr);
-                    let sd = s.state.sd.as_ref().unwrap_or(&fallback_sd);
-                    s.workflow.impact_analysis(s.ctx, cos, da, cr, sd)
+                    let cos = state.cos.as_ref().unwrap_or(&fallback_cos);
+                    let da = state.da.as_ref().unwrap_or(&fallback_da);
+                    let cr = state.cr.as_ref().unwrap_or(&fallback_cr);
+                    let sd = state.sd.as_ref().unwrap_or(&fallback_sd);
+                    workflow.impact_analysis(ctx, cos, da, cr, sd)
                 };
-                s.state.ia = Some(result);
+                state.ia = Some(result);
             }
         }
     }
@@ -448,15 +398,15 @@ impl DiagnosisStage for Stage {
 /// The typed vocabulary of the pipeline's streaming event bus — what every
 /// execution path (batch, engine warm/cold, incremental replay, interactive
 /// session) emits to its [`EventSink`]s, in a pinned per-stage order:
-/// `StageStarted` → `StageCompleted` (→ `CausesRanked` after SD, →
-/// `RemediationPlanned` when a stage fills the remediation slot), repeated per
-/// stage, then exactly one terminal `RunCompleted` or `Cancelled`.
+/// `StageStarted` → `StageCompleted` (→ `CausesRanked` after SD), repeated per
+/// stage, then exactly one terminal `RunCompleted` or `Cancelled`. The service
+/// loop adds `RemediationPlanned` after a run it plans remediation for.
 #[derive(Debug, Clone)]
 pub enum PipelineEvent {
     /// A stage is about to execute (or, during incremental re-diagnosis, to replay
     /// its prior evidence).
     StageStarted {
-        /// The stage's display name (`"PD"`, `"CO"`, … for the standard stages).
+        /// The stage's short name (`"PD"`, `"CO"`, …).
         stage: String,
     },
     /// A stage finished, with its execution provenance (timing, cache deltas,
@@ -471,8 +421,8 @@ pub enum PipelineEvent {
         /// The scored causes, best first (SD's ranking).
         causes: Vec<crate::symptoms::ScoredCause>,
     },
-    /// A stage wrote the ledger's remediation slot (the
-    /// [`crate::planner::PlannerStage`], or any custom stage doing the same).
+    /// The service loop planned remediation for a diagnosed report
+    /// ([`crate::planner::Planner::plan`]).
     RemediationPlanned {
         /// The what-if-evaluated remediation plan.
         plan: crate::planner::RemediationPlan,
@@ -580,24 +530,17 @@ impl<'a> Emitter<'a> {
         self.cancel.is_some_and(|c| c.is_cancelled())
     }
 
-    fn stage_started(&self, name: &str, state: &DiagnosisState) {
-        self.emit(state, || PipelineEvent::StageStarted { stage: name.to_string() });
+    fn stage_started(&self, stage: Stage, state: &DiagnosisState) {
+        self.emit(state, || PipelineEvent::StageStarted { stage: stage.name().to_string() });
     }
 
-    /// Emits `StageCompleted` plus the derived events: `CausesRanked` right after
-    /// SD fills the cause ranking, `RemediationPlanned` when the stage flipped the
-    /// remediation slot from empty to filled (`had_remediation` is the slot state
-    /// before the stage ran).
-    fn stage_completed(&self, provenance: &StageProvenance, state: &DiagnosisState, had_remediation: bool) {
+    /// Emits `StageCompleted`, plus `CausesRanked` right after SD fills the cause
+    /// ranking.
+    fn stage_completed(&self, stage: Stage, provenance: &StageProvenance, state: &DiagnosisState) {
         self.emit(state, || PipelineEvent::StageCompleted { provenance: provenance.clone() });
-        if provenance.stage == Stage::Symptoms.name() {
+        if stage == Stage::Symptoms {
             if let Some(sd) = &state.sd {
                 self.emit(state, || PipelineEvent::CausesRanked { causes: sd.causes.clone() });
-            }
-        }
-        if !had_remediation {
-            if let Some(plan) = &state.remediation {
-                self.emit(state, || PipelineEvent::RemediationPlanned { plan: plan.clone() });
             }
         }
     }
@@ -639,15 +582,14 @@ impl ContextSource<'_, '_> {
     }
 }
 
-/// The composable diagnosis pipeline: an ordered stage list, the workflow whose
-/// module methods the stages call, and event sinks.
+/// The diagnosis pipeline: the paper's Figure-2 stage sequence over a workflow
+/// (whose module methods the stages call), with event sinks and an optional
+/// cancel token.
 ///
-/// [`DiagnosisPipeline::standard`] is the paper's Figure-2 sequence and is
-/// bit-identical to the pre-pipeline monolithic workflow (all golden pins
-/// unchanged). Builder methods recompose it; run methods execute it.
+/// It is bit-identical to the pre-pipeline monolithic workflow (all golden pins
+/// unchanged).
 pub struct DiagnosisPipeline {
     workflow: DiagnosisWorkflow,
-    stages: Vec<Box<dyn DiagnosisStage>>,
     sinks: Vec<Box<dyn EventSink>>,
     cancel: Option<CancelToken>,
 }
@@ -659,23 +601,15 @@ impl Default for DiagnosisPipeline {
 }
 
 impl DiagnosisPipeline {
-    /// The paper's standard PD → CO → DA → CR → SD → IA pipeline with the default
-    /// workflow (dependency-path pruning on).
+    /// The paper's PD → CO → DA → CR → SD → IA pipeline with the default workflow
+    /// (dependency-path pruning on).
     pub fn standard() -> Self {
         Self::with_workflow(DiagnosisWorkflow::new())
     }
 
-    /// The standard stage sequence over a given workflow (e.g. the unpruned
-    /// ablation).
+    /// The stage sequence over a given workflow (e.g. the unpruned ablation).
     pub fn with_workflow(workflow: DiagnosisWorkflow) -> Self {
-        let stages = Stage::ALL.iter().map(|s| Box::new(*s) as Box<dyn DiagnosisStage>).collect();
-        DiagnosisPipeline { stages, ..Self::empty(workflow) }
-    }
-
-    /// An empty pipeline over a workflow — the starting point for fully custom
-    /// stage lists (`empty().push(..)`).
-    pub fn empty(workflow: DiagnosisWorkflow) -> Self {
-        DiagnosisPipeline { workflow, stages: Vec::new(), sinks: Vec::new(), cancel: None }
+        DiagnosisPipeline { workflow, sinks: Vec::new(), cancel: None }
     }
 
     /// The emission context for a run of this pipeline: its registered sinks plus
@@ -687,65 +621,6 @@ impl DiagnosisPipeline {
     /// The workflow the stages consult.
     pub fn workflow(&self) -> &DiagnosisWorkflow {
         &self.workflow
-    }
-
-    /// The stage names, in execution order.
-    pub fn stage_names(&self) -> Vec<&str> {
-        self.stages.iter().map(|s| s.name()).collect()
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Whether the pipeline has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
-    /// The stage at `index`, in execution order.
-    pub fn stage_at(&self, index: usize) -> &dyn DiagnosisStage {
-        self.stages[index].as_ref()
-    }
-
-    /// The position of the stage named `name`, if present.
-    pub fn position(&self, name: &str) -> Option<usize> {
-        self.stages.iter().position(|s| s.name() == name)
-    }
-
-    /// Removes a standard stage. Stages that would have read its result fall back to
-    /// an empty (PD: "no plan-diff evidence") input — the report stays well-formed.
-    pub fn skip(self, stage: Stage) -> Self {
-        self.skip_named(stage.name())
-    }
-
-    /// Removes the stage named `name` (standard or custom); a no-op when absent.
-    pub(crate) fn skip_named(mut self, name: &str) -> Self {
-        self.stages.retain(|s| s.name() != name);
-        self
-    }
-
-    /// Inserts a stage right after the named standard stage, or appends it when that
-    /// stage is not in the pipeline.
-    pub fn insert_after(self, after: Stage, stage: Box<dyn DiagnosisStage>) -> Self {
-        self.insert_after_named(after.name(), stage)
-    }
-
-    /// Inserts a stage right after the stage named `after` (standard or custom), or
-    /// appends it when no such stage exists.
-    pub(crate) fn insert_after_named(mut self, after: &str, stage: Box<dyn DiagnosisStage>) -> Self {
-        match self.position(after) {
-            Some(i) => self.stages.insert(i + 1, stage),
-            None => self.stages.push(stage),
-        }
-        self
-    }
-
-    /// Appends a stage at the end of the pipeline.
-    pub fn push(mut self, stage: Box<dyn DiagnosisStage>) -> Self {
-        self.stages.push(stage);
-        self
     }
 
     /// Registers an [`EventSink`] receiving every [`PipelineEvent`] of every run of
@@ -790,23 +665,23 @@ impl DiagnosisPipeline {
         self.execute(&source, cache, &self.emitter(), None, None, DiagnosisProvenance::default()).0
     }
 
-    /// Executes one stage (by pipeline index) against an external ledger and cache,
-    /// returning its provenance — the executor's per-stage body, and the step
-    /// primitive the interactive [`crate::session::WorkflowSession`] drives.
-    pub fn run_stage_at(
+    /// Executes one stage against an external ledger and cache, returning its
+    /// provenance — the executor's per-stage body, and the step primitive the
+    /// interactive [`crate::session::WorkflowSession`] drives.
+    pub fn run_stage(
         &self,
-        index: usize,
+        stage: Stage,
         ctx: &DiagnosisContext<'_>,
         cache: &mut DiagnosisCache,
         state: &mut DiagnosisState,
     ) -> StageProvenance {
-        self.step(index, &ContextSource::Borrowed(ctx), cache, state, &self.emitter(), None)
+        self.step(stage, &ContextSource::Borrowed(ctx), cache, state, &self.emitter(), None)
     }
 
     /// Assembles the v2 report from a ledger: ranked causes (with their evidence
     /// trails) from the SD/IA slots, module summaries from the rest, and the given
-    /// provenance. Missing slots read as empty results, so partial pipelines still
-    /// produce well-formed reports.
+    /// provenance. Missing slots read as empty results, so a cancelled run's
+    /// partial ledger still produces a well-formed report.
     pub fn assemble(
         &self,
         ctx: &DiagnosisContext<'_>,
@@ -826,8 +701,8 @@ impl DiagnosisPipeline {
         report
     }
 
-    /// The stage executor: walks the stage list once and, for each stage, either
-    /// executes it or replays its slot out of `prior`. A standard stage replays
+    /// The stage executor: walks `Stage::ALL` once and, for each stage, either
+    /// executes it or replays its slot out of `prior`. A stage replays
     /// only when `prior` holds its slot, no input it reads changed between
     /// `prior`'s stamped [`LedgerInputs`] and `inputs`, and no stage it depends on
     /// ([`Stage::staleness_deps`]) produced a result different from `prior`'s.
@@ -853,29 +728,28 @@ impl DiagnosisPipeline {
         let mut state = DiagnosisState::default();
         let mut changed = [false; Stage::ALL.len()];
         let mut executed = false;
-        provenance.stages.reserve(self.stages.len());
-        for (index, stage) in self.stages.iter().enumerate() {
+        provenance.stages.reserve(Stage::ALL.len());
+        for stage in Stage::ALL {
             if emitter.is_cancelled() {
                 let at_stage = stage.name().to_string();
                 emitter.cancelled(&at_stage, &state);
                 provenance.cancelled_at = Some(at_stage);
                 break;
             }
-            let standard = Stage::from_name(stage.name());
-            let replay = match (standard, prior.as_mut(), replayable) {
-                (Some(s), Some(prior), Some((now, then)))
-                    if prior.state.is_complete(s)
-                        && !now.stage_stale(&then, s)
-                        && !s.staleness_deps().iter().any(|d| changed[d.index()]) =>
+            let replay = match (prior.as_mut(), replayable) {
+                (Some(prior), Some((now, then)))
+                    if prior.state.is_complete(stage)
+                        && !now.stage_stale(&then, stage)
+                        && !stage.staleness_deps().iter().any(|d| changed[d.index()]) =>
                 {
-                    Some((s, &mut prior.state))
+                    Some(&mut prior.state)
                 }
                 _ => None,
             };
             executed |= replay.is_none();
-            let step = self.step(index, ctx, cache, &mut state, emitter, replay);
-            if let (Some(s), Some(prior), false) = (standard, prior.as_ref(), step.reused) {
-                changed[s.index()] = result_changed(s, &state, &prior.state);
+            let step = self.step(stage, ctx, cache, &mut state, emitter, replay);
+            if let (Some(prior), false) = (prior.as_ref(), step.reused) {
+                changed[stage.index()] = result_changed(stage, &state, &prior.state);
             }
             provenance.stages.push(step);
         }
@@ -893,34 +767,32 @@ impl DiagnosisPipeline {
         (report, state)
     }
 
-    /// Runs the stage at `index` into `state` between its `StageStarted` and
+    /// Runs `stage` into `state` between its `StageStarted` and
     /// `StageCompleted` events: executed, or — given `replay` — its slot moved
     /// over from the prior ledger. Either way the provenance carries the measured
     /// time.
     fn step(
         &self,
-        index: usize,
+        stage: Stage,
         ctx: &ContextSource<'_, '_>,
         cache: &mut DiagnosisCache,
         state: &mut DiagnosisState,
         emitter: &Emitter<'_>,
-        replay: Option<(Stage, &mut DiagnosisState)>,
+        replay: Option<&mut DiagnosisState>,
     ) -> StageProvenance {
-        let stage = self.stages[index].as_ref();
-        let had_remediation = state.remediation.is_some();
-        emitter.stage_started(stage.name(), state);
+        emitter.stage_started(stage, state);
         let (hits_before, misses_before) = (cache.hits(), cache.misses());
         let reused = replay.is_some();
         let elapsed = match replay {
-            Some((standard, prior)) => {
+            Some(prior) => {
                 let started = Instant::now();
-                take_slot(standard, prior, state);
+                take_slot(stage, prior, state);
                 started.elapsed()
             }
             None => {
                 let ctx = ctx.get();
                 let started = Instant::now();
-                stage.run(&mut StageCtx { workflow: &self.workflow, ctx: &ctx, cache, state });
+                stage.run(&self.workflow, &ctx, cache, state);
                 started.elapsed()
             }
         };
@@ -930,11 +802,9 @@ impl DiagnosisPipeline {
             cache_hits: cache.hits() - hits_before,
             cache_misses: cache.misses() - misses_before,
             reused,
-            // PD derives the plan change itself and IA works off whatever causes SD
-            // produced, so neither runs in re-drill mode.
-            redrilled: state.plan_changed() && matches!(stage.name(), "CO" | "DA" | "CR" | "SD"),
+            redrilled: state.plan_changed() && stage.redrills(),
         };
-        emitter.stage_completed(&provenance, state, had_remediation);
+        emitter.stage_completed(stage, &provenance, state);
         provenance
     }
 }
@@ -976,30 +846,6 @@ mod tests {
         assert!(Stage::PlanDiffing.prerequisites().is_empty());
         assert_eq!(Stage::DependencyAnalysis.prerequisites(), &[Stage::CorrelatedOperators]);
         assert_eq!(Stage::Symptoms.prerequisites().len(), 4);
-    }
-
-    #[test]
-    fn builder_skip_insert_and_push_recompose_the_stage_list() {
-        struct Noop;
-        impl DiagnosisStage for Noop {
-            fn name(&self) -> &str {
-                "NOOP"
-            }
-            fn run(&self, _ctx: &mut StageCtx<'_, '_>) {}
-        }
-        let pipeline = DiagnosisPipeline::standard()
-            .skip(Stage::PlanDiffing)
-            .skip(Stage::RecordCounts)
-            .insert_after(Stage::CorrelatedOperators, Box::new(Noop))
-            .push(Box::new(Noop));
-        assert_eq!(pipeline.stage_names(), vec!["CO", "NOOP", "DA", "SD", "IA", "NOOP"]);
-        assert_eq!(pipeline.position("DA"), Some(2));
-        assert!(!pipeline.is_empty());
-        // Inserting after an absent stage appends.
-        let appended =
-            DiagnosisPipeline::empty(DiagnosisWorkflow::new()).insert_after(Stage::Symptoms, Box::new(Noop));
-        assert_eq!(appended.stage_names(), vec!["NOOP"]);
-        assert_eq!(DiagnosisPipeline::empty(DiagnosisWorkflow::new()).len(), 0);
     }
 
     #[test]

@@ -9,16 +9,9 @@
 //! ranks them by predicted improvement — turning "here is what is wrong" into
 //! "here is what to do about it, cheapest-to-verify first".
 //!
-//! The planner is exposed two ways:
-//!
-//! * as a **library API** — [`Planner::plan`] over a report, or
-//!   [`Planner::plan_outcome`] straight off a [`ScenarioOutcome`];
-//! * as a **custom pipeline stage** — [`PlannerStage`] implements
-//!   [`crate::pipeline::DiagnosisStage`] and is appended after the standard
-//!   sequence (e.g. `DiagnosisPipeline::standard().insert_after(Stage::ImpactAnalysis, ..)`),
-//!   writing its [`RemediationPlan`] into the evidence ledger's
-//!   [`crate::pipeline::DiagnosisState::remediation`] slot, where observers and
-//!   interactive sessions can read it.
+//! The library API is [`Planner::plan`] over a report, or [`Planner::plan_outcome`]
+//! straight off a [`ScenarioOutcome`]; the service loop calls `plan` after each
+//! diagnosis it plans remediation for.
 //!
 //! Candidate derivation is deliberately conservative: only causes the what-if
 //! vocabulary can actually address produce candidates (contention → remove the
@@ -38,7 +31,6 @@ use diads_inject::scenarios::cause_ids;
 use diads_monitor::{ComponentId, ComponentKind, Timestamp};
 
 use crate::diagnosis::{ConfidenceLevel, DiagnosisReport};
-use crate::pipeline::{DiagnosisStage, Stage, StageCtx};
 use crate::testbed::{ScenarioOutcome, Testbed, DB_SERVER};
 use crate::whatif::{self, ProposedChange, WhatIfOutcome};
 
@@ -162,13 +154,6 @@ pub struct Planner {
     pub config: PlannerConfig,
 }
 
-/// The slice of a ranked cause the planner derives candidates from.
-struct CauseView<'a> {
-    id: &'a str,
-    confidence: ConfidenceLevel,
-    subject: Option<&'a ComponentId>,
-}
-
 impl Planner {
     /// A planner evaluating at `evaluate_at`, deriving candidates from causes of at
     /// least [`ConfidenceLevel::Medium`] and evaluating up to 4 compound sets.
@@ -180,19 +165,6 @@ impl Planner {
     /// scheduled report run, when every (possibly staggered) fault is active.
     pub fn for_outcome(outcome: &ScenarioOutcome) -> Self {
         Planner::new(outcome.scenario.timeline.last_run_start())
-    }
-
-    /// Derives the candidate changes for a report's ranked causes, without
-    /// evaluating them — cause-rank order, deduplicated by change.
-    pub fn candidates(&self, report: &DiagnosisReport, testbed: &Testbed) -> Vec<RemediationCandidate> {
-        self.derive(
-            report.causes.iter().map(|c| CauseView {
-                id: &c.cause_id,
-                confidence: c.confidence,
-                subject: c.subject.as_ref(),
-            }),
-            testbed,
-        )
     }
 
     /// Derives candidates from a report, evaluates each against a fork of
@@ -278,26 +250,23 @@ impl Planner {
         RemediationPlan { ranked, failed }
     }
 
-    /// Candidate derivation over any cause iterator (report causes or the SD
-    /// ledger slot's scored causes).
-    fn derive<'a>(
-        &self,
-        causes: impl Iterator<Item = CauseView<'a>>,
-        testbed: &Testbed,
-    ) -> Vec<RemediationCandidate> {
+    /// Derives the candidate changes for a report's ranked causes, without
+    /// evaluating them — cause-rank order, deduplicated by change.
+    pub fn candidates(&self, report: &DiagnosisReport, testbed: &Testbed) -> Vec<RemediationCandidate> {
         let mut out: Vec<RemediationCandidate> = Vec::new();
         let mut push = |cause_id: &str, change: ProposedChange, rationale: String| {
             if !out.iter().any(|c| c.change == change) {
                 out.push(RemediationCandidate { cause_id: cause_id.to_string(), change, rationale });
             }
         };
-        for cause in causes {
+        for cause in &report.causes {
             if cause.confidence < MIN_CONFIDENCE {
                 continue;
             }
-            match cause.id {
+            let id = cause.cause_id.as_str();
+            match id {
                 cause_ids::SAN_MISCONFIGURATION | cause_ids::EXTERNAL_WORKLOAD_CONTENTION => {
-                    let pool = implicated_pool(testbed, cause.subject);
+                    let pool = implicated_pool(testbed, cause.subject.as_ref());
                     // Remove every external workload hitting the implicated pool
                     // (all workloads when the subject resolves to no pool).
                     for workload in testbed.san.workloads() {
@@ -311,7 +280,7 @@ impl Planner {
                         };
                         if on_pool {
                             push(
-                                cause.id,
+                                id,
                                 ProposedChange::RemoveExternalWorkload { workload: workload.name.clone() },
                                 format!(
                                     "external workload {} contends on {}; move it off the shared disks",
@@ -321,18 +290,18 @@ impl Planner {
                         }
                     }
                     for (candidate, rationale) in move_tablespace_candidates(testbed, pool.as_deref()) {
-                        push(cause.id, candidate, rationale);
+                        push(id, candidate, rationale);
                     }
                 }
                 cause_ids::RAID_REBUILD | cause_ids::DISK_FAILURE => {
-                    let pool = implicated_pool(testbed, cause.subject);
+                    let pool = implicated_pool(testbed, cause.subject.as_ref());
                     for (candidate, rationale) in move_tablespace_candidates(testbed, pool.as_deref()) {
-                        push(cause.id, candidate, rationale);
+                        push(id, candidate, rationale);
                     }
                 }
                 cause_ids::CONFIG_PARAMETER_CHANGE => {
                     push(
-                        cause.id,
+                        id,
                         ProposedChange::ChangeConfig {
                             new_config: diads_db::DbConfig::paper_default(),
                             description: "revert planner configuration to the defaults".into(),
@@ -342,7 +311,7 @@ impl Planner {
                 }
                 cause_ids::TABLE_LOCK_CONTENTION => {
                     push(
-                        cause.id,
+                        id,
                         ProposedChange::ClearLockWindows,
                         "a blocking transaction holds table locks on the query's tables; \
                          kill or commit it to clear the contention windows"
@@ -352,7 +321,7 @@ impl Planner {
                 cause_ids::INDEX_DROPPED => {
                     for index in testbed.catalog.dropped_index_names() {
                         push(
-                            cause.id,
+                            id,
                             ProposedChange::RecreateIndex { index: index.clone() },
                             format!(
                                 "index {index} was dropped, regressing the plan; \
@@ -439,69 +408,6 @@ fn move_tablespace_candidates(testbed: &Testbed, pool: Option<&str>) -> Vec<(Pro
         }
     }
     out
-}
-
-/// The remediation planner as a composable pipeline stage (named `"PLAN"`).
-///
-/// The stage captures a [`Testbed::fork`] at construction (stages are `'static`,
-/// the live testbed is not) and, when run, derives candidates from the SD ledger
-/// slot's scored causes, evaluates them against the fork, and writes the resulting
-/// [`RemediationPlan`] into [`crate::pipeline::DiagnosisState::remediation`].
-/// Append it after the standard sequence:
-///
-/// ```no_run
-/// use diads_core::{DiagnosisPipeline, Planner, PlannerStage, Stage, Testbed};
-/// # let outcome = Testbed::run_scenario(&diads_inject::scenarios::scenario_1(
-/// #     diads_inject::scenarios::ScenarioTimeline::short()));
-/// let stage = PlannerStage::new(Planner::for_outcome(&outcome), &outcome.testbed);
-/// let pipeline = DiagnosisPipeline::standard().insert_after(Stage::ImpactAnalysis, Box::new(stage));
-/// ```
-#[derive(Debug)]
-pub struct PlannerStage {
-    planner: Planner,
-    testbed: Testbed,
-}
-
-impl PlannerStage {
-    /// Builds the stage over a fork of `testbed` (the live deployment stays
-    /// untouched; every what-if evaluation forks the fork again).
-    pub fn new(planner: Planner, testbed: &Testbed) -> Self {
-        PlannerStage { planner, testbed: testbed.fork() }
-    }
-
-    /// The stage's pipeline name.
-    pub const NAME: &'static str = "PLAN";
-}
-
-impl DiagnosisStage for PlannerStage {
-    fn name(&self) -> &str {
-        Self::NAME
-    }
-
-    fn prerequisites(&self) -> &[Stage] {
-        // The plan is derived from SD's scored causes (confidence + subject);
-        // impact enters the report but not the derivation.
-        &[Stage::Symptoms]
-    }
-
-    fn run(&self, s: &mut StageCtx<'_, '_>) {
-        let plan = match &s.state.sd {
-            Some(sd) => self.planner.evaluate_candidates(
-                self.planner.derive(
-                    sd.causes.iter().map(|c| CauseView {
-                        id: &c.cause_id,
-                        confidence: c.confidence,
-                        subject: c.subject.as_ref(),
-                    }),
-                    &self.testbed,
-                ),
-                &self.testbed,
-            ),
-            // SD skipped: an empty plan keeps the ledger well-formed.
-            None => RemediationPlan::default(),
-        };
-        s.state.remediation = Some(plan);
-    }
 }
 
 #[cfg(test)]

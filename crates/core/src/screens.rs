@@ -68,10 +68,8 @@ pub fn apg_visualization_screen(
     out
 }
 
-/// The workflow-execution screen (Figure 7): which pipeline stages have run and the
-/// result panel of the most advanced standard module. Renders whatever stage list
-/// the session's pipeline carries, so recomposed pipelines (skipped or custom
-/// stages) display faithfully.
+/// The workflow-execution screen (Figure 7): which of the six stages have run and the
+/// result panel of the most advanced module.
 pub fn workflow_screen(session: &WorkflowSession<'_>) -> String {
     let mut out = String::new();
     out.push_str("DIADS workflow: ");

@@ -1,14 +1,15 @@
 //! The interactive workflow session (Figure 7): a thin, resumable driver over the
-//! composable [`DiagnosisPipeline`].
+//! [`DiagnosisPipeline`].
 //!
 //! The paper's interactive mode executes modules one at a time, lets the
 //! administrator inspect and edit intermediate results, and re-executes downstream
-//! modules on the edited inputs. [`WorkflowSession`] implements exactly that as a
-//! cursor over a pipeline: it owns the [`DiagnosisState`] evidence ledger, runs any
-//! stage (after its unmet prerequisites) on demand, invalidates downstream slots on
-//! edits, and [`WorkflowSession::finish`] completes the remaining stages and
+//! modules on the edited inputs. [`WorkflowSession`] implements exactly that over
+//! the pipeline's six stages: it owns the [`DiagnosisState`] evidence ledger, runs
+//! any stage (after its unmet prerequisites) on demand, invalidates downstream slots
+//! on edits, and [`WorkflowSession::finish`] completes the remaining stages and
 //! assembles the same provenance-carrying report batch diagnosis produces —
-//! interactive and batch share one execution path.
+//! interactive and batch share one execution path. A stage counts as complete when
+//! its ledger slot is filled.
 //!
 //! A session scores through its own [`DiagnosisCache`], so re-executed stages
 //! reuse the fits of earlier executions; the fits die with the session.
@@ -30,28 +31,24 @@ pub struct WorkflowSession<'a> {
     ctx: DiagnosisContext<'a>,
     cache: DiagnosisCache,
     state: DiagnosisState,
-    /// Which pipeline stages (by index) have completed since the last invalidation.
-    completed: Vec<bool>,
     /// The stage trail accumulated across the session — a log, so re-executions
     /// appear once per execution.
     trail: Vec<StageProvenance>,
 }
 
 impl<'a> WorkflowSession<'a> {
-    /// Starts a session over the standard pipeline with the given workflow.
+    /// Starts a session over the pipeline with the given workflow.
     pub fn new(workflow: DiagnosisWorkflow, ctx: DiagnosisContext<'a>) -> Self {
         Self::with_pipeline(DiagnosisPipeline::with_workflow(workflow), ctx)
     }
 
-    /// Starts a session over a custom pipeline (skipped, inserted or custom stages).
+    /// Starts a session over a pipeline carrying event sinks or a cancel token.
     pub fn with_pipeline(pipeline: DiagnosisPipeline, ctx: DiagnosisContext<'a>) -> Self {
-        let completed = vec![false; pipeline.len()];
         WorkflowSession {
             pipeline,
             ctx,
             cache: DiagnosisCache::new(),
             state: DiagnosisState::default(),
-            completed,
             trail: Vec::new(),
         }
     }
@@ -71,81 +68,32 @@ impl<'a> WorkflowSession<'a> {
         &self.trail
     }
 
-    /// Every pipeline stage's name with its completion flag, in pipeline order —
-    /// what the Figure-7 screen renders.
-    pub fn stage_progress(&self) -> Vec<(&str, bool)> {
-        (0..self.pipeline.len()).map(|i| (self.pipeline.stage_at(i).name(), self.completed[i])).collect()
+    /// Every stage's name with its completion flag, in workflow order — what the
+    /// Figure-7 screen renders.
+    pub fn stage_progress(&self) -> Vec<(&'static str, bool)> {
+        Stage::ALL.iter().map(|s| (s.name(), self.state.is_complete(*s))).collect()
     }
 
-    /// Names of the stages that have completed, in pipeline order.
+    /// Names of the stages that have completed, in workflow order.
     pub fn completed_modules(&self) -> Vec<String> {
-        self.stage_progress().into_iter().filter(|(_, done)| *done).map(|(n, _)| n.to_string()).collect()
+        self.state.completed().into_iter().map(str::to_string).collect()
     }
 
-    /// Executes (or re-executes) the stage named `name`, running its unmet
-    /// prerequisites first. Returns `false` when the pipeline has no such stage.
-    pub fn run_stage(&mut self, name: &str) -> bool {
-        match self.pipeline.position(name) {
-            Some(index) => {
-                self.run_index(index);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Runs the stage at `index`, recursively completing any prerequisite stages
-    /// that are present in the pipeline but not yet complete. Prerequisites that
-    /// were skipped out of the pipeline are (by design) left to the stage's
-    /// empty-input fallback.
-    fn run_index(&mut self, index: usize) {
-        let prerequisites: Vec<Stage> = self.pipeline.stage_at(index).prerequisites().to_vec();
-        for prerequisite in prerequisites {
-            if let Some(i) = self.pipeline.position(prerequisite.name()) {
-                if !self.completed[i] {
-                    self.run_index(i);
-                }
+    /// Executes (or re-executes) `stage`, running its unmet prerequisites first.
+    pub fn run_stage(&mut self, stage: Stage) {
+        for prerequisite in stage.prerequisites() {
+            if !self.state.is_complete(*prerequisite) {
+                self.run_stage(*prerequisite);
             }
         }
-        let provenance = self.pipeline.run_stage_at(index, &self.ctx, &mut self.cache, &mut self.state);
-        self.completed[index] = true;
+        let provenance = self.pipeline.run_stage(stage, &self.ctx, &mut self.cache, &mut self.state);
         self.trail.push(provenance);
     }
 
-    /// Marks every stage after `stage` (in **pipeline order**) incomplete and
-    /// clears those stages' standard ledger slots — call after editing a result so
-    /// downstream stages recompute from the edit. Completion flags and ledger slots
-    /// are invalidated by the same (pipeline-order) rule, so reordered pipelines
-    /// never strand a cleared slot behind a still-set completion flag. When `stage`
-    /// is not in the pipeline at all, the standard workflow-order rule
-    /// ([`DiagnosisState::clear_after`]) applies.
+    /// Clears the ledger slot of every stage after `stage` in workflow order — call
+    /// after editing a result so downstream stages recompute from the edit.
     pub fn invalidate_downstream(&mut self, stage: Stage) {
-        match self.pipeline.position(stage.name()) {
-            Some(index) => {
-                for i in index + 1..self.pipeline.len() {
-                    self.completed[i] = false;
-                    if let Some(standard) = Stage::from_name(self.pipeline.stage_at(i).name()) {
-                        self.state.clear_slot(standard);
-                    }
-                }
-                // The remediation slot belongs to a custom stage; clear it
-                // conservatively on any invalidation (its owner re-runs anyway).
-                self.state.remediation = None;
-            }
-            None => {
-                self.state.clear_after(stage);
-                // Re-derive completion from the ledger: any pipeline stage whose
-                // standard slot was just emptied must run again (a stage that truly
-                // completed holds at least an empty result, never a missing one).
-                for i in 0..self.pipeline.len() {
-                    if let Some(standard) = Stage::from_name(self.pipeline.stage_at(i).name()) {
-                        if !self.state.is_complete(standard) {
-                            self.completed[i] = false;
-                        }
-                    }
-                }
-            }
-        }
+        self.state.clear_after(stage);
     }
 
     /// Replaces the correlated-operator set (the administrator editing module CO's
@@ -157,70 +105,67 @@ impl<'a> WorkflowSession<'a> {
         self.invalidate_downstream(Stage::CorrelatedOperators);
     }
 
-    /// Executes (or re-executes) module PD. Returns `None` when the session's
-    /// pipeline skips the stage (as every typed `run_*` helper does).
-    pub fn run_plan_diffing(&mut self) -> Option<&PlanDiffResult> {
-        self.run_stage(Stage::PlanDiffing.name());
-        self.state.pd.as_ref()
+    /// Executes (or re-executes) module PD.
+    pub fn run_plan_diffing(&mut self) -> &PlanDiffResult {
+        self.run_stage(Stage::PlanDiffing);
+        self.state.pd.as_ref().expect("a stage run fills its slot")
     }
 
     /// Executes (or re-executes) module CO. Re-executions reuse the session's cached
-    /// KDE fits. Returns `None` when the pipeline skips the stage.
-    pub fn run_correlated_operators(&mut self) -> Option<&CorrelatedOperatorsResult> {
-        self.run_stage(Stage::CorrelatedOperators.name());
-        self.state.cos.as_ref()
+    /// KDE fits.
+    pub fn run_correlated_operators(&mut self) -> &CorrelatedOperatorsResult {
+        self.run_stage(Stage::CorrelatedOperators);
+        self.state.cos.as_ref().expect("a stage run fills its slot")
     }
 
-    /// Executes (or re-executes) module DA; runs CO first if needed. Returns `None`
-    /// when the pipeline skips the stage.
-    pub fn run_dependency_analysis(&mut self) -> Option<&DependencyAnalysisResult> {
-        self.run_stage(Stage::DependencyAnalysis.name());
-        self.state.da.as_ref()
+    /// Executes (or re-executes) module DA; runs CO first if needed.
+    pub fn run_dependency_analysis(&mut self) -> &DependencyAnalysisResult {
+        self.run_stage(Stage::DependencyAnalysis);
+        self.state.da.as_ref().expect("a stage run fills its slot")
     }
 
-    /// Executes (or re-executes) module CR; runs CO first if needed. Returns `None`
-    /// when the pipeline skips the stage.
-    pub fn run_record_counts(&mut self) -> Option<&RecordCountResult> {
-        self.run_stage(Stage::RecordCounts.name());
-        self.state.cr.as_ref()
+    /// Executes (or re-executes) module CR; runs CO first if needed.
+    pub fn run_record_counts(&mut self) -> &RecordCountResult {
+        self.run_stage(Stage::RecordCounts);
+        self.state.cr.as_ref().expect("a stage run fills its slot")
     }
 
     /// Executes (or re-executes) module SD; runs the prerequisite modules first if
-    /// needed. Returns `None` when the pipeline skips the stage.
-    pub fn run_symptoms(&mut self) -> Option<&SymptomsResult> {
-        self.run_stage(Stage::Symptoms.name());
-        self.state.sd.as_ref()
+    /// needed.
+    pub fn run_symptoms(&mut self) -> &SymptomsResult {
+        self.run_stage(Stage::Symptoms);
+        self.state.sd.as_ref().expect("a stage run fills its slot")
     }
 
     /// Executes (or re-executes) module IA; runs the prerequisite modules first if
-    /// needed. Returns `None` when the pipeline skips the stage.
-    pub fn run_impact_analysis(&mut self) -> Option<&ImpactResult> {
-        self.run_stage(Stage::ImpactAnalysis.name());
-        self.state.ia.as_ref()
+    /// needed.
+    pub fn run_impact_analysis(&mut self) -> &ImpactResult {
+        self.run_stage(Stage::ImpactAnalysis);
+        self.state.ia.as_ref().expect("a stage run fills its slot")
     }
 
-    /// Finishes the session: runs every incomplete stage (in pipeline order) and
+    /// Finishes the session: runs every incomplete stage (in workflow order) and
     /// assembles the report, with the session's full stage trail as provenance.
     ///
     /// Honours the pipeline's [`CancelToken`] between stages: a cancelled finish
     /// stops before the first incomplete stage it reaches, emits
     /// [`crate::pipeline::PipelineEvent::Cancelled`] and assembles the partial,
     /// consistent ledger (provenance `cancelled_at` names the stopped stage).
-    /// The completed/incomplete flags are left as they stand, so resetting the
-    /// token and calling `finish` again re-runs **only** the cancelled stages.
+    /// Filled slots stay filled, so resetting the token and calling `finish`
+    /// again re-runs **only** the cancelled stages.
     pub fn finish(&mut self) -> DiagnosisReport {
         let mut cancelled_at = None;
-        for index in 0..self.pipeline.len() {
-            if self.completed[index] {
+        for stage in Stage::ALL {
+            if self.state.is_complete(stage) {
                 continue;
             }
             if self.pipeline.cancel_token().is_some_and(CancelToken::is_cancelled) {
-                let at_stage = self.pipeline.stage_at(index).name().to_string();
+                let at_stage = stage.name().to_string();
                 self.pipeline.emitter().cancelled(&at_stage, &self.state);
                 cancelled_at = Some(at_stage);
                 break;
             }
-            self.run_index(index);
+            self.run_stage(stage);
         }
         let report = self.pipeline.assemble(
             &self.ctx,

@@ -119,10 +119,22 @@ mod tests {
 
     /// A one-overlay short-timeline entry with the given raw overlay hour fields.
     fn crafted(onset_delay_hours: &str, window_hours: &str) -> String {
+        crafted_plan("san-misconfiguration", onset_delay_hours, window_hours, "1", "10", r#"{"kind":"none"}"#)
+    }
+
+    /// A one-overlay short-timeline entry with every raw plan field given.
+    fn crafted_plan(
+        kind: &str,
+        onset_delay_hours: &str,
+        window_hours: &str,
+        intensity: &str,
+        scale_factor: &str,
+        noise: &str,
+    ) -> String {
         format!(
-            "{{\"plan\":{{\"id\":\"crafted\",\"seed\":\"1\",\"timeline\":\"short\",\"scale_factor\":10,\
-             \"noise\":{{\"kind\":\"none\"}},\"overlays\":[{{\"kind\":\"san-misconfiguration\",\
-             \"onset_delay_hours\":{onset_delay_hours},\"window_hours\":{window_hours},\"intensity\":1}}],\
+            "{{\"plan\":{{\"id\":\"crafted\",\"seed\":\"1\",\"timeline\":\"short\",\"scale_factor\":{scale_factor},\
+             \"noise\":{noise},\"overlays\":[{{\"kind\":\"{kind}\",\
+             \"onset_delay_hours\":{onset_delay_hours},\"window_hours\":{window_hours},\"intensity\":{intensity}}}],\
              \"expected\":[{{\"cause_id\":\"san-misconfiguration-contention\",\"min_confidence\":\"high\"}}]}},\
              \"expected_violations\":[],\"notes\":\"\"}}"
         )
@@ -147,6 +159,40 @@ mod tests {
                 BugbaseEntry::from_json(&text).is_err(),
                 "onset {onset}, window {window} must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn out_of_range_plan_numbers_are_errors() {
+        let spikes = |sigma: &str, prob: &str, factor: &str| {
+            format!(
+                r#"{{"kind":"gaussian-with-spikes","sigma":{sigma},"spike_prob":{prob},"spike_factor":{factor}}}"#
+            )
+        };
+        let gaussian = |sigma: &str| format!(r#"{{"kind":"gaussian","sigma":{sigma}}}"#);
+        let entry = |kind: &str, intensity: &str, scale_factor: &str, noise: &str| {
+            BugbaseEntry::from_json(&crafted_plan(kind, "0", "null", intensity, scale_factor, noise))
+        };
+        let lock = "table-lock-contention";
+        let san = "san-misconfiguration";
+        assert!(entry(lock, "1.5", "10", &spikes("0.08", "0.06", "4")).is_ok());
+        assert!(entry(san, "0.75", "10", &gaussian("0")).is_ok());
+        assert!(entry(san, "1", "10", &spikes("0.02", "0", "4")).is_ok());
+        assert!(entry(san, "1", "10", &spikes("0.02", "1", "4")).is_ok());
+        for (what, parsed) in [
+            ("negative intensity", entry(lock, "-3", "10", &gaussian("0.02"))),
+            ("zero intensity", entry(san, "0", "10", &gaussian("0.02"))),
+            ("infinite intensity", entry(san, "1e999", "10", &gaussian("0.02"))),
+            ("infinite scale factor", entry(san, "1", "1e999", &gaussian("0.02"))),
+            ("negative scale factor", entry(san, "1", "-5", &gaussian("0.02"))),
+            ("negative sigma", entry(san, "1", "10", &gaussian("-5"))),
+            ("infinite sigma", entry(san, "1", "10", &spikes("1e999", "0.06", "4"))),
+            ("spike probability over one", entry(san, "1", "10", &spikes("0.02", "5", "4"))),
+            ("negative spike probability", entry(san, "1", "10", &spikes("0.02", "-0.1", "4"))),
+            ("zero spike factor", entry(san, "1", "10", &spikes("0.02", "0.06", "0"))),
+            ("infinite spike factor", entry(san, "1", "10", &spikes("0.02", "0.06", "1e999"))),
+        ] {
+            assert!(parsed.is_err(), "{what} must be rejected");
         }
     }
 

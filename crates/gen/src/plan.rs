@@ -234,6 +234,33 @@ fn hours(v: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("plan: overlay {key:?} overflows the simulated clock"))
 }
 
+/// A multiplier the generator only ever draws finite and positive.
+fn positive(x: f64, key: &str) -> Result<f64, String> {
+    if x.is_finite() && x > 0.0 {
+        Ok(x)
+    } else {
+        Err(format!("plan: {key:?} must be finite and > 0, got {x}"))
+    }
+}
+
+/// A noise standard deviation: finite and non-negative.
+fn sigma(x: f64) -> Result<f64, String> {
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(format!("plan: \"sigma\" must be finite and >= 0, got {x}"))
+    }
+}
+
+/// A probability: in [0, 1].
+fn probability(x: f64, key: &str) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&x) {
+        Ok(x)
+    } else {
+        Err(format!("plan: {key:?} must be in [0, 1], got {x}"))
+    }
+}
+
 fn parse_confidence(s: &str) -> Result<ConfidenceLevel, String> {
     match s {
         "high" => Ok(ConfidenceLevel::High),
@@ -316,10 +343,12 @@ impl GenPlan {
         let id = str_field("id")?;
         let seed: u64 = str_field("seed")?.parse().map_err(|e| format!("plan: bad seed: {e}"))?;
         let timeline = TimelineKind::parse(&str_field("timeline")?)?;
-        let scale_factor = doc
-            .get("scale_factor")
-            .and_then(Json::as_f64)
-            .ok_or("plan: missing number field \"scale_factor\"")?;
+        let scale_factor = positive(
+            doc.get("scale_factor")
+                .and_then(Json::as_f64)
+                .ok_or("plan: missing number field \"scale_factor\"")?,
+            "scale_factor",
+        )?;
         let noise_doc = doc.get("noise").ok_or("plan: missing \"noise\"")?;
         let noise_num = |key: &str| -> Result<f64, String> {
             noise_doc
@@ -329,11 +358,11 @@ impl GenPlan {
         };
         let noise = match noise_doc.get("kind").and_then(Json::as_str) {
             Some("none") => NoiseSpec::None,
-            Some("gaussian") => NoiseSpec::Gaussian { sigma: noise_num("sigma")? },
+            Some("gaussian") => NoiseSpec::Gaussian { sigma: sigma(noise_num("sigma")?)? },
             Some("gaussian-with-spikes") => NoiseSpec::GaussianWithSpikes {
-                sigma: noise_num("sigma")?,
-                spike_prob: noise_num("spike_prob")?,
-                spike_factor: noise_num("spike_factor")?,
+                sigma: sigma(noise_num("sigma")?)?,
+                spike_prob: probability(noise_num("spike_prob")?, "spike_prob")?,
+                spike_factor: positive(noise_num("spike_factor")?, "spike_factor")?,
             },
             other => return Err(format!("plan: unknown noise kind {other:?}")),
         };
@@ -372,8 +401,10 @@ impl GenPlan {
                     Some(h)
                 }
             };
-            let intensity =
-                o.get("intensity").and_then(Json::as_f64).ok_or("plan: overlay missing \"intensity\"")?;
+            let intensity = positive(
+                o.get("intensity").and_then(Json::as_f64).ok_or("plan: overlay missing \"intensity\"")?,
+                "intensity",
+            )?;
             overlays.push(OverlaySpec { kind, onset_delay_hours, window_hours, intensity });
         }
         let mut expected = Vec::new();

@@ -1,14 +1,11 @@
 //! Compound faults: database and SAN problems hitting the same report query at the
 //! same time — the capability the paper calls unique to an integrated tool. DIADS
 //! identifies both problems, impact analysis ranks them, and the remediation
-//! planner (appended to the diagnosis pipeline as a custom stage) turns the report
-//! into what-if-evaluated next steps.
+//! planner turns the report into what-if-evaluated next steps.
 //!
 //! Run with `cargo run --release --example concurrent_db_san_problems`.
 
-use diads::core::{
-    ConfidenceLevel, DiagnosisPipeline, Planner, PlannerStage, Stage, Testbed, WorkflowSession,
-};
+use diads::core::{ConfidenceLevel, Planner, Testbed};
 use diads::inject::scenarios::{
     compound_lock_and_interloper_scenario, scenario_4, scenario_5, ScenarioTimeline,
 };
@@ -41,18 +38,11 @@ fn main() {
     println!("\n=== Compound: lock contention during SAN interloper load (staggered onsets) ===\n");
     let scenario = compound_lock_and_interloper_scenario(timeline);
     let outcome = Testbed::run_scenario(&scenario);
-    let apg = outcome.apg();
-    let events = outcome.testbed.all_events();
-    let ctx = outcome.context(&apg, &events);
-    // The planner rides the pipeline as a custom stage appended after IA; the
-    // session exposes its ledger slot.
-    let stage = PlannerStage::new(Planner::for_outcome(&outcome), &outcome.testbed);
-    let pipeline = DiagnosisPipeline::standard().insert_after(Stage::ImpactAnalysis, Box::new(stage));
-    println!("Pipeline: {}\n", pipeline.stage_names().join(" -> "));
-    let mut session = WorkflowSession::with_pipeline(pipeline, ctx);
-    let report = session.finish();
+    // Diagnose, then plan: the planner derives candidate changes from the report's
+    // ranked causes and what-if-evaluates each against a fork of the deployment.
+    let report = diads::diagnose_scenario_outcome(&outcome);
     println!("{}", report.render());
-    let plan = session.state().remediation.clone().expect("the PLAN stage filled the ledger slot");
+    let plan = Planner::for_outcome(&outcome).plan(&report, &outcome.testbed);
     print!("{}", plan.render());
     println!(
         "\nBoth layers are guilty (the lock window opened two hours into the interloper load);\n\

@@ -2,13 +2,13 @@
 //! component's metrics, then drive the diagnosis pipeline stage by stage — editing
 //! module CO's result before the downstream stages consume it, exactly as the paper's
 //! administrator-in-the-loop mode allows. The session is a thin driver over the same
-//! [`DiagnosisPipeline`] batch diagnosis runs, so the finished report (and its stage
+//! `DiagnosisPipeline` batch diagnosis runs, so the finished report (and its stage
 //! provenance) is identical to a batch run over the edited evidence.
 //!
 //! Run with `cargo run --release --example interactive_workflow`.
 
 use diads::core::screens::{apg_visualization_screen, query_selection_screen, workflow_screen};
-use diads::core::{DiagnosisPipeline, DiagnosisWorkflow, Testbed, WorkflowSession};
+use diads::core::{DiagnosisWorkflow, Testbed, WorkflowSession};
 use diads::db::OperatorId;
 use diads::inject::scenarios::{scenario_1, ScenarioTimeline};
 use diads::monitor::ComponentId;
@@ -50,18 +50,4 @@ fn main() {
 
     let report = session.finish();
     println!("{}", report.render());
-
-    // The same drill, recomposed: a SAN-only triage pipeline that skips Plan
-    // Diffing and record counts entirely — one of the scenario shapes the
-    // composable pipeline opens up. Stages the triage skips simply fall back to
-    // empty evidence; the report stays well-formed.
-    let triage = DiagnosisPipeline::standard()
-        .skip(diads::core::Stage::PlanDiffing)
-        .skip(diads::core::Stage::RecordCounts)
-        .run(&ctx);
-    println!(
-        "SAN-only triage (stages {:?}) still ranks: {}",
-        triage.provenance.stages.iter().map(|s| s.stage.as_str()).collect::<Vec<_>>(),
-        triage.primary_cause().expect("ranked").cause_id
-    );
 }

@@ -15,8 +15,8 @@
 //!   optimizer, buffer cache, locks, executor);
 //! * [`workload`] — the TPC-H-like schema and the Figure-1 Q2 plan;
 //! * [`inject`] — the fault injector and the Table-1 evaluation scenarios;
-//! * [`core`] — Annotated Plan Graphs, the composable diagnosis pipeline (the PD, CO,
-//!   DA, CR, SD, IA stages over a typed evidence ledger, with per-stage provenance),
+//! * [`core`] — Annotated Plan Graphs, the diagnosis pipeline (the fixed PD, CO,
+//!   DA, CR, SD, IA stage sequence over a typed evidence ledger, with per-stage provenance),
 //!   the fleet-level diagnosis engine, the symptoms database, impact analysis, the
 //!   silo-tool baselines, the text screens and the what-if extension;
 //! * [`gen`] — the generative scenario engine: seeded fault-plan generation,

@@ -110,7 +110,6 @@ fn session_cancel_at_every_stage_boundary_of_every_scenario() {
                     if i < k { "filled" } else { "empty" }
                 );
             }
-            assert!(session.state().remediation.is_none(), "no remediation on a partial ledger");
 
             // Resume: only the cancelled stages re-run, landing on the
             // uncancelled findings.

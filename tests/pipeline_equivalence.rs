@@ -1,20 +1,20 @@
-//! Equivalence and composability tests for the [`DiagnosisPipeline`].
+//! Equivalence tests for the [`DiagnosisPipeline`].
 //!
 //! The pipeline is the *only* batch execution path now, so equivalence is pinned
 //! against an independent, manually-sequenced composition of the module methods —
 //! PD → CO → (DA, re-drilled against the new plan's APG when PD found a plan
 //! change) → CR → SD → IA — rather than against a retired twin implementation.
-//! The composability half exercises the builder: skipped stages fall back to
-//! well-formed empty inputs, custom stages rewrite the evidence ledger, and
-//! sinks stream per-stage progress.
+//! The rest pins what rides on the pipeline: sinks stream per-stage progress,
+//! the planner reads a finished session's report like a batch one, and session
+//! edits invalidate downstream stages.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use diads::core::workflow::CorrelatedOperatorsResult;
 use diads::core::{
-    DiagnosisCache, DiagnosisContext, DiagnosisPipeline, DiagnosisReport, DiagnosisStage, DiagnosisState,
-    DiagnosisWorkflow, EventSink, PipelineEvent, Stage, StageCtx, StageProvenance, Testbed, WorkflowSession,
+    DiagnosisCache, DiagnosisContext, DiagnosisPipeline, DiagnosisReport, DiagnosisState, DiagnosisWorkflow,
+    EventSink, PipelineEvent, StageProvenance, Testbed, WorkflowSession,
 };
 use diads::inject::scenarios::{all_scenarios, scenario_1, ScenarioTimeline};
 
@@ -111,85 +111,6 @@ fn refit_baseline_matches_cached_pipeline_over_all_scenarios() {
     }
 }
 
-/// Skipping Plan Diffing must still produce a well-formed report: the drill-down
-/// proceeds as if the plan were stable, every remaining stage runs, and the causes
-/// are still ranked.
-#[test]
-fn skipping_plan_diffing_still_produces_a_well_formed_report() {
-    let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
-    let apg = outcome.apg();
-    let events = outcome.testbed.all_events();
-    let ctx = outcome.context(&apg, &events);
-
-    let report = DiagnosisPipeline::standard().skip(Stage::PlanDiffing).run(&ctx);
-    let ran: Vec<&str> = report.provenance.stages.iter().map(|s| s.stage.as_str()).collect();
-    assert_eq!(ran, vec!["CO", "DA", "CR", "SD", "IA"], "PD must not appear in the stage trail");
-    assert!(!report.plan_changed, "a skipped PD reads as no plan-change evidence");
-    assert!(!report.causes.is_empty(), "causes must still be ranked");
-    assert!(!report.correlated_operators.is_empty(), "CO must still run without PD");
-    assert_eq!(
-        report.primary_cause().expect("ranked").cause_id,
-        "san-misconfiguration-contention",
-        "the drill-down evidence still dominates without PD"
-    );
-}
-
-/// A SAN-only triage pipeline — skip PD *and* CR — exercises two missing ledger
-/// slots at once (SD and IA read empty record-count results).
-#[test]
-fn san_only_triage_pipeline_skips_pd_and_cr() {
-    let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
-    let apg = outcome.apg();
-    let events = outcome.testbed.all_events();
-    let ctx = outcome.context(&apg, &events);
-
-    let report = DiagnosisPipeline::standard().skip(Stage::PlanDiffing).skip(Stage::RecordCounts).run(&ctx);
-    let ran: Vec<&str> = report.provenance.stages.iter().map(|s| s.stage.as_str()).collect();
-    assert_eq!(ran, vec!["CO", "DA", "SD", "IA"]);
-    assert!(report.record_count_changes.is_empty());
-    assert_eq!(report.primary_cause().expect("ranked").cause_id, "san-misconfiguration-contention");
-}
-
-/// A custom stage inserted after CO can rewrite the evidence ledger; downstream
-/// stages consume the edited result — the programmatic version of the paper's
-/// administrator-in-the-loop edit.
-#[test]
-fn custom_stage_edits_flow_into_downstream_stages() {
-    /// Keeps only the two partsupp leaf scans in the correlated-operator set.
-    struct PartsuppOnly;
-    impl DiagnosisStage for PartsuppOnly {
-        fn name(&self) -> &str {
-            "PARTSUPP-ONLY"
-        }
-        fn prerequisites(&self) -> &[Stage] {
-            &[Stage::CorrelatedOperators]
-        }
-        fn run(&self, s: &mut StageCtx<'_, '_>) {
-            let keep = [diads::db::OperatorId(8), diads::db::OperatorId(22)];
-            if let Some(cos) = &mut s.state.cos {
-                cos.correlated.retain(|op| keep.contains(op));
-            }
-        }
-    }
-
-    let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
-    let apg = outcome.apg();
-    let events = outcome.testbed.all_events();
-    let ctx = outcome.context(&apg, &events);
-
-    let pipeline =
-        DiagnosisPipeline::standard().insert_after(Stage::CorrelatedOperators, Box::new(PartsuppOnly));
-    assert_eq!(pipeline.stage_names(), vec!["PD", "CO", "PARTSUPP-ONLY", "DA", "CR", "SD", "IA"]);
-    let report = pipeline.run(&ctx);
-    assert_eq!(
-        report.correlated_operators,
-        vec!["O8".to_string(), "O22".to_string()],
-        "downstream stages must see the edited operator set"
-    );
-    assert_eq!(report.primary_cause().expect("ranked").cause_id, "san-misconfiguration-contention");
-    assert_eq!(report.provenance.stages.len(), 7);
-}
-
 /// Observers stream per-stage progress: every stage reports in order, with the
 /// ledger reflecting everything completed so far.
 #[test]
@@ -218,57 +139,28 @@ fn on_stage_complete_observers_stream_progress() {
     assert!(report.provenance.stages.iter().any(|s| s.cache_misses > 0), "cold run must fit variables");
 }
 
-/// The remediation planner as a custom stage appended after the standard
-/// sequence — the `insert_after` consumer the machinery was built for. The stage
-/// list grows by `"PLAN"`, the report's findings are bit-identical to the plain
-/// standard pipeline (the planner only *reads* the ledger), and the
-/// [`diads::core::RemediationPlan`] lands in the ledger's `remediation` slot,
-/// where both observers and interactive sessions read it.
+/// The remediation planner reads a diagnosis report, however it was produced: the
+/// plan over a finished interactive session's report equals the plan over the
+/// batch report, and it ranks a real fix for scenario 1 first.
 #[test]
-fn planner_stage_appends_to_the_standard_pipeline_and_fills_the_ledger() {
-    use diads::core::{Planner, PlannerStage, RemediationPlan};
+fn planner_plans_a_finished_session_like_a_batch_report() {
+    use diads::core::Planner;
 
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
     let ctx = outcome.context(&apg, &events);
+    let planner = Planner::for_outcome(&outcome);
 
-    let stage = PlannerStage::new(Planner::for_outcome(&outcome), &outcome.testbed);
-    let observed: Arc<Mutex<Option<RemediationPlan>>> = Arc::new(Mutex::new(None));
-    let sink = Arc::clone(&observed);
-    let pipeline = DiagnosisPipeline::standard()
-        .insert_after(Stage::ImpactAnalysis, Box::new(stage))
-        .with_sink(OnStageCompleted(move |provenance: &StageProvenance, state: &DiagnosisState| {
-            if provenance.stage == PlannerStage::NAME {
-                *sink.lock().unwrap() = state.remediation.clone();
-            }
-        }));
-    assert_eq!(pipeline.stage_names(), vec!["PD", "CO", "DA", "CR", "SD", "IA", "PLAN"]);
-
-    let report = pipeline.run(&ctx);
-    assert_eq!(report.provenance.stages.len(), 7, "PLAN appears in the stage trail");
-    assert_eq!(report, DiagnosisPipeline::standard().run(&ctx), "the planner must not alter findings");
-
-    let plan = observed.lock().unwrap().take().expect("the PLAN observer fired with the ledger slot set");
+    let batch = DiagnosisPipeline::standard().run(&ctx);
+    let plan = planner.plan(&batch, &outcome.testbed);
     let best = plan.best().expect("scenario 1 has evaluable remediations");
     assert!(best.improvement() > 0.1, "{}", plan.render());
     assert_eq!(best.candidates[0].cause_id, "san-misconfiguration-contention");
 
-    // The interactive route reads the same slot straight off the session ledger —
-    // running PLAN pulls its SD prerequisite chain in, but not IA.
-    let stage = PlannerStage::new(Planner::for_outcome(&outcome), &outcome.testbed);
-    let session_pipeline = DiagnosisPipeline::standard().insert_after(Stage::ImpactAnalysis, Box::new(stage));
-    let mut session = WorkflowSession::with_pipeline(session_pipeline, ctx);
-    assert!(session.run_stage(PlannerStage::NAME));
-    assert_eq!(session.completed_modules(), vec!["PD", "CO", "DA", "CR", "SD", "PLAN"]);
-    let session_plan = session.state().remediation.clone().expect("ledger slot filled");
-    assert_eq!(session_plan, plan, "session and batch derive the same plan");
-    // Editing an upstream result invalidates the plan along with the standard
-    // downstream slots; finishing recomputes both.
-    session.edit_correlated_operators(vec![diads::db::OperatorId(8)]);
-    assert!(session.state().remediation.is_none(), "edits stale the remediation slot");
-    session.finish();
-    assert!(session.state().remediation.is_some(), "finish re-runs the planner stage");
+    let mut session = WorkflowSession::new(DiagnosisWorkflow::new(), ctx);
+    let finished = session.finish();
+    assert_eq!(planner.plan(&finished, &outcome.testbed), plan, "session and batch derive the same plan");
 }
 
 /// A changed plan no longer gates CO/DA/CR off — DA re-drills against the new
@@ -316,16 +208,15 @@ fn workflow_run_is_the_standard_pipeline() {
 }
 
 /// Editing a result through the session invalidates downstream slots, and the
-/// edited set drives recomputation — with a custom pipeline under the session.
+/// edited set drives recomputation.
 #[test]
-fn session_edit_invalidation_works_over_a_recomposed_pipeline() {
+fn session_edit_invalidation_works_over_the_standard_pipeline() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
     let ctx = outcome.context(&apg, &events);
 
-    let pipeline = DiagnosisPipeline::standard().skip(Stage::RecordCounts);
-    let mut session = WorkflowSession::with_pipeline(pipeline, ctx);
+    let mut session = WorkflowSession::new(DiagnosisWorkflow::new(), ctx);
     session.run_dependency_analysis();
     assert_eq!(session.completed_modules(), vec!["CO", "DA"], "DA pulled CO in, PD untouched");
     session.edit_correlated_operators(vec![diads::db::OperatorId(8)]);
@@ -333,73 +224,7 @@ fn session_edit_invalidation_works_over_a_recomposed_pipeline() {
     assert!(session.state().da.is_none());
     let report = session.finish();
     assert_eq!(report.correlated_operators, vec!["O8".to_string()]);
-    assert!(report.record_count_changes.is_empty(), "CR stays skipped");
     // An empty CO edit composes with default results everywhere downstream.
     let empty = CorrelatedOperatorsResult { scores: BTreeMap::new(), correlated: vec![] };
     assert_eq!(empty, CorrelatedOperatorsResult::default());
-}
-
-/// The typed `run_*` helpers must degrade gracefully — not panic — when the
-/// session's pipeline skips that stage.
-#[test]
-fn typed_helpers_return_none_for_skipped_stages() {
-    let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
-    let apg = outcome.apg();
-    let events = outcome.testbed.all_events();
-    let ctx = outcome.context(&apg, &events);
-
-    let pipeline = DiagnosisPipeline::standard().skip(Stage::PlanDiffing).skip(Stage::RecordCounts);
-    let mut session = WorkflowSession::with_pipeline(pipeline, ctx);
-    assert!(session.run_plan_diffing().is_none(), "skipped PD must be a no-op, not a panic");
-    assert!(session.run_record_counts().is_none(), "skipped CR must be a no-op, not a panic");
-    assert!(session.run_correlated_operators().is_some());
-    assert!(!session.finish().causes.is_empty());
-}
-
-/// Downstream invalidation follows pipeline order for both completion flags and
-/// ledger slots, so a reordered pipeline can never end up with a cleared slot
-/// stranded behind a still-set completion flag.
-#[test]
-fn reordered_pipeline_invalidation_keeps_flags_and_slots_consistent() {
-    let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
-    let apg = outcome.apg();
-    let events = outcome.testbed.all_events();
-    let ctx = outcome.context(&apg, &events);
-
-    // A deliberately reversed pipeline: DA first (its CO prerequisite sits later in
-    // the pipeline and is pulled in on demand), then CO.
-    let pipeline = DiagnosisPipeline::empty(DiagnosisWorkflow::new())
-        .push(Box::new(Stage::DependencyAnalysis))
-        .push(Box::new(Stage::CorrelatedOperators));
-    let mut session = WorkflowSession::with_pipeline(pipeline, ctx);
-    assert!(session.run_stage("DA"));
-    assert_eq!(session.completed_modules(), vec!["DA", "CO"], "CO ran first as DA's prerequisite");
-    session.edit_correlated_operators(vec![diads::db::OperatorId(8)]);
-    // Nothing sits after CO in *pipeline* order, so nothing is invalidated — and in
-    // particular DA's slot is not cleared while its completion flag stays set.
-    assert_eq!(session.completed_modules(), vec!["DA", "CO"]);
-    assert!(session.state().da.is_some(), "completed DA must keep its ledger slot");
-}
-
-/// Editing a result whose stage is not in the pipeline at all must still invalidate
-/// downstream stages coherently: the cleared ledger slots drag the matching
-/// completion flags down with them, so a re-finish recomputes instead of
-/// assembling an empty report.
-#[test]
-fn editing_outside_the_pipeline_still_invalidates_coherently() {
-    let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
-    let apg = outcome.apg();
-    let events = outcome.testbed.all_events();
-    let ctx = outcome.context(&apg, &events);
-
-    let pipeline = DiagnosisPipeline::standard().skip(Stage::CorrelatedOperators);
-    let mut session = WorkflowSession::with_pipeline(pipeline, ctx);
-    let first = session.finish();
-    assert!(!first.causes.is_empty());
-    // CO is not in the pipeline; the edit falls back to the workflow-order rule and
-    // must mark the cleared downstream stages (DA, CR, SD, IA) incomplete too.
-    session.edit_correlated_operators(vec![diads::db::OperatorId(8)]);
-    assert_eq!(session.completed_modules(), vec!["PD"], "downstream flags must drop with their slots");
-    let second = session.finish();
-    assert_eq!(first, second, "re-finish recomputes the same report, not an empty one");
 }
