@@ -7,7 +7,7 @@ use diads_monitor::noise::NoiseModel;
 use diads_monitor::{Duration, IntervalSampler, MetricStore, TimeRange, Timestamp};
 use diads_san::topology::paper_testbed;
 use diads_san::workload::{ExternalWorkload, IoProfile};
-use diads_san::SanSimulator;
+use diads_san::{SanSimulator, VolumeLoad};
 use std::hint::black_box;
 
 fn bench_san(c: &mut Criterion) {
@@ -33,6 +33,31 @@ fn bench_san(c: &mut Criterion) {
             sim.record_metrics(
                 TimeRange::new(Timestamp::ZERO, Timestamp::new(3_600)),
                 &[],
+                &mut sampler,
+                &mut store,
+            );
+            sampler.flush(&mut store);
+            black_box(store.point_count())
+        })
+    });
+    // What a scenario passes: one load per query run and volume. Twelve runs of
+    // two minutes, one every five minutes, each reading V1 and V2.
+    let query_loads: Vec<VolumeLoad> = (0..12u64)
+        .flat_map(|run| {
+            let window = TimeRange::with_duration(Timestamp::new(run * 300), Duration::from_secs(120));
+            [
+                VolumeLoad::new("V1", IoProfile::oltp(180.0, 9.0), window),
+                VolumeLoad::new("V2", IoProfile::oltp(60.0, 3.0), window),
+            ]
+        })
+        .collect();
+    group.bench_function("record_metrics_1h_query_loads", |b| {
+        b.iter(|| {
+            let mut sampler = IntervalSampler::new(Duration::from_mins(5), NoiseModel::None, 1);
+            let mut store = MetricStore::new();
+            sim.record_metrics(
+                TimeRange::new(Timestamp::ZERO, Timestamp::new(3_600)),
+                &query_loads,
                 &mut sampler,
                 &mut store,
             );

@@ -121,26 +121,6 @@ impl Stage {
         }
     }
 
-    /// The stages whose ledger slots this stage *reads*. The interactive session
-    /// uses this for lazy execution: it runs a stage's unmet prerequisites first.
-    pub fn prerequisites(self) -> &'static [Stage] {
-        match self {
-            Stage::PlanDiffing => &[],
-            Stage::CorrelatedOperators => &[],
-            Stage::DependencyAnalysis => &[Stage::CorrelatedOperators],
-            Stage::RecordCounts => &[Stage::CorrelatedOperators],
-            Stage::Symptoms => &[
-                Stage::PlanDiffing,
-                Stage::CorrelatedOperators,
-                Stage::DependencyAnalysis,
-                Stage::RecordCounts,
-            ],
-            Stage::ImpactAnalysis => {
-                &[Stage::CorrelatedOperators, Stage::DependencyAnalysis, Stage::RecordCounts, Stage::Symptoms]
-            }
-        }
-    }
-
     /// The slot index in workflow order (the position in `Stage::ALL`).
     fn index(self) -> usize {
         self as usize
@@ -153,13 +133,13 @@ impl Stage {
         !matches!(self, Stage::PlanDiffing | Stage::ImpactAnalysis)
     }
 
-    /// The stages whose *results* feed this stage during incremental re-diagnosis.
-    ///
-    /// Broader than [`Stage::prerequisites`]: CO, DA and CR additionally consult
-    /// PD's verdict through [`DiagnosisState::plan_changed`] (a changed plan flips
-    /// DA — and SD, via `pd` — into re-drill mode), so a changed PD result must
-    /// re-run them even though their declared prerequisites omit PD.
-    fn staleness_deps(self) -> &'static [Stage] {
+    /// The stages whose *results* feed this stage: the ledger slots it reads, plus
+    /// PD for CO, DA and CR, which consult PD's verdict through
+    /// [`DiagnosisState::plan_changed`] (a changed plan flips DA — and SD, via
+    /// `pd` — into re-drill mode). The interactive session runs a stage's unmet
+    /// dependencies first; incremental re-diagnosis re-runs a stage when one of
+    /// them produced a different result.
+    pub(crate) fn staleness_deps(self) -> &'static [Stage] {
         match self {
             Stage::PlanDiffing => &[],
             Stage::CorrelatedOperators => &[Stage::PlanDiffing],
@@ -322,7 +302,7 @@ fn missing_pd() -> PlanDiffResult {
 
 impl Stage {
     /// Executes the stage: reads its inputs from `state`, scores through `cache`
-    /// and writes its result back into `state`. A prerequisite slot that is still
+    /// and writes its result back into `state`. A dependency's slot that is still
     /// empty reads as an empty result (PD: "no plan-diff evidence").
     fn run(
         self,
@@ -618,11 +598,6 @@ impl DiagnosisPipeline {
         Emitter::new(&self.sinks, None, self.cancel.as_ref())
     }
 
-    /// The workflow the stages consult.
-    pub fn workflow(&self) -> &DiagnosisWorkflow {
-        &self.workflow
-    }
-
     /// Registers an [`EventSink`] receiving every [`PipelineEvent`] of every run of
     /// this pipeline, on the diagnosing thread. Sinks do not change what a run
     /// computes.
@@ -843,9 +818,13 @@ mod tests {
     fn standard_stage_names_and_prerequisites() {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names, vec!["PD", "CO", "DA", "CR", "SD", "IA"]);
-        assert!(Stage::PlanDiffing.prerequisites().is_empty());
-        assert_eq!(Stage::DependencyAnalysis.prerequisites(), &[Stage::CorrelatedOperators]);
-        assert_eq!(Stage::Symptoms.prerequisites().len(), 4);
+        assert!(Stage::PlanDiffing.staleness_deps().is_empty());
+        assert_eq!(
+            Stage::DependencyAnalysis.staleness_deps(),
+            &[Stage::PlanDiffing, Stage::CorrelatedOperators],
+            "DA reads PD's verdict to pick re-drill mode"
+        );
+        assert_eq!(Stage::Symptoms.staleness_deps().len(), 4);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! administrator inspect and edit intermediate results, and re-executes downstream
 //! modules on the edited inputs. [`WorkflowSession`] implements exactly that over
 //! the pipeline's six stages: it owns the [`DiagnosisState`] evidence ledger, runs
-//! any stage (after its unmet prerequisites) on demand, invalidates downstream slots
+//! any stage (after the unmet stages it depends on) on demand, invalidates downstream slots
 //! on edits, and [`WorkflowSession::finish`] completes the remaining stages and
 //! assembles the same provenance-carrying report batch diagnosis produces —
 //! interactive and batch share one execution path. A stage counts as complete when
@@ -53,11 +53,6 @@ impl<'a> WorkflowSession<'a> {
         }
     }
 
-    /// The pipeline the session drives.
-    pub fn pipeline(&self) -> &DiagnosisPipeline {
-        &self.pipeline
-    }
-
     /// The evidence ledger as it stands.
     pub fn state(&self) -> &DiagnosisState {
         &self.state
@@ -79,11 +74,13 @@ impl<'a> WorkflowSession<'a> {
         self.state.completed().into_iter().map(str::to_string).collect()
     }
 
-    /// Executes (or re-executes) `stage`, running its unmet prerequisites first.
+    /// Executes (or re-executes) `stage`, running the unmet stages whose results it
+    /// depends on first — so a session's report does not depend on the order its
+    /// stages are called in.
     pub fn run_stage(&mut self, stage: Stage) {
-        for prerequisite in stage.prerequisites() {
-            if !self.state.is_complete(*prerequisite) {
-                self.run_stage(*prerequisite);
+        for dependency in stage.staleness_deps() {
+            if !self.state.is_complete(*dependency) {
+                self.run_stage(*dependency);
             }
         }
         let provenance = self.pipeline.run_stage(stage, &self.ctx, &mut self.cache, &mut self.state);
@@ -111,33 +108,32 @@ impl<'a> WorkflowSession<'a> {
         self.state.pd.as_ref().expect("a stage run fills its slot")
     }
 
-    /// Executes (or re-executes) module CO. Re-executions reuse the session's cached
-    /// KDE fits.
+    /// Executes (or re-executes) module CO; runs PD first if needed. Re-executions
+    /// reuse the session's cached KDE fits.
     pub fn run_correlated_operators(&mut self) -> &CorrelatedOperatorsResult {
         self.run_stage(Stage::CorrelatedOperators);
         self.state.cos.as_ref().expect("a stage run fills its slot")
     }
 
-    /// Executes (or re-executes) module DA; runs CO first if needed.
+    /// Executes (or re-executes) module DA; runs PD and CO first if needed.
     pub fn run_dependency_analysis(&mut self) -> &DependencyAnalysisResult {
         self.run_stage(Stage::DependencyAnalysis);
         self.state.da.as_ref().expect("a stage run fills its slot")
     }
 
-    /// Executes (or re-executes) module CR; runs CO first if needed.
+    /// Executes (or re-executes) module CR; runs PD and CO first if needed.
     pub fn run_record_counts(&mut self) -> &RecordCountResult {
         self.run_stage(Stage::RecordCounts);
         self.state.cr.as_ref().expect("a stage run fills its slot")
     }
 
-    /// Executes (or re-executes) module SD; runs the prerequisite modules first if
-    /// needed.
+    /// Executes (or re-executes) module SD; runs PD, CO, DA and CR first if needed.
     pub fn run_symptoms(&mut self) -> &SymptomsResult {
         self.run_stage(Stage::Symptoms);
         self.state.sd.as_ref().expect("a stage run fills its slot")
     }
 
-    /// Executes (or re-executes) module IA; runs the prerequisite modules first if
+    /// Executes (or re-executes) module IA; runs the modules it depends on first if
     /// needed.
     pub fn run_impact_analysis(&mut self) -> &ImpactResult {
         self.run_stage(Stage::ImpactAnalysis);

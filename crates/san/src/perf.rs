@@ -14,13 +14,27 @@
 //! and rebuild traffic. Both views are recorded, exactly like an enterprise controller
 //! (and both appear in an operator's dependency path, so dependency analysis sees the
 //! contention wherever it physically manifests).
+//!
+//! Per-instant evaluation: every disk of a pool sees the same load, so the model is
+//! evaluated once per instant rather than once per disk. For one instant and one set
+//! of extra loads, each volume's offered load and each pool's disk utilisation are
+//! computed once; a response time, and every volume, pool, disk and HBA sample of a
+//! recording step, read them from there. The arithmetic is the per-disk model's,
+//! step for step: a disk reads the utilisation of the first pool (in name order)
+//! that lists it, and a volume still averages one value per live disk.
+//!
+//! Extra loads that are inactive at the instant are still blended in, as
+//! [`IoProfile::IDLE`]. Blending `IDLE` into a profile recomputes each of its
+//! weighted means as `(x·y)/x`, which IEEE arithmetic does not promise returns `y`
+//! exactly; skipping those loads would make the model's output rest on that
+//! rounding, so every load takes part in the same order as always.
 
 use diads_monitor::{
     ComponentId, ComponentKind, Duration, IntervalSampler, MetricKey, MetricName, MetricSink, TimeRange,
     Timestamp,
 };
 
-use crate::topology::SanTopology;
+use crate::topology::{SanTopology, StoragePool, StorageVolume};
 use crate::workload::{ExternalWorkload, IoProfile};
 use crate::{Result, SanError};
 
@@ -164,25 +178,15 @@ impl SanSimulator {
         Ok(())
     }
 
-    /// Total external load offered to a volume at an instant.
-    pub(crate) fn external_volume_load(&self, volume: &str, t: Timestamp) -> IoProfile {
-        let mut total = IoProfile::IDLE;
-        for w in &self.workloads {
-            if w.volume == volume {
-                let p = w.profile_at(t);
-                total = combine(total, p);
-            }
-        }
-        total
-    }
-
-    /// The combined (external + extra) load on a volume at an instant.
+    /// The combined load on a volume at an instant: every external workload on it,
+    /// then every extra load on it, blended in registration order.
     fn offered_volume_load(&self, volume: &str, t: Timestamp, extra: &[VolumeLoad]) -> IoProfile {
-        let mut total = self.external_volume_load(volume, t);
-        for e in extra {
-            if e.volume == volume {
-                total = combine(total, e.profile_at(t));
-            }
+        let mut total = IoProfile::IDLE;
+        for w in self.workloads.iter().filter(|w| w.volume == volume) {
+            total = combine(total, w.profile_at(t));
+        }
+        for e in extra.iter().filter(|e| e.volume == volume) {
+            total = combine(total, e.profile_at(t));
         }
         total
     }
@@ -201,35 +205,23 @@ impl SanSimulator {
             + (1.0 - seq_fraction) * self.config.random_write_service_ms
     }
 
-    /// Utilisation of one disk at an instant given extra loads, in `[0, 1+)`.
-    ///
-    /// The utilisation is the fraction of the second the disk spends servicing the
-    /// back-end I/O of every volume in its pool (RAID amplification included) plus any
-    /// rebuild traffic.
-    pub(crate) fn disk_utilization(&self, disk: &str, t: Timestamp, extra: &[VolumeLoad]) -> f64 {
-        let Some(d) = self.topology.disk(disk) else { return 0.0 };
-        if d.failed {
-            return 0.0;
-        }
-        let Some(pool) = self
-            .topology
-            .pool_names()
-            .into_iter()
-            .filter_map(|p| self.topology.pool(&p))
-            .find(|p| p.disks.iter().any(|x| x == disk))
-            .cloned()
-        else {
-            return 0.0;
-        };
-        let live_disks = pool
-            .disks
-            .iter()
-            .filter(|d| self.topology.disk(d).map(|x| !x.failed).unwrap_or(false))
-            .count()
-            .max(1) as f64;
+    fn is_live(&self, disk: &str) -> bool {
+        self.topology.disk(disk).is_some_and(|d| !d.failed)
+    }
+
+    /// Utilisation of each live disk of a pool at an instant, in `[0, 1+)`: the
+    /// fraction of the second the disk spends servicing the back-end I/O of every
+    /// volume in the pool (RAID amplification included) plus any rebuild traffic.
+    /// `loads` holds every volume's offered load, in name order.
+    fn pool_utilization(
+        &self,
+        pool: &StoragePool,
+        loads: &[(&StorageVolume, IoProfile)],
+        t: Timestamp,
+    ) -> f64 {
+        let live_disks = pool.disks.iter().filter(|d| self.is_live(d)).count().max(1) as f64;
         let mut busy_ms_per_sec = 0.0;
-        for v in self.topology.volumes_in_pool(&pool.name) {
-            let load = self.offered_volume_load(&v.name, t, extra);
+        for (_, load) in loads.iter().filter(|(v, _)| v.pool == pool.name) {
             if load.total_iops() <= 0.0 {
                 continue;
             }
@@ -253,25 +245,7 @@ impl SanSimulator {
 
     /// Response times experienced by I/O to a volume at an instant, given extra loads.
     pub fn volume_response(&self, volume: &str, t: Timestamp, extra: &[VolumeLoad]) -> VolumeResponse {
-        let disks = self.topology.disks_of_volume(volume);
-        let load = self.offered_volume_load(volume, t, extra);
-        let read_service = self.read_service_ms(load.sequential_fraction);
-        let write_service = self.write_service_ms(load.sequential_fraction);
-        if disks.is_empty() {
-            // No surviving disks: service is effectively unavailable.
-            return VolumeResponse { read_ms: 10_000.0, write_ms: 10_000.0, disk_utilization: 1.0 };
-        }
-        let mut util_sum = 0.0;
-        for d in &disks {
-            util_sum += self.disk_utilization(&d.name, t, extra);
-        }
-        let utilization = (util_sum / disks.len() as f64).min(self.config.max_utilization);
-        let queue_factor = 1.0 / (1.0 - utilization);
-        VolumeResponse {
-            read_ms: read_service * queue_factor,
-            write_ms: write_service * queue_factor,
-            disk_utilization: utilization,
-        }
+        LoadAt::new(self, t, extra).response(volume)
     }
 
     /// Steps through a time range and records raw performance samples for every SAN
@@ -306,22 +280,22 @@ impl SanSimulator {
         sampler: &mut IntervalSampler,
         store: &mut S,
     ) {
+        let at = LoadAt::new(self, t, extra);
         let step_f = step as f64;
-        let mut pool_acc: std::collections::BTreeMap<String, [f64; 6]> = std::collections::BTreeMap::new();
+        let mut pool_acc = vec![[0.0; 6]; at.pools.len()];
         let mut total_bytes = 0.0;
         let mut total_ios = 0.0;
 
         // Volumes (front-end view).
-        for name in self.topology.volume_names() {
-            let load = self.offered_volume_load(&name, t, extra);
-            let resp = self.volume_response(&name, t, extra);
+        for &(volume, load) in &at.loads {
+            let resp = at.response(&volume.name);
             let reads = load.read_iops * step_f;
             let writes = load.write_iops * step_f;
             let bytes_read = load.read_iops * load.read_kb * 1024.0 * step_f;
             let bytes_written = load.write_iops * load.write_kb * 1024.0 * step_f;
             let read_time_s = reads * resp.read_ms / 1000.0;
             let write_time_s = writes * resp.write_ms / 1000.0;
-            let comp = store.intern_component(&ComponentId::volume(&name));
+            let comp = store.intern_component(&ComponentId::volume(&volume.name));
             let mut emit = |metric: MetricName, value: f64| {
                 let key = MetricKey::new(comp, store.intern_metric(&metric));
                 sampler.observe(store, key, t, value);
@@ -344,10 +318,11 @@ impl SanSimulator {
             emit(MetricName::TotalIos, reads + writes);
             emit(MetricName::Utilization, resp.disk_utilization);
 
-            if let Some(pool) = self.topology.pool_of_volume(&name) {
-                let acc = pool_acc.entry(pool.name.clone()).or_insert([0.0; 6]);
-                acc[0] += reads * pool.raid.read_amplification();
-                acc[1] += writes * pool.raid.write_amplification();
+            if let Some(i) = at.pools.iter().position(|(p, _)| p.name == volume.pool) {
+                let raid = at.pools[i].0.raid;
+                let acc = &mut pool_acc[i];
+                acc[0] += reads * raid.read_amplification();
+                acc[1] += writes * raid.write_amplification();
                 acc[2] += bytes_read;
                 acc[3] += bytes_written;
                 acc[4] += read_time_s;
@@ -358,22 +333,14 @@ impl SanSimulator {
         }
 
         // Pools and their disks (back-end view).
-        for pool_name in self.topology.pool_names() {
-            let acc = pool_acc.get(&pool_name).copied().unwrap_or([0.0; 6]);
-            let comp = store.intern_component(&ComponentId::pool(&pool_name));
-            let pool_util = {
-                let pool = self.topology.pool(&pool_name).expect("pool exists");
-                let live: Vec<&str> = pool
-                    .disks
-                    .iter()
-                    .filter(|d| self.topology.disk(d).map(|x| !x.failed).unwrap_or(false))
-                    .map(|d| d.as_str())
-                    .collect();
-                if live.is_empty() {
-                    1.0
-                } else {
-                    live.iter().map(|d| self.disk_utilization(d, t, extra)).sum::<f64>() / live.len() as f64
-                }
+        for (&(pool, _), acc) in at.pools.iter().zip(&pool_acc) {
+            let comp = store.intern_component(&ComponentId::pool(&pool.name));
+            let live_disks = || pool.disks.iter().filter(|d| self.is_live(d));
+            let n_live = live_disks().count();
+            let pool_util = if n_live == 0 {
+                1.0
+            } else {
+                live_disks().map(|d| at.disk_utilization(d)).sum::<f64>() / n_live as f64
             };
             let mut emit = |metric: MetricName, value: f64| {
                 let key = MetricKey::new(comp, store.intern_metric(&metric));
@@ -388,17 +355,10 @@ impl SanSimulator {
             emit(MetricName::TotalIos, acc[0] + acc[1]);
             emit(MetricName::Utilization, pool_util);
 
-            let pool = self.topology.pool(&pool_name).expect("pool exists");
-            let live_disks: Vec<&str> = pool
-                .disks
-                .iter()
-                .filter(|d| self.topology.disk(d).map(|x| !x.failed).unwrap_or(false))
-                .map(|d| d.as_str())
-                .collect();
-            let n = live_disks.len().max(1) as f64;
-            for disk in &live_disks {
-                let comp = store.intern_component(&ComponentId::disk(*disk));
-                let util = self.disk_utilization(disk, t, extra);
+            let n = n_live.max(1) as f64;
+            for disk in live_disks() {
+                let comp = store.intern_component(&ComponentId::disk(disk));
+                let util = at.disk_utilization(disk);
                 let mut emit = |metric: MetricName, value: f64| {
                     let key = MetricKey::new(comp, store.intern_metric(&metric));
                     sampler.observe(store, key, t, value);
@@ -415,8 +375,8 @@ impl SanSimulator {
         }
 
         // Subsystems: aggregate of every pool.
-        for sub in self.topology.subsystem_names() {
-            let comp = store.intern_component(&ComponentId::new(ComponentKind::StorageSubsystem, &sub));
+        for sub in self.topology.subsystems() {
+            let comp = store.intern_component(&ComponentId::new(ComponentKind::StorageSubsystem, &sub.name));
             let mut emit = |metric: MetricName, value: f64| {
                 let key = MetricKey::new(comp, store.intern_metric(&metric));
                 sampler.observe(store, key, t, value);
@@ -427,9 +387,9 @@ impl SanSimulator {
         }
 
         // Fabric: split bytes evenly across switches; errors stay at zero.
-        let n_switches = self.topology.switch_names().len().max(1) as f64;
-        for sw in self.topology.switch_names() {
-            let comp = store.intern_component(&ComponentId::new(ComponentKind::FcSwitch, &sw));
+        let n_switches = self.topology.switches().count().max(1) as f64;
+        for sw in self.topology.switches() {
+            let comp = store.intern_component(&ComponentId::new(ComponentKind::FcSwitch, &sw.name));
             let mut emit = |metric: MetricName, value: f64| {
                 let key = MetricKey::new(comp, store.intern_metric(&metric));
                 sampler.observe(store, key, t, value);
@@ -445,16 +405,15 @@ impl SanSimulator {
         }
 
         // HBAs: traffic of the volumes mapped to their server.
-        for hba_name in self.topology.hba_names() {
-            let Some(hba) = self.topology.hba(&hba_name) else { continue };
+        for hba in self.topology.hbas() {
             let mut bytes = 0.0;
             let mut ios = 0.0;
-            for vol in self.topology.zoning.lun_mapping.volumes_for(&hba.server) {
-                let load = self.offered_volume_load(&vol, t, extra);
+            for vol in self.topology.zoning.lun_mapping.volumes_of(&hba.server) {
+                let load = at.load(vol);
                 bytes += (load.read_iops * load.read_kb + load.write_iops * load.write_kb) * 1024.0 * step_f;
                 ios += load.total_iops() * step_f;
             }
-            let comp = store.intern_component(&ComponentId::new(ComponentKind::Hba, &hba_name));
+            let comp = store.intern_component(&ComponentId::new(ComponentKind::Hba, &hba.name));
             let mut emit = |metric: MetricName, value: f64| {
                 let key = MetricKey::new(comp, store.intern_metric(&metric));
                 sampler.observe(store, key, t, value);
@@ -465,6 +424,69 @@ impl SanSimulator {
             emit(MetricName::PacketsReceived, ios / 2.0);
             emit(MetricName::ErrorFrames, 0.0);
             emit(MetricName::CrcErrors, 0.0);
+        }
+    }
+}
+
+/// The model evaluated at one instant for one set of extra loads: each volume's
+/// offered load and each pool's disk utilisation, computed once and read by every
+/// volume, pool, disk and HBA that needs them.
+struct LoadAt<'a> {
+    sim: &'a SanSimulator,
+    t: Timestamp,
+    extra: &'a [VolumeLoad],
+    /// Every volume with its offered load, in name order.
+    loads: Vec<(&'a StorageVolume, IoProfile)>,
+    /// Every pool with the utilisation of its live disks, in name order.
+    pools: Vec<(&'a StoragePool, f64)>,
+}
+
+impl<'a> LoadAt<'a> {
+    fn new(sim: &'a SanSimulator, t: Timestamp, extra: &'a [VolumeLoad]) -> Self {
+        let loads: Vec<_> =
+            sim.topology.volumes().map(|v| (v, sim.offered_volume_load(&v.name, t, extra))).collect();
+        let pools = sim.topology.pools().map(|p| (p, sim.pool_utilization(p, &loads, t))).collect();
+        LoadAt { sim, t, extra, loads, pools }
+    }
+
+    /// The offered load on a volume. A LUN mapping may name a volume the topology
+    /// lacks; its load is computed on the spot.
+    fn load(&self, volume: &str) -> IoProfile {
+        match self.loads.binary_search_by(|(v, _)| v.name.as_str().cmp(volume)) {
+            Ok(i) => self.loads[i].1,
+            Err(_) => self.sim.offered_volume_load(volume, self.t, self.extra),
+        }
+    }
+
+    /// Utilisation of one disk: that of the first pool, in name order, listing it;
+    /// 0 for a failed, unknown or unpooled disk.
+    fn disk_utilization(&self, disk: &str) -> f64 {
+        if !self.sim.is_live(disk) {
+            return 0.0;
+        }
+        self.pools.iter().find(|(p, _)| p.disks.iter().any(|x| x == disk)).map_or(0.0, |&(_, u)| u)
+    }
+
+    fn response(&self, volume: &str) -> VolumeResponse {
+        let sim = self.sim;
+        let disks = sim.topology.disks_of_volume(volume);
+        let load = self.load(volume);
+        let read_service = sim.read_service_ms(load.sequential_fraction);
+        let write_service = sim.write_service_ms(load.sequential_fraction);
+        if disks.is_empty() {
+            // No surviving disks: service is effectively unavailable.
+            return VolumeResponse { read_ms: 10_000.0, write_ms: 10_000.0, disk_utilization: 1.0 };
+        }
+        let mut util_sum = 0.0;
+        for d in &disks {
+            util_sum += self.disk_utilization(&d.name);
+        }
+        let utilization = (util_sum / disks.len() as f64).min(sim.config.max_utilization);
+        let queue_factor = 1.0 / (1.0 - utilization);
+        VolumeResponse {
+            read_ms: read_service * queue_factor,
+            write_ms: write_service * queue_factor,
+            disk_utilization: utilization,
         }
     }
 }
@@ -496,8 +518,10 @@ mod tests {
     use super::*;
     use crate::topology::paper_testbed;
     use crate::workload::BurstPattern;
+    use diads_monitor::intern::Interner;
     use diads_monitor::noise::NoiseModel;
     use diads_monitor::MetricStore;
+    use std::sync::Arc;
 
     fn window(start: u64, secs: u64) -> TimeRange {
         TimeRange::with_duration(Timestamp::new(start), Duration::from_secs(secs))
@@ -505,6 +529,10 @@ mod tests {
 
     fn quiet_sim() -> SanSimulator {
         SanSimulator::new(paper_testbed())
+    }
+
+    fn disk_utilization(sim: &SanSimulator, disk: &str, t: Timestamp, extra: &[VolumeLoad]) -> f64 {
+        LoadAt::new(sim, t, extra).disk_utilization(disk)
     }
 
     #[test]
@@ -556,12 +584,12 @@ mod tests {
     fn extra_query_load_contributes_to_utilization() {
         let sim = quiet_sim();
         let t = Timestamp::new(500);
-        let idle = sim.disk_utilization("ds-01", t, &[]);
+        let idle = disk_utilization(&sim, "ds-01", t, &[]);
         let extra = vec![VolumeLoad::new("V1", IoProfile::oltp(300.0, 50.0), window(0, 1_000))];
-        let busy = sim.disk_utilization("ds-01", t, &extra);
+        let busy = disk_utilization(&sim, "ds-01", t, &extra);
         assert!(busy > idle + 0.05, "idle {idle}, busy {busy}");
         // Outside the window the extra load does not apply.
-        let later = sim.disk_utilization("ds-01", Timestamp::new(5_000), &extra);
+        let later = disk_utilization(&sim, "ds-01", Timestamp::new(5_000), &extra);
         assert!(later < 0.01);
     }
 
@@ -586,10 +614,10 @@ mod tests {
     #[test]
     fn rebuild_window_adds_background_load() {
         let mut sim = quiet_sim();
-        let before = sim.disk_utilization("ds-05", Timestamp::new(100), &[]);
+        let before = disk_utilization(&sim, "ds-05", Timestamp::new(100), &[]);
         sim.add_rebuild_window("P2", window(50, 1_000)).unwrap();
-        let during = sim.disk_utilization("ds-05", Timestamp::new(100), &[]);
-        let after = sim.disk_utilization("ds-05", Timestamp::new(5_000), &[]);
+        let during = disk_utilization(&sim, "ds-05", Timestamp::new(100), &[]);
+        let after = disk_utilization(&sim, "ds-05", Timestamp::new(5_000), &[]);
         assert!(during > before + 0.3);
         assert!(after < 0.05);
         assert!(sim.add_rebuild_window("P9", window(0, 10)).is_err());
@@ -685,6 +713,139 @@ mod tests {
             "RAID-5 small-write amplification ≈ 4x, got {}",
             back / front
         );
+    }
+
+    /// A topology that exercises every input of the model: external workloads on
+    /// both pools (one bursty), a failed disk, a rebuild window, and query loads
+    /// that are active at some instants and inactive at others.
+    fn pinned_sim() -> (SanSimulator, Vec<VolumeLoad>) {
+        let mut sim = quiet_sim();
+        sim.topology_mut().create_volume(Timestamp::new(0), "Vprime", "P1", 50).unwrap();
+        sim.add_workload(ExternalWorkload::steady(
+            "etl-on-vprime",
+            "app-server",
+            "Vprime",
+            IoProfile::oltp(180.0, 90.0),
+            window(600, 2_400),
+        ))
+        .unwrap();
+        sim.add_workload(ExternalWorkload::bursty(
+            "batch-on-v3",
+            "app-server",
+            "V3",
+            IoProfile::batch_write(220.0),
+            BurstPattern::Bursty { period_secs: 900, burst_secs: 120, multiplier: 1.5, idle_fraction: 0.1 },
+            window(0, 3_600),
+        ))
+        .unwrap();
+        sim.topology_mut().fail_disk(Timestamp::new(900), "ds-02").unwrap();
+        sim.add_rebuild_window("P2", window(1_500, 900)).unwrap();
+        let extra = vec![
+            VolumeLoad::new("V1", IoProfile::oltp(120.0, 15.0), window(300, 600)),
+            VolumeLoad::new("V2", IoProfile::batch_write(60.0), window(1_200, 1_200)),
+            VolumeLoad::new("V1", IoProfile::oltp(40.0, 40.0), window(2_000, 300)),
+            VolumeLoad::new("V4", IoProfile::oltp(75.0, 5.0), window(3_000, 600)),
+        ];
+        (sim, extra)
+    }
+
+    /// `volume_response` bits `[read_ms, write_ms, disk_utilization]` of V1, V2, V3,
+    /// V4 and Vprime (name order) at each instant, captured from the per-disk model.
+    const PINNED_RESPONSES: [(u64, [[u64; 3]; 5]); 7] = [
+        (
+            0,
+            [
+                [4615198826136736891, 4618441417868443648, 0],
+                [4620459210046350741, 4623582757059502364, 4603067304180103519],
+                [4614826924530922668, 4617674461021230515, 4603067304180103519],
+                [4620459210046350741, 4623582757059502364, 4603067304180103519],
+                [4615198826136736891, 4618441417868443648, 0],
+            ],
+        ),
+        (
+            450,
+            [
+                [4616539393197032709, 4619826876198652794, 4597840872308940429],
+                [4615499994749000847, 4618695211642823386, 4585379044646276675],
+                [4609926324957407201, 4612859865304520149, 4585379044646276675],
+                [4615499994749000847, 4618695211642823386, 4585379044646276675],
+                [4616964971736259126, 4620583130745710188, 4597840872308940429],
+            ],
+        ),
+        (
+            1000,
+            [
+                [4627612503119844243, 4631027675824428055, 4605877996203945819],
+                [4620459210046350741, 4623582757059502364, 4603067304180103519],
+                [4614826924530922668, 4617674461021230515, 4603067304180103519],
+                [4620459210046350741, 4623582757059502364, 4603067304180103519],
+                [4627054684321916067, 4630532052850659119, 4605877996203945819],
+            ],
+        ),
+        (
+            1600,
+            [
+                [4627612503119844243, 4631027675824428055, 4605877996203945819],
+                [4614692609875986137, 4617569243544926270, 4602993708156432881],
+                [4614692609875986137, 4617569243544926270, 4602993708156432881],
+                [4620305064278596374, 4623452858940608234, 4602993708156432881],
+                [4627054684321916067, 4630532052850659119, 4605877996203945819],
+            ],
+        ),
+        (
+            2100,
+            [
+                [4634306754930739769, 4637426905047577389, 4606732058837280358],
+                [4614692609875986137, 4617569243544926270, 4602993708156432881],
+                [4614692609875986137, 4617569243544926270, 4602993708156432881],
+                [4620305064278596374, 4623452858940608234, 4602993708156432881],
+                [4634306754930739769, 4637426905047577389, 4606732058837280358],
+            ],
+        ),
+        (
+            3100,
+            [
+                [4615198826136736891, 4618441417868443648, 0],
+                [4616044451976916405, 4619154023913538744, 4591540242755376857],
+                [4610400736845326881, 4613231503243799589, 4591540242755376857],
+                [4615330012785407974, 4618519243447215923, 4591540242755376857],
+                [4615198826136736891, 4618441417868443648, 0],
+            ],
+        ),
+        (
+            3500,
+            [
+                [4615198826136736891, 4618441417868443648, 0],
+                [4616044451976916405, 4619154023913538744, 4591540242755376857],
+                [4610400736845326881, 4613231503243799589, 4591540242755376857],
+                [4615330012785407974, 4618519243447215923, 4591540242755376857],
+                [4615198826136736891, 4618441417868443648, 0],
+            ],
+        ),
+    ];
+    /// `content_fingerprint` and point count of the store `record_metrics` fills.
+    const PINNED_STORE: (u64, usize) = (9468626935468067706, 2268);
+
+    #[test]
+    fn model_output_is_pinned_bit_for_bit() {
+        let (sim, extra) = pinned_sim();
+        let volumes = sim.topology().volume_names();
+        for (t, expected) in PINNED_RESPONSES {
+            for (v, bits) in volumes.iter().zip(expected) {
+                let r = sim.volume_response(v, Timestamp::new(t), &extra);
+                let got = [r.read_ms.to_bits(), r.write_ms.to_bits(), r.disk_utilization.to_bits()];
+                assert_eq!(got, bits, "{v} at t={t}");
+            }
+        }
+        assert_eq!(disk_utilization(&sim, "ds-02", Timestamp::new(1_600), &extra), 0.0, "failed disk");
+        let mut sampler =
+            IntervalSampler::new(Duration::from_mins(5), NoiseModel::Gaussian { sigma: 0.05 }, 11);
+        // A private interner: the fingerprint hashes symbol numbers, which other
+        // tests sharing the global interner would shift.
+        let mut store = MetricStore::with_interner(Arc::new(Interner::new()));
+        sim.record_metrics(window(0, 3_600), &extra, &mut sampler, &mut store);
+        sampler.flush(&mut store);
+        assert_eq!((store.content_fingerprint(), store.point_count()), PINNED_STORE);
     }
 
     #[test]

@@ -189,6 +189,31 @@ impl SanTopology {
         self.hbas.keys().cloned().collect()
     }
 
+    /// All volumes, in name order.
+    pub(crate) fn volumes(&self) -> impl Iterator<Item = &StorageVolume> {
+        self.volumes.values()
+    }
+
+    /// All pools, in name order.
+    pub(crate) fn pools(&self) -> impl Iterator<Item = &StoragePool> {
+        self.pools.values()
+    }
+
+    /// All switches, in name order.
+    pub(crate) fn switches(&self) -> impl Iterator<Item = &FcSwitch> {
+        self.switches.values()
+    }
+
+    /// All subsystems, in name order.
+    pub(crate) fn subsystems(&self) -> impl Iterator<Item = &StorageSubsystem> {
+        self.subsystems.values()
+    }
+
+    /// All HBAs, in name order.
+    pub(crate) fn hbas(&self) -> impl Iterator<Item = &Hba> {
+        self.hbas.values()
+    }
+
     /// The pool a volume lives in.
     pub fn pool_of_volume(&self, volume: &str) -> Option<&StoragePool> {
         self.volumes.get(volume).and_then(|v| self.pools.get(&v.pool))

@@ -68,7 +68,12 @@ impl LunMapping {
 
     /// All volumes a server is mapped to.
     pub fn volumes_for(&self, server: &str) -> Vec<String> {
-        self.map.iter().filter(|(_, servers)| servers.contains(server)).map(|(v, _)| v.clone()).collect()
+        self.volumes_of(server).map(str::to_string).collect()
+    }
+
+    /// The volumes a server is mapped to, borrowed, in name order.
+    pub(crate) fn volumes_of<'a>(&'a self, server: &'a str) -> impl Iterator<Item = &'a str> {
+        self.map.iter().filter(move |(_, servers)| servers.contains(server)).map(|(v, _)| v.as_str())
     }
 }
 

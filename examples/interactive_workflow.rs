@@ -32,7 +32,7 @@ fn main() {
 
     // Figure 7: step through the standard pipeline interactively. The session owns
     // the evidence ledger; each run_* executes that stage (plus any unmet
-    // prerequisites) against it.
+    // stage it depends on) against it.
     let mut session = WorkflowSession::new(DiagnosisWorkflow::new(), ctx);
     session.run_plan_diffing();
     session.run_correlated_operators();

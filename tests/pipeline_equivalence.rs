@@ -16,7 +16,7 @@ use diads::core::{
     DiagnosisCache, DiagnosisContext, DiagnosisPipeline, DiagnosisReport, DiagnosisState, DiagnosisWorkflow,
     EventSink, PipelineEvent, StageProvenance, Testbed, WorkflowSession,
 };
-use diads::inject::scenarios::{all_scenarios, scenario_1, ScenarioTimeline};
+use diads::inject::scenarios::{all_scenarios, index_drop_scenario, scenario_1, ScenarioTimeline};
 
 /// Calls the closure on every `StageCompleted` event.
 struct OnStageCompleted<F>(F);
@@ -218,13 +218,31 @@ fn session_edit_invalidation_works_over_the_standard_pipeline() {
 
     let mut session = WorkflowSession::new(DiagnosisWorkflow::new(), ctx);
     session.run_dependency_analysis();
-    assert_eq!(session.completed_modules(), vec!["CO", "DA"], "DA pulled CO in, PD untouched");
+    assert_eq!(session.completed_modules(), vec!["PD", "CO", "DA"], "DA pulled PD and CO in");
     session.edit_correlated_operators(vec![diads::db::OperatorId(8)]);
-    assert_eq!(session.completed_modules(), vec!["CO"], "edit invalidates DA");
+    assert_eq!(session.completed_modules(), vec!["PD", "CO"], "edit invalidates DA");
     assert!(session.state().da.is_none());
     let report = session.finish();
     assert_eq!(report.correlated_operators, vec!["O8".to_string()]);
     // An empty CO edit composes with default results everywhere downstream.
     let empty = CorrelatedOperatorsResult { scores: BTreeMap::new(), correlated: vec![] };
     assert_eq!(empty, CorrelatedOperatorsResult::default());
+}
+
+/// A session's report does not depend on the order its stages are called in: DA
+/// reads PD's verdict to pick re-drill mode, so running DA first pulls PD in, and
+/// on a plan change the session's report equals the batch report.
+#[test]
+fn session_running_da_first_matches_batch_on_a_plan_change() {
+    let outcome = Testbed::run_scenario(&index_drop_scenario(ScenarioTimeline::short()));
+    let apg = outcome.apg();
+    let events = outcome.testbed.all_events();
+    let ctx = outcome.context(&apg, &events);
+    let batch = DiagnosisPipeline::standard().run(&ctx);
+    assert!(batch.plan_changed, "the index drop changes the plan");
+
+    let mut session = WorkflowSession::new(DiagnosisWorkflow::new(), ctx);
+    session.run_dependency_analysis();
+    assert!(session.state().plan_changed(), "DA pulled PD in first");
+    assert_eq!(session.finish(), batch);
 }
