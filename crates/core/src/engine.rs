@@ -35,8 +35,7 @@
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use diads_monitor::{Duration, EpochId, Interner};
 
@@ -67,7 +66,7 @@ struct Slot {
     last_used: u64,
 }
 
-/// A slot removed from its stripe for the duration of one use: its fits, its
+/// A slot removed from the table for the duration of one use: its fits, its
 /// recorded evidence, the generation the checkout observed, and whether it was
 /// warm.
 struct Checkout {
@@ -77,24 +76,35 @@ struct Checkout {
     warm: bool,
 }
 
-/// Number of independent lock stripes the slot table is split into. A power of two
-/// so stripe selection is a mask of the fingerprint's low bits; 16 stripes keep
-/// contention negligible for any realistic tenant-thread count while the per-stripe
-/// maps stay small.
-const STRIPE_COUNT: usize = 16;
-
-/// The stripe owning a slot fingerprint.
-fn stripe_index(fingerprint: u64) -> usize {
-    (fingerprint as usize) & (STRIPE_COUNT - 1)
+/// The engine's whole mutable state, behind its one lock: the checked-in slots,
+/// the invalidation generation, the recency clock and the checkout counters.
+#[derive(Debug, Default)]
+struct Slots {
+    map: HashMap<u64, Slot>,
+    /// Bumped by every invalidation. A check-in whose checkout observed an older
+    /// generation is dropped — conservative (an invalidation of *any* fingerprint
+    /// discards concurrent in-flight fits, costing at most a re-fit later), but it
+    /// can never re-insert invalidated fits.
+    generation: u64,
+    /// Monotonic check-in counter: the recency clock for LRU eviction.
+    tick: u64,
+    /// The checkout counters [`DiagnosisEngine::stats`] copies out.
+    stats: EngineStats,
 }
 
-/// One lock stripe of the slot table: a plain fingerprint→slot map. All
-/// cross-stripe state (recency clock, generation, bounds accounting, stats) lives
-/// in the engine's atomics, so two diagnoses whose fingerprints land in different
-/// stripes never touch the same lock.
-#[derive(Debug, Default)]
-struct Stripe {
-    map: HashMap<u64, Slot>,
+impl Slots {
+    /// Recycles least-recently-used slots until at most `capacity` remain. The
+    /// slot just checked in carries the newest tick, so it is never the victim
+    /// (capacity is at least 1).
+    fn evict_over(&mut self, capacity: usize) {
+        while self.map.len() > capacity {
+            let victim = self.map.iter().min_by_key(|(_, slot)| slot.last_used).map(|(fp, _)| *fp);
+            if let Some(fp) = victim {
+                self.map.remove(&fp);
+                self.stats.evictions += 1;
+            }
+        }
+    }
 }
 
 /// Everything [`DiagnosisEngine::diagnose_incremental`] needs to resume from a
@@ -167,56 +177,24 @@ impl EngineStats {
 /// A fleet-level diagnosis cache: one [`DiagnosisCache`] slot per run-history
 /// fingerprint, shareable across testbeds and threads, LRU-bounded.
 ///
-/// The slot table is **lock-striped**: fingerprints map onto `STRIPE_COUNT` (16)
-/// independent mutexes, so checkouts of different histories touch different locks
-/// and a tenant fleet never serializes on one engine-wide mutex (a slot is
-/// additionally checked *out* while a diagnosis runs, so even same-stripe
-/// diagnoses only contend for the microseconds of the checkout itself). All
-/// cross-stripe coordination — the LRU recency clock, the invalidation
-/// generation, slot accounting for the eviction bound, and the
-/// [`EngineStats`] counters — runs on atomics, never a stats lock. An
-/// invalidation that lands while a slot is checked out still wins: the in-flight
-/// fits are discarded at check-in instead of resurrecting the invalidated slot.
+/// The whole slot table — slots, invalidation generation, recency clock and
+/// [`EngineStats`] counters — sits behind one mutex, held only for the
+/// microseconds of a checkout, check-in, invalidation or snapshot. A slot is
+/// checked *out* while a diagnosis runs, so no stage, sink or planner code ever
+/// runs under the lock. An invalidation that lands while a slot is checked out
+/// still wins: the in-flight fits are discarded at check-in instead of
+/// resurrecting the invalidated slot.
 #[derive(Debug)]
 pub struct DiagnosisEngine {
-    stripes: Vec<Mutex<Stripe>>,
+    slots: Mutex<Slots>,
     /// Maximum number of warm slots kept (`DEFAULT_SLOT_CAPACITY` outside unit
-    /// tests); the globally least-recently-used slot is recycled when a check-in
-    /// exceeds it.
+    /// tests); the least-recently-used slot is recycled when a check-in exceeds it.
     capacity: usize,
-    /// Bumped by every invalidation. A check-in whose
-    /// checkout observed an older generation is dropped — conservative (an
-    /// invalidation of *any* fingerprint discards concurrent in-flight fits, costing
-    /// at most a re-fit later), but it can never re-insert invalidated fits.
-    /// Same-fingerprint races serialize through the fingerprint's stripe lock:
-    /// invalidation bumps while holding it, check-ins re-read it under it.
-    generation: AtomicU64,
-    /// Monotonic check-in counter: the recency clock for LRU eviction. Global, so
-    /// recency stamps are comparable across stripes.
-    tick: AtomicU64,
-    /// Number of checked-in slots across all stripes (checked-out slots are absent
-    /// from their map and from this count, exactly like the single-mutex engine).
-    slot_count: AtomicUsize,
-    /// Checkouts that found a warm (previously checked-in) slot.
-    warm_checkouts: AtomicU64,
-    /// Checkouts that created a fresh slot.
-    cold_checkouts: AtomicU64,
-    /// Slots recycled by the LRU bound.
-    evictions: AtomicU64,
 }
 
 impl Default for DiagnosisEngine {
     fn default() -> Self {
-        DiagnosisEngine {
-            stripes: (0..STRIPE_COUNT).map(|_| Mutex::new(Stripe::default())).collect(),
-            capacity: DEFAULT_SLOT_CAPACITY,
-            generation: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-            slot_count: AtomicUsize::new(0),
-            warm_checkouts: AtomicU64::new(0),
-            cold_checkouts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        DiagnosisEngine { slots: Mutex::default(), capacity: DEFAULT_SLOT_CAPACITY }
     }
 }
 
@@ -248,9 +226,11 @@ impl DiagnosisEngine {
         self.capacity
     }
 
-    /// The stripe lock owning a fingerprint's slot.
-    fn stripe(&self, fingerprint: u64) -> &Mutex<Stripe> {
-        &self.stripes[stripe_index(fingerprint)]
+    /// The locked slot table. Every critical section leaves the table consistent
+    /// at each step and runs no caller code, so a poisoned lock (a panic in the
+    /// engine's own bookkeeping) is safe to re-enter.
+    fn slots(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether the slot of `fingerprint` holds a recorded evidence ledger (i.e. a
@@ -258,12 +238,7 @@ impl DiagnosisEngine {
     /// for [`DiagnosisEngine::diagnose_incremental`] taking the replay path.
     #[cfg(test)]
     fn has_evidence(&self, fingerprint: u64) -> bool {
-        self.stripe(fingerprint)
-            .lock()
-            .expect("stripe lock poisoned")
-            .map
-            .get(&fingerprint)
-            .is_some_and(|slot| slot.evidence.is_some())
+        self.slots().map.get(&fingerprint).is_some_and(|slot| slot.evidence.is_some())
     }
 
     /// Diagnoses a scenario outcome through this engine (rather than through the
@@ -469,22 +444,18 @@ impl DiagnosisEngine {
         out
     }
 
-    /// Removes the slot of `fingerprint` from its stripe (creating an empty cache on
-    /// a cold checkout). Locks only the owning stripe; the stats counters are
-    /// atomic, so even warm checkouts of different histories share no lock at all.
+    /// Removes the slot of `fingerprint` from the table (creating an empty cache on
+    /// a cold checkout).
     fn checkout(&self, fingerprint: u64) -> Checkout {
-        let mut stripe = self.stripe(fingerprint).lock().expect("stripe lock poisoned");
-        // Read the generation under the stripe lock, so a same-fingerprint
-        // invalidation (which bumps under this lock) is totally ordered with us.
-        let generation = self.generation.load(Ordering::SeqCst);
-        match stripe.map.remove(&fingerprint) {
+        let mut slots = self.slots();
+        let generation = slots.generation;
+        match slots.map.remove(&fingerprint) {
             Some(slot) => {
-                self.warm_checkouts.fetch_add(1, Ordering::Relaxed);
-                self.slot_count.fetch_sub(1, Ordering::SeqCst);
+                slots.stats.warm_checkouts += 1;
                 Checkout { cache: slot.cache, evidence: slot.evidence, generation, warm: true }
             }
             None => {
-                self.cold_checkouts.fetch_add(1, Ordering::Relaxed);
+                slots.stats.cold_checkouts += 1;
                 Checkout { cache: DiagnosisCache::default(), evidence: None, generation, warm: false }
             }
         }
@@ -493,116 +464,59 @@ impl DiagnosisEngine {
     /// Re-inserts a checked-out slot (possibly under a *different* fingerprint than
     /// it was checked out with — that is how an incremental re-diagnosis moves a
     /// slot forward to the new engine fingerprint). Dropped entirely when an
-    /// invalidation bumped the generation meanwhile (re-checked under the target
-    /// stripe's lock, so a same-fingerprint invalidation can never lose the race).
-    /// On a concurrent check-in to the same fingerprint the caches are merged and a
-    /// `Some` incoming evidence ledger replaces the resident one (latest recording
-    /// wins). Applies the LRU bounds afterwards, outside the stripe lock.
+    /// invalidation bumped the generation meanwhile. On a concurrent check-in to
+    /// the same fingerprint the caches are merged and a `Some` incoming evidence
+    /// ledger replaces the resident one (latest recording wins). Applies the LRU
+    /// bound afterwards.
     fn checkin(&self, fingerprint: u64, cache: DiagnosisCache, evidence: Option<Evidence>, generation: u64) {
-        {
-            let mut stripe = self.stripe(fingerprint).lock().expect("stripe lock poisoned");
-            if self.generation.load(Ordering::SeqCst) != generation {
-                return;
+        let mut slots = self.slots();
+        if slots.generation != generation {
+            return;
+        }
+        slots.tick += 1;
+        let tick = slots.tick;
+        match slots.map.entry(fingerprint) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                let slot = e.get_mut();
+                slot.cache.absorb(cache);
+                if evidence.is_some() {
+                    slot.evidence = evidence;
+                }
+                slot.last_used = tick;
             }
-            let tick = self.tick.fetch_add(1, Ordering::SeqCst) + 1;
-            match stripe.map.entry(fingerprint) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let slot = e.get_mut();
-                    slot.cache.absorb(cache);
-                    if evidence.is_some() {
-                        slot.evidence = evidence;
-                    }
-                    slot.last_used = tick;
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    self.slot_count.fetch_add(1, Ordering::SeqCst);
-                    v.insert(Slot { cache, evidence, last_used: tick });
-                }
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(Slot { cache, evidence, last_used: tick });
             }
         }
-        self.evict_over_bounds();
-    }
-
-    /// Recycles the globally least-recently-used checked-in slot, never holding two
-    /// stripe locks at once: a first pass scans stripes one at a time for the
-    /// minimum recency stamp, then the winning stripe is re-locked and the victim
-    /// re-validated (it may have been touched or checked out meanwhile) before
-    /// removal. Returns whether a slot was evicted; a handful of retries absorbs
-    /// concurrent touches, after which the (advisory, best-effort under races)
-    /// eviction yields to the next check-in.
-    fn evict_lru(&self) -> bool {
-        for _ in 0..4 {
-            let mut victim: Option<(usize, u64, u64)> = None;
-            for (index, stripe) in self.stripes.iter().enumerate() {
-                let stripe = stripe.lock().expect("stripe lock poisoned");
-                for (fp, slot) in &stripe.map {
-                    if victim.is_none_or(|(_, _, used)| slot.last_used < used) {
-                        victim = Some((index, *fp, slot.last_used));
-                    }
-                }
-            }
-            let Some((index, fp, used)) = victim else { return false };
-            let mut stripe = self.stripes[index].lock().expect("stripe lock poisoned");
-            match stripe.map.get(&fp) {
-                Some(slot) if slot.last_used == used => {
-                    stripe.map.remove(&fp);
-                    self.slot_count.fetch_sub(1, Ordering::SeqCst);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                _ => continue, // Touched or checked out since the scan: re-scan.
-            }
-        }
-        false
-    }
-
-    /// Applies the slot-count bound. The just-checked-in slot carries the newest
-    /// tick, so it is never the LRU victim (capacity is at least 1).
-    fn evict_over_bounds(&self) {
-        while self.slot_count.load(Ordering::SeqCst) > self.capacity {
-            if !self.evict_lru() {
-                break;
-            }
-        }
+        slots.evict_over(self.capacity);
     }
 
     /// Drops the slot of one fingerprint (call when the labelling it was fitted for
     /// is abandoned, e.g. on run relabelling). Also discards any concurrent in-flight
-    /// check-in, so an invalidated slot cannot be resurrected: the generation bump
-    /// happens under the fingerprint's stripe lock, which every check-in re-reads
-    /// the generation under.
+    /// check-in, so an invalidated slot cannot be resurrected.
     pub fn invalidate(&self, fingerprint: u64) {
-        let mut stripe = self.stripe(fingerprint).lock().expect("stripe lock poisoned");
-        if stripe.map.remove(&fingerprint).is_some() {
-            self.slot_count.fetch_sub(1, Ordering::SeqCst);
-        }
-        self.generation.fetch_add(1, Ordering::SeqCst);
+        let mut slots = self.slots();
+        slots.map.remove(&fingerprint);
+        slots.generation += 1;
     }
 
     /// Drops every slot (call when the underlying monitoring store or run records
     /// change, which invalidates every fit), including concurrent in-flight ones.
-    /// Locks all stripes (in index order — the same order every multi-stripe path
-    /// uses, so the engine stays deadlock-free) so the bump is ordered with every
-    /// possible concurrent check-in.
     pub fn invalidate_all(&self) {
-        let mut stripes: Vec<_> =
-            self.stripes.iter().map(|s| s.lock().expect("stripe lock poisoned")).collect();
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        for stripe in &mut stripes {
-            self.slot_count.fetch_sub(stripe.map.len(), Ordering::SeqCst);
-            stripe.map.clear();
-        }
+        let mut slots = self.slots();
+        slots.map.clear();
+        slots.generation += 1;
     }
 
     /// Whether a checked-in slot exists for this fingerprint (i.e. a previous
     /// diagnosis warmed it and no diagnosis currently has it checked out).
     pub fn is_warm(&self, fingerprint: u64) -> bool {
-        self.stripe(fingerprint).lock().expect("stripe lock poisoned").map.contains_key(&fingerprint)
+        self.slots().map.contains_key(&fingerprint)
     }
 
     /// Number of distinct history fingerprints with a warm slot.
     pub fn slot_count(&self) -> usize {
-        self.slot_count.load(Ordering::SeqCst)
+        self.slots().map.len()
     }
 
     /// Serializes every warm slot — fingerprint plus all cache entries, fitted
@@ -618,10 +532,8 @@ impl DiagnosisEngine {
     /// [`DiagnosisEngine::diagnose_incremental`] against a pre-restart watermark
     /// falls back to a cold-path (but warm-fit) run and re-records its evidence.
     pub fn snapshot(&self, interner: &Interner) -> String {
-        // Lock every stripe (index order, like `invalidate_all`) so the snapshot is
-        // a consistent cut, then order slots globally by recency.
-        let stripes: Vec<_> = self.stripes.iter().map(|s| s.lock().expect("stripe lock poisoned")).collect();
-        let mut ordered: Vec<(&u64, &Slot)> = stripes.iter().flat_map(|s| s.map.iter()).collect();
+        let slots = self.slots();
+        let mut ordered: Vec<(&u64, &Slot)> = slots.map.iter().collect();
         ordered.sort_by_key(|(_, slot)| slot.last_used);
         let data: Vec<crate::snapshot::SlotData> = ordered
             .into_iter()
@@ -653,7 +565,7 @@ impl DiagnosisEngine {
                 (*fp, entries)
             })
             .collect();
-        drop(stripes);
+        drop(slots);
         crate::snapshot::serialize_slots(&data, interner)
     }
 
@@ -666,24 +578,21 @@ impl DiagnosisEngine {
     pub fn restore(json: &str, interner: &Interner) -> Result<Self, String> {
         let parsed = crate::snapshot::parse_slots(json, interner)?;
         let engine = Self::new();
-        for (fingerprint, cache) in parsed {
-            let tick = engine.tick.fetch_add(1, Ordering::SeqCst) + 1;
-            let mut stripe = engine.stripe(fingerprint).lock().expect("stripe lock poisoned");
-            engine.slot_count.fetch_add(1, Ordering::SeqCst);
-            stripe.map.insert(fingerprint, Slot { cache, evidence: None, last_used: tick });
+        {
+            let mut slots = engine.slots();
+            for (fingerprint, cache) in parsed {
+                slots.tick += 1;
+                let tick = slots.tick;
+                slots.map.insert(fingerprint, Slot { cache, evidence: None, last_used: tick });
+            }
+            slots.evict_over(engine.capacity);
         }
-        engine.evict_over_bounds();
         Ok(engine)
     }
 
-    /// Checkout statistics since the engine was created. Lock-free (atomic reads);
-    /// totals are exact once concurrent checkouts have checked back in.
+    /// Checkout statistics since the engine was created.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            warm_checkouts: self.warm_checkouts.load(Ordering::Relaxed),
-            cold_checkouts: self.cold_checkouts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.slots().stats
     }
 }
 
@@ -695,11 +604,7 @@ mod tests {
 
     /// Fitted and negative cache entries across every checked-in slot.
     fn cached_fits(engine: &DiagnosisEngine) -> usize {
-        engine
-            .stripes
-            .iter()
-            .map(|s| s.lock().unwrap().map.values().map(|slot| slot.cache.len()).sum::<usize>())
-            .sum()
+        engine.slots().map.values().map(|slot| slot.cache.len()).sum()
     }
 
     fn warm_slot(engine: &DiagnosisEngine, fingerprint: u64) {
@@ -842,7 +747,7 @@ mod tests {
     #[test]
     fn concurrent_checkouts_keep_exact_stats() {
         // Distinct fingerprints per thread: every first checkout is cold, every
-        // later one warm, and the atomic counters must account for each exactly.
+        // later one warm, and the counters must account for each exactly.
         const THREADS: u64 = 8;
         const ITERS: u64 = 200;
         let engine = DiagnosisEngine::new();

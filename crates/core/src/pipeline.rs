@@ -48,7 +48,7 @@
 //!   still holds. A run whose every stage replays hands back the recorded
 //!   findings with fresh provenance and never builds the APG;
 //! * the interactive [`crate::session::WorkflowSession`]: one stage at a time
-//!   through [`DiagnosisPipeline::run_stage`], which is the executor's per-stage
+//!   through `DiagnosisPipeline::run_stage`, which is the executor's per-stage
 //!   body.
 //!
 //! Cancellation is checked **between stages**: a cancelled run stops before the next
@@ -643,7 +643,7 @@ impl DiagnosisPipeline {
     /// Executes one stage against an external ledger and cache, returning its
     /// provenance — the executor's per-stage body, and the step primitive the
     /// interactive [`crate::session::WorkflowSession`] drives.
-    pub fn run_stage(
+    pub(crate) fn run_stage(
         &self,
         stage: Stage,
         ctx: &DiagnosisContext<'_>,
@@ -657,7 +657,7 @@ impl DiagnosisPipeline {
     /// trails) from the SD/IA slots, module summaries from the rest, and the given
     /// provenance. Missing slots read as empty results, so a cancelled run's
     /// partial ledger still produces a well-formed report.
-    pub fn assemble(
+    pub(crate) fn assemble(
         &self,
         ctx: &DiagnosisContext<'_>,
         state: &DiagnosisState,

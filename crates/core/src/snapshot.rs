@@ -29,7 +29,10 @@ use crate::diagnosis::json::Writer;
 use crate::workflow::{DiagnosisCache, ScoreKey};
 
 /// Format version stamped into every snapshot; restore rejects anything else.
-const VERSION: f64 = 1.0;
+/// Version 2 slot fingerprints hash the store's stable identity hashes; version 1
+/// fingerprints hashed intern-order-dependent symbol numbers, so a version-1 slot
+/// would silently never match and is rejected instead.
+const VERSION: f64 = 2.0;
 
 /// Deepest array/object nesting [`Json::parse`] accepts — far above anything the
 /// writer emits, and low enough that the recursive descent cannot exhaust the
@@ -467,7 +470,7 @@ mod tests {
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
         let deep = "[".repeat(100_000);
         assert!(Json::parse(&deep).is_err());
-        let snapshot = format!("{{\"version\":1,\"slots\":{deep}");
+        let snapshot = format!("{{\"version\":{VERSION},\"slots\":{deep}");
         assert!(crate::engine::DiagnosisEngine::restore(&snapshot, Interner::global()).is_err());
         // Nesting up to the cap still parses.
         let nested = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
@@ -479,18 +482,25 @@ mod tests {
     }
 
     #[test]
+    fn version_1_snapshots_are_an_error() {
+        let slot = r#"{"fingerprint":"7","fits":[]}"#;
+        let err = restore(&format!(r#"{{"version":1,"slots":[{slot}]}}"#)).err();
+        assert_eq!(err.as_deref(), Some("unsupported snapshot version 1"));
+    }
+
+    #[test]
     fn duplicate_fingerprints_are_an_error() {
         let slot = r#"{"fingerprint":"7","fits":[]}"#;
-        let err = restore(&format!(r#"{{"version":1,"slots":[{slot},{slot}]}}"#)).err();
+        let err = restore(&format!(r#"{{"version":{VERSION},"slots":[{slot},{slot}]}}"#)).err();
         assert_eq!(err.as_deref(), Some("duplicate slot fingerprint 7"));
-        assert_eq!(restore(&format!(r#"{{"version":1,"slots":[{slot}]}}"#)).unwrap().slot_count(), 1);
+        assert_eq!(restore(&format!(r#"{{"version":{VERSION},"slots":[{slot}]}}"#)).unwrap().slot_count(), 1);
     }
 
     #[test]
     fn operator_ids_outside_u32_are_an_error() {
         let snapshot = |id: &str| {
             format!(
-                r#"{{"version":1,"slots":[{{"fingerprint":"1","fits":[{{"kind":"opRows","operator":{id},"samples":null}}]}}]}}"#
+                r#"{{"version":{VERSION},"slots":[{{"fingerprint":"1","fits":[{{"kind":"opRows","operator":{id},"samples":null}}]}}]}}"#
             )
         };
         for bad in ["-1", "1.5", "1e20", "4294967296"] {

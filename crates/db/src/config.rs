@@ -78,35 +78,6 @@ impl DbConfig {
         self.enable_indexscan = value;
         self
     }
-
-    /// A flat list of the named parameters and their current values, used by module PD
-    /// to diff the configurations in effect for two plans.
-    pub fn parameters(&self) -> Vec<(String, String)> {
-        vec![
-            ("work_mem_kb".into(), self.work_mem_kb.to_string()),
-            ("shared_buffers_mb".into(), self.shared_buffers_mb.to_string()),
-            ("effective_cache_size_mb".into(), self.effective_cache_size_mb.to_string()),
-            ("seq_page_cost".into(), format!("{:.4}", self.seq_page_cost)),
-            ("random_page_cost".into(), format!("{:.4}", self.random_page_cost)),
-            ("cpu_tuple_cost".into(), format!("{:.4}", self.cpu_tuple_cost)),
-            ("cpu_index_tuple_cost".into(), format!("{:.4}", self.cpu_index_tuple_cost)),
-            ("cpu_operator_cost".into(), format!("{:.4}", self.cpu_operator_cost)),
-            ("enable_indexscan".into(), self.enable_indexscan.to_string()),
-            ("enable_hashjoin".into(), self.enable_hashjoin.to_string()),
-            ("enable_nestloop".into(), self.enable_nestloop.to_string()),
-        ]
-    }
-
-    /// The parameters whose values differ between two configurations, as
-    /// `(name, old value, new value)` triples.
-    pub fn diff(&self, other: &DbConfig) -> Vec<(String, String, String)> {
-        self.parameters()
-            .into_iter()
-            .zip(other.parameters())
-            .filter(|(a, b)| a.1 != b.1)
-            .map(|(a, b)| (a.0, a.1, b.1))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -131,25 +102,5 @@ mod tests {
         assert_eq!(c.work_mem_kb, 64);
         let c = DbConfig::default().with_enable_indexscan(false);
         assert!(!c.enable_indexscan);
-    }
-
-    #[test]
-    fn diff_reports_only_changes() {
-        let a = DbConfig::default();
-        let b = DbConfig::default().with_random_page_cost(10.0).with_work_mem_kb(128);
-        let d = a.diff(&b);
-        assert_eq!(d.len(), 2);
-        assert!(d.iter().any(|(name, old, new)| name == "random_page_cost"
-            && old.starts_with("4")
-            && new.starts_with("10")));
-        assert!(d.iter().any(|(name, _, new)| name == "work_mem_kb" && new == "128"));
-        assert!(a.diff(&a).is_empty());
-    }
-
-    #[test]
-    fn parameters_list_is_stable() {
-        let params = DbConfig::default().parameters();
-        assert_eq!(params.len(), 11);
-        assert_eq!(params[0].0, "work_mem_kb");
     }
 }

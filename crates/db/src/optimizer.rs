@@ -49,7 +49,7 @@ impl Optimizer {
     /// Whether a candidate plan is feasible under the current catalog and configuration:
     /// every scanned table and used index must exist, and disabled operator families
     /// (index scans, hash joins, nested loops) must not appear.
-    pub fn is_feasible(&self, plan: &Plan, catalog: &Catalog) -> bool {
+    fn is_feasible(&self, plan: &Plan, catalog: &Catalog) -> bool {
         plan.operators().iter().all(|node| {
             if let Some(table) = &node.table {
                 if catalog.table(table).is_none() {

@@ -164,11 +164,6 @@ impl EventStore {
         self.events.iter().filter(|e| range.contains(e.time)).collect()
     }
 
-    /// Events about a specific component.
-    pub fn for_component(&self, component: &ComponentId) -> Vec<&Event> {
-        self.events.iter().filter(|e| &e.component == component).collect()
-    }
-
     /// Events of a specific kind.
     pub fn of_kind(&self, kind: &EventKind) -> Vec<&Event> {
         self.events.iter().filter(|e| &e.kind == kind).collect()
@@ -244,7 +239,6 @@ mod tests {
 
         let range = TimeRange::new(Timestamp::new(15), Timestamp::new(35));
         assert_eq!(store.in_range(range).len(), 2);
-        assert_eq!(store.for_component(&ComponentId::volume("V1")).len(), 2);
         assert_eq!(store.of_kind(&EventKind::DiskFailure).len(), 1);
     }
 

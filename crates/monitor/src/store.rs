@@ -29,10 +29,18 @@ use crate::rng::SplitMix64;
 use crate::series::{DataPoint, TimeSeries};
 use crate::time::{Duration, TimeRange, Timestamp};
 
+/// One recorded series with its key's stable identity hash
+/// ([`Interner::key_hash`]), looked up once when the series is created.
+#[derive(Debug, Clone)]
+struct Recorded {
+    key_hash: u64,
+    series: TimeSeries,
+}
+
 /// One shard: the sorted sub-map of every series whose component hashes here.
 #[derive(Debug, Clone, Default)]
 struct Shard {
-    series: BTreeMap<MetricKey, TimeSeries>,
+    series: BTreeMap<MetricKey, Recorded>,
     /// Order-independent content hash of the shard: the wrapping sum of every
     /// recorded observation's [`point_hash`]. Updated on each insert (under the
     /// shard lock when recording through the sharded writer), so reading it is
@@ -50,21 +58,25 @@ struct Shard {
 impl Shard {
     /// The single insert path: every recorded observation lands here, keeping the
     /// content hash (and the epoch-delta validity flag) in sync with the series maps.
-    fn push(&mut self, key: MetricKey, time: Timestamp, value: f64) {
-        self.content = self.content.wrapping_add(point_hash(key, time, value));
-        let tail = self.series.entry(key).or_default().push(time, value);
-        if !tail && self.sealed {
+    /// `interner` is the one `key` was issued by.
+    fn push(&mut self, interner: &Interner, key: MetricKey, time: Timestamp, value: f64) {
+        let recorded = self
+            .series
+            .entry(key)
+            .or_insert_with(|| Recorded { key_hash: interner.key_hash(key), series: TimeSeries::new() });
+        self.content = self.content.wrapping_add(point_hash(recorded.key_hash, time, value));
+        if !recorded.series.push(time, value) && self.sealed {
             self.delta_poisoned = true;
         }
     }
 }
 
-/// Hash of one observation, over (key symbols, time, value bits). Symbol-based, so
-/// it is comparable exactly between stores sharing an interner — which is also the
-/// precondition for comparing their [`MetricKey`]s at all.
-fn point_hash(key: MetricKey, time: Timestamp, value: f64) -> u64 {
-    let k = ((key.component.index() as u64) << 32) | key.metric.index() as u64;
-    SplitMix64::mix(k, SplitMix64::mix(time.as_secs(), value.to_bits()))
+/// Hash of one observation, over (the key's stable identity hash, time, value
+/// bits). The identity hash depends only on the component and metric names, so
+/// equal content hashes equally in every store and every process, whatever order
+/// the identities were interned in.
+fn point_hash(key_hash: u64, time: Timestamp, value: f64) -> u64 {
+    SplitMix64::mix(key_hash, SplitMix64::mix(time.as_secs(), value.to_bits()))
 }
 
 /// An in-memory store of metric time series keyed by interned (component, metric)
@@ -215,10 +227,6 @@ impl MetricStore {
         &self.shards[shard_index(component)]
     }
 
-    fn shard_mut(&mut self, component: ComponentSym) -> &mut Shard {
-        &mut self.shards[shard_index(component)]
-    }
-
     // ----- Interning -----
 
     /// The store's shared interner (for resolving symbols and for attaching further
@@ -283,15 +291,15 @@ impl MetricStore {
 
     /// Records one observation by interned key (the zero-allocation fast path).
     pub fn record_key(&mut self, key: MetricKey, time: Timestamp, value: f64) {
-        self.shard_mut(key.component).push(key, time, value);
+        self.shards[shard_index(key.component)].push(&self.interner, key, time, value);
     }
 
     /// An order-independent fingerprint of the store's contents: the wrapping sum
-    /// of a hash of every recorded (key, time, value) observation. Two stores
-    /// sharing an interner hold the same data **iff** their fingerprints match
-    /// (modulo hash collisions); the value is independent of recording order,
-    /// chunking and thread count. O(shards) to read — the per-observation work is
-    /// done at record time.
+    /// of a hash of every recorded (key, time, value) observation. Two stores hold
+    /// the same data **iff** their fingerprints match (modulo hash collisions),
+    /// whichever interners they use and whatever order those interned in; the
+    /// value is independent of recording order, chunking and thread count.
+    /// O(shards) to read — the per-observation work is done at record time.
     pub fn content_fingerprint(&self) -> u64 {
         self.shards.iter().fold(0u64, |acc, s| acc.wrapping_add(s.content))
     }
@@ -319,7 +327,7 @@ impl MetricStore {
                 // hash means no appends landed here: the lengths are the previous
                 // snapshot's.
                 Some(p) if p.shard_contents[i] == shard.content => Arc::clone(&p.watermarks[i]),
-                _ => Arc::new(shard.series.iter().map(|(k, s)| (*k, s.len())).collect()),
+                _ => Arc::new(shard.series.iter().map(|(k, r)| (*k, r.series.len())).collect()),
             })
             .collect();
         let shard_contents: Vec<u64> = self.shards.iter().map(|s| s.content).collect();
@@ -381,9 +389,9 @@ impl MetricStore {
                 continue;
             }
             let watermarks = &sealed.watermarks[i];
-            for (key, series) in &shard.series {
+            for (key, recorded) in &shard.series {
                 let watermark = watermarks.get(key).copied().unwrap_or(0);
-                let suffix = &series.points()[watermark..];
+                let suffix = &recorded.series.points()[watermark..];
                 if !suffix.is_empty() {
                     entries.push((*key, suffix));
                 }
@@ -423,7 +431,7 @@ impl MetricStore {
 
     /// The series for an interned key.
     pub fn series_by_key(&self, key: MetricKey) -> Option<&TimeSeries> {
-        self.shard(key.component).series.get(&key)
+        self.shard(key.component).series.get(&key).map(|r| &r.series)
     }
 
     /// Points of a metric within a time range, as a borrowed slice (empty if the
@@ -517,26 +525,7 @@ impl MetricStore {
 
     /// Total number of recorded data points across all series.
     pub fn point_count(&self) -> usize {
-        self.shards.iter().flat_map(|s| s.series.values()).map(|s| s.len()).sum()
-    }
-
-    /// Merges another store into this one (used when assembling a testbed from the SAN
-    /// and database collectors). Stores sharing an interner (the default) copy keys
-    /// directly; otherwise symbols are re-interned through the rich identities.
-    pub fn merge(&mut self, other: &MetricStore) {
-        let shared = Arc::ptr_eq(&self.interner, &other.interner);
-        for (key, series) in other.iter() {
-            let own = if shared {
-                key
-            } else {
-                let (component, metric) = other.resolve(key);
-                self.intern(component, metric)
-            };
-            let shard = self.shard_mut(own.component);
-            for p in series.points() {
-                shard.push(own, p.time, p.value);
-            }
-        }
+        self.shards.iter().flat_map(|s| s.series.values()).map(|r| r.series.len()).sum()
     }
 
     /// Iterates over every (key, series) pair in key (symbol) order — a deterministic
@@ -559,7 +548,7 @@ impl MetricStore {
 /// K-way merge over the shards' sorted maps. Component symbols map to exactly one
 /// shard, so keys never tie and the merge is a total order.
 struct MergedIter<'a> {
-    shards: Vec<std::iter::Peekable<std::collections::btree_map::Iter<'a, MetricKey, TimeSeries>>>,
+    shards: Vec<std::iter::Peekable<std::collections::btree_map::Iter<'a, MetricKey, Recorded>>>,
 }
 
 impl<'a> Iterator for MergedIter<'a> {
@@ -575,7 +564,7 @@ impl<'a> Iterator for MergedIter<'a> {
             }
         }
         let (_, i) = best?;
-        self.shards[i].next().map(|(k, s)| (*k, s))
+        self.shards[i].next().map(|(k, r)| (*k, &r.series))
     }
 }
 
@@ -660,7 +649,7 @@ impl<'a> ShardedWriter<'a> {
     /// Records one observation by interned key, locking only the owning shard.
     pub fn record_key(&self, key: MetricKey, time: Timestamp, value: f64) {
         let mut shard = self.shards[shard_index(key.component)].lock().expect("shard lock poisoned");
-        shard.push(key, time, value);
+        shard.push(&self.interner, key, time, value);
     }
 
     /// A thread-local batching view over this writer (default flush threshold).
@@ -743,7 +732,7 @@ impl BatchedWriter<'_, '_> {
         // bookkeeping is measurable at fleet recording rates, a shared-slice walk
         // is not, and clearing afterwards keeps the buffer's capacity.
         for &(key, time, value) in buffer.iter() {
-            shard.push(key, time, value);
+            shard.push(&self.writer.interner, key, time, value);
         }
         buffer.clear();
     }
@@ -856,31 +845,33 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_points_across_interners() {
-        // Separate private interners on purpose: symbols must not be assumed shared,
-        // so this exercises the re-interning merge path.
-        let mut a = isolated_store();
-        a.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(0), 1.0);
-        let mut b = isolated_store();
-        b.record(&volume("V2"), &MetricName::ReadIo, Timestamp::new(0), 3.0);
-        b.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(60), 2.0);
-        a.merge(&b);
-        assert_eq!(a.series_count(), 2);
-        assert_eq!(a.series(&volume("V1"), &MetricName::WriteIo).unwrap().len(), 2);
-        assert_eq!(a.series(&volume("V2"), &MetricName::ReadIo).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn merge_with_shared_interner_copies_keys_directly() {
-        // The default: both stores share the global interner, so keys are identities
-        // and the merge needs no re-interning to agree with per-store lookups.
-        let mut a = MetricStore::new();
-        a.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(0), 1.0);
-        let mut b = MetricStore::new();
-        b.record(&volume("V1"), &MetricName::WriteIo, Timestamp::new(60), 2.0);
-        let key_b = b.key_of(&volume("V1"), &MetricName::WriteIo).unwrap();
-        a.merge(&b);
-        assert_eq!(a.series_by_key(key_b).unwrap().len(), 2, "b's key addresses a's merged series");
+    fn content_fingerprint_is_independent_of_intern_order() {
+        // Same content in two stores over fresh interners; one interns an extra
+        // component and metric first, so every symbol number differs between them.
+        let record = |store: &mut MetricStore| {
+            for (i, name) in ["V1", "V2", "V3"].into_iter().enumerate() {
+                for t in 0..5u64 {
+                    store.record(&volume(name), &MetricName::WriteIo, Timestamp::new(t * 60), (i + 1) as f64);
+                    store.record(
+                        &volume(name),
+                        &MetricName::ReadTime,
+                        Timestamp::new(t * 60),
+                        t as f64 * 0.5,
+                    );
+                }
+            }
+        };
+        let mut plain = isolated_store();
+        record(&mut plain);
+        let mut shifted = isolated_store();
+        shifted.intern(&ComponentId::disk("extra-disk"), &MetricName::Custom("extraMetric".into()));
+        record(&mut shifted);
+        assert_ne!(
+            plain.key_of(&volume("V1"), &MetricName::WriteIo),
+            shifted.key_of(&volume("V1"), &MetricName::WriteIo),
+            "the intern orders must differ for the check to mean anything"
+        );
+        assert_eq!(plain.content_fingerprint(), shifted.content_fingerprint());
     }
 
     #[test]

@@ -518,10 +518,8 @@ mod tests {
     use super::*;
     use crate::topology::paper_testbed;
     use crate::workload::BurstPattern;
-    use diads_monitor::intern::Interner;
     use diads_monitor::noise::NoiseModel;
     use diads_monitor::MetricStore;
-    use std::sync::Arc;
 
     fn window(start: u64, secs: u64) -> TimeRange {
         TimeRange::with_duration(Timestamp::new(start), Duration::from_secs(secs))
@@ -824,7 +822,9 @@ mod tests {
         ),
     ];
     /// `content_fingerprint` and point count of the store `record_metrics` fills.
-    const PINNED_STORE: (u64, usize) = (9468626935468067706, 2268);
+    /// The fingerprint hashes the keys' stable identity hashes, so it holds in any
+    /// store, whatever else the process interned first.
+    const PINNED_STORE: (u64, usize) = (14179372367896805963, 2268);
 
     #[test]
     fn model_output_is_pinned_bit_for_bit() {
@@ -840,9 +840,7 @@ mod tests {
         assert_eq!(disk_utilization(&sim, "ds-02", Timestamp::new(1_600), &extra), 0.0, "failed disk");
         let mut sampler =
             IntervalSampler::new(Duration::from_mins(5), NoiseModel::Gaussian { sigma: 0.05 }, 11);
-        // A private interner: the fingerprint hashes symbol numbers, which other
-        // tests sharing the global interner would shift.
-        let mut store = MetricStore::with_interner(Arc::new(Interner::new()));
+        let mut store = MetricStore::new();
         sim.record_metrics(window(0, 3_600), &extra, &mut sampler, &mut store);
         sampler.flush(&mut store);
         assert_eq!((store.content_fingerprint(), store.point_count()), PINNED_STORE);

@@ -2,7 +2,8 @@
 //!
 //! Diagnosis-as-a-service over the DIADS reproduction: a long-running
 //! [`DiagnosisService`] that owns a fleet of tenant testbeds and one shared
-//! lock-striped [`diads_core::DiagnosisEngine`], and continuously re-diagnoses
+//! [`diads_core::DiagnosisEngine`] (one lock, held only around slot checkout and
+//! check-in), and continuously re-diagnoses
 //! each tenant as monitoring data streams in — the "production-scale service"
 //! shape of the paper's deployment (Figure 5), grown on top of the batch
 //! pipeline rather than beside it.

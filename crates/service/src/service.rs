@@ -1,5 +1,5 @@
-//! The continuous re-diagnosis loop: K tenant testbeds, one shared lock-striped
-//! engine, cycles of batched-sharded ingest → watermark-policy seal →
+//! The continuous re-diagnosis loop: K tenant testbeds, one shared engine,
+//! cycles of batched-sharded ingest → watermark-policy seal →
 //! incremental re-diagnosis → remediation planning, with every pipeline event
 //! streamed onto the service bus.
 

@@ -26,12 +26,6 @@ pub(crate) fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Standard normal probability density function.
-pub fn std_normal_pdf(x: f64) -> f64 {
-    const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
-    INV_SQRT_2PI * (-0.5 * x * x).exp()
-}
-
 /// Standard normal cumulative distribution function `Φ(x)`.
 pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
@@ -91,13 +85,6 @@ mod tests {
         assert_close(std_normal_cdf(1.959_964), 0.975, 1e-5);
         assert_close(std_normal_cdf(6.0), 1.0, 1e-6);
         assert_close(std_normal_cdf(-6.0), 0.0, 1e-6);
-    }
-
-    #[test]
-    fn std_normal_pdf_reference_points() {
-        assert_close(std_normal_pdf(0.0), 0.398_942_280_4, 1e-9);
-        assert_close(std_normal_pdf(1.0), 0.241_970_724_5, 1e-9);
-        assert_close(std_normal_pdf(-1.0), std_normal_pdf(1.0), 1e-12);
     }
 
     #[test]

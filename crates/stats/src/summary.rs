@@ -52,27 +52,6 @@ impl Summary {
         self.max = self.max.max(value);
     }
 
-    /// Merges another summary into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean = (n1 * self.mean + n2 * other.mean) / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> usize {
         self.count
@@ -199,33 +178,6 @@ mod tests {
         assert_eq!(s.variance(), None);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn merge_matches_single_pass() {
-        let all = [1.0, 2.0, 3.5, 7.25, -1.0, 0.0, 10.0];
-        let mut left = Summary::from_sample(&all[..3]).unwrap();
-        let right = Summary::from_sample(&all[3..]).unwrap();
-        left.merge(&right);
-        let whole = Summary::from_sample(&all).unwrap();
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-12);
-        assert!((left.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = Summary::from_sample(&[1.0, 2.0]).unwrap();
-        let before = s.clone();
-        s.merge(&Summary::new());
-        assert_eq!(s, before);
-
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e.mean(), before.mean());
-        assert_eq!(e.count(), before.count());
     }
 
     #[test]

@@ -2,20 +2,17 @@
 //!
 //! The workload layer of the DIADS reproduction (*"Why Did My Query Slow Down?"*,
 //! CIDR 2009): a TPC-H-like schema laid out over the paper's two volumes, the
-//! 25-operator / 9-leaf execution plan of Figure 1 for TPC-H Query 2 (plus alternative
-//! plans the optimizer can fall back to), a couple of companion report queries, and the
-//! periodic report-generation schedule that produces the satisfactory/unsatisfactory
-//! run history DIADS diagnoses.
+//! 25-operator / 9-leaf execution plan of Figure 1 for TPC-H Query 2, the periodic
+//! report query DIADS diagnoses, plus alternative plans the optimizer can fall back
+//! to.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod queries;
-pub mod runner;
 pub mod tpch;
 
-pub use queries::{q1_plan_candidates, q2_plan_candidates, q3_plan_candidates, ReportQuery};
-pub use runner::{periodic_schedule, ReportWorkload};
+pub use queries::{q2_plan_candidates, ReportQuery};
 pub use tpch::{tpch_catalog, TpchLayout};
 
 #[cfg(test)]
@@ -27,8 +24,5 @@ mod tests {
         let catalog = tpch_catalog(1.0, &TpchLayout::paper_default());
         let candidates = q2_plan_candidates(&catalog);
         assert!(!candidates.is_empty());
-        let schedule =
-            periodic_schedule(diads_monitor::Timestamp::new(0), diads_monitor::Duration::from_hours(2), 3);
-        assert_eq!(schedule.len(), 3);
     }
 }

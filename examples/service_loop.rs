@@ -2,7 +2,7 @@
 //! fleet, with a live subscriber on the typed event bus and a per-tenant
 //! cancellation round-trip.
 //!
-//! The service owns one shared lock-striped engine and K tenant testbeds; each
+//! The service owns one shared engine and K tenant testbeds; each
 //! cycle ingests a probe batch through the batched sharded writer, consults the
 //! watermark policy, streams an incremental re-diagnosis through the bounded
 //! event channel, derives remediation candidates, and re-seals. A subscriber

@@ -11,7 +11,7 @@ fn final_cycle_report_matches_one_shot_batch_for_every_tenant() {
     let scenarios = all_scenarios();
     let service = DiagnosisService::new(&scenarios, ServiceConfig::default());
 
-    // A multi-thread pass through the shared striped engine: the final cycle
+    // A multi-thread pass through the shared engine: the final cycle
     // forces a diagnosis, so every tenant ends covering its whole store.
     service.run_cycles(3, 3);
 
