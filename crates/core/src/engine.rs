@@ -41,7 +41,7 @@ use diads_monitor::{Duration, EpochId, Interner};
 
 use crate::diagnosis::{DiagnosisProvenance, DiagnosisReport, EngineProvenance};
 use crate::pipeline::{
-    CancelToken, ContextSource, DiagnosisPipeline, Emitter, EventSink, Evidence, LedgerInputs,
+    CancelToken, ContextSource, DiagnosisPipeline, DiagnosisState, Emitter, EventSink, Evidence, LedgerInputs,
 };
 use crate::testbed::ScenarioOutcome;
 use crate::workflow::{DiagnosisCache, ScoreKey};
@@ -340,9 +340,9 @@ impl DiagnosisEngine {
         let (report, state) = DiagnosisPipeline::standard().execute(
             &ctx,
             &mut slot.cache,
-            &Emitter::new(&[], sink, cancel),
+            &Emitter::new(sink, cancel),
+            DiagnosisState { inputs: Some(inputs), ..DiagnosisState::default() },
             slot.evidence,
-            Some(inputs),
             provenance,
         );
         let evidence =

@@ -9,15 +9,16 @@
 //!   slot per module result, replacing the ad-hoc locals the monolithic workflow
 //!   used to thread between modules.
 //! * [`DiagnosisPipeline`] is the driver: the workflow whose module methods the
-//!   stages call, plus event sinks and an optional cancel token. Every run emits a
-//!   [`crate::diagnosis::DiagnosisReport`] carrying per-stage provenance (timings,
-//!   cache hit/miss deltas, engine warm/cold, re-drill markers) next to the findings.
+//!   stages call, plus an optional event sink and an optional cancel token. Every
+//!   run emits a [`crate::diagnosis::DiagnosisReport`] carrying per-stage
+//!   provenance (timings, cache hit/miss deltas, engine warm/cold, re-drill
+//!   markers) next to the findings.
 //!
 //! # Streaming: the typed event bus
 //!
 //! Progress streams through a **typed event vocabulary** ([`PipelineEvent`])
-//! delivered to [`EventSink`]s registered with [`DiagnosisPipeline::with_sink`] (or
-//! handed to the engine's `*_streamed` entry points):
+//! delivered to a run's one [`EventSink`], set with [`DiagnosisPipeline::with_sink`]
+//! (or handed to the engine's `*_streamed` entry points):
 //!
 //! | event | fired |
 //! |---|---|
@@ -30,14 +31,15 @@
 //!
 //! # One executor
 //!
-//! Every run walks the six stages through one private executor. For each stage it
-//! either **executes** the stage or **replays** its slot from a prior evidence
-//! ledger. A stage executes when there is no prior, when an input it reads changed
-//! since the prior was recorded (see [`LedgerInputs`]), or when the result of a
-//! stage it depends on changed. Cancellation checks, event emission, provenance and
-//! the stamping of [`LedgerInputs`] therefore live in one place, and every driver
-//! emits the same per-stage sequence; a subscriber can tell which driver served it
-//! only through provenance. The drivers are:
+//! Every run walks the six stages through one private executor, starting from a
+//! ledger whose filled slots it skips. For each other stage it either
+//! **executes** the stage or **replays** its slot from a prior evidence ledger. A
+//! stage executes when there is no prior, when an input it reads changed since the
+//! prior was recorded (see [`LedgerInputs`]), or when the result of a stage it
+//! depends on changed. Cancellation checks, event emission, provenance and the
+//! stamping of [`LedgerInputs`] therefore live in one place, and every driver emits
+//! the same per-stage sequence; a subscriber can tell which driver served it only
+//! through provenance. The drivers are:
 //!
 //! * [`DiagnosisPipeline::run`] and [`DiagnosisPipeline::run_with_cache`]: batch,
 //!   with no prior;
@@ -49,7 +51,8 @@
 //!   findings with fresh provenance and never builds the APG;
 //! * the interactive [`crate::session::WorkflowSession`]: one stage at a time
 //!   through `DiagnosisPipeline::run_stage`, which is the executor's per-stage
-//!   body.
+//!   body; its `finish` hands the session's ledger, cache and stage trail to the
+//!   executor, which runs the stages whose slots are still empty.
 //!
 //! Cancellation is checked **between stages**: a cancelled run stops before the next
 //! stage executes, emits [`PipelineEvent::Cancelled`], and still returns a
@@ -242,7 +245,7 @@ impl DiagnosisState {
     /// falls back to the new plan's leaf volumes — both baselined against the full
     /// satisfactory history, so concurrent SAN-side causes surface alongside the
     /// plan-change causes instead of being masked by them. A PD that has not run
-    /// reads as "no plan-change evidence" and the ordinary drill-down proceeds.
+    /// reads as "no plan-change evidence".
     pub fn plan_changed(&self) -> bool {
         self.pd.as_ref().is_some_and(|pd| !pd.same_plan)
     }
@@ -289,8 +292,8 @@ impl DiagnosisState {
     }
 }
 
-/// What a stage's fallback is when it reads a PD slot that never ran: no plan-diff
-/// evidence, so the drill-down proceeds as if the plan were stable.
+/// What a report reads for a PD slot that never ran (a cancelled run's partial
+/// ledger): no plan-diff evidence, as if the plan were stable.
 fn missing_pd() -> PlanDiffResult {
     PlanDiffResult {
         same_plan: true,
@@ -302,8 +305,9 @@ fn missing_pd() -> PlanDiffResult {
 
 impl Stage {
     /// Executes the stage: reads its inputs from `state`, scores through `cache`
-    /// and writes its result back into `state`. A dependency's slot that is still
-    /// empty reads as an empty result (PD: "no plan-diff evidence").
+    /// and writes its result back into `state`. A stage computes its slot only
+    /// from filled upstream slots; while one it reads is empty, its own slot stays
+    /// empty.
     fn run(
         self,
         workflow: &DiagnosisWorkflow,
@@ -326,50 +330,30 @@ impl Stage {
                 state.cos = Some(workflow.correlated_operators(ctx, cache));
             }
             Stage::DependencyAnalysis => {
-                let result = if state.plan_changed() {
-                    workflow.dependency_analysis_redrill(ctx, cache)
-                } else {
-                    let fallback = CorrelatedOperatorsResult::default();
-                    let cos = state.cos.as_ref().unwrap_or(&fallback);
-                    workflow.dependency_analysis(ctx, cos, cache)
+                state.da = match (&state.pd, &state.cos) {
+                    (Some(pd), _) if !pd.same_plan => Some(workflow.dependency_analysis_redrill(ctx, cache)),
+                    (Some(_), Some(cos)) => Some(workflow.dependency_analysis(ctx, cos, cache)),
+                    _ => None,
                 };
-                state.da = Some(result);
             }
             Stage::RecordCounts => {
-                let result = {
-                    let fallback = CorrelatedOperatorsResult::default();
-                    let cos = state.cos.as_ref().unwrap_or(&fallback);
-                    workflow.record_counts(ctx, cos, cache)
-                };
-                state.cr = Some(result);
+                state.cr = state.cos.as_ref().map(|cos| workflow.record_counts(ctx, cos, cache));
             }
             Stage::Symptoms => {
-                let result = {
-                    let fallback_pd = missing_pd();
-                    let fallback_cos = CorrelatedOperatorsResult::default();
-                    let fallback_da = DependencyAnalysisResult::default();
-                    let fallback_cr = RecordCountResult::default();
-                    let pd = state.pd.as_ref().unwrap_or(&fallback_pd);
-                    let cos = state.cos.as_ref().unwrap_or(&fallback_cos);
-                    let da = state.da.as_ref().unwrap_or(&fallback_da);
-                    let cr = state.cr.as_ref().unwrap_or(&fallback_cr);
-                    workflow.symptoms(ctx, pd, cos, da, cr)
+                state.sd = match (&state.pd, &state.cos, &state.da, &state.cr) {
+                    (Some(pd), Some(cos), Some(da), Some(cr)) => {
+                        Some(workflow.symptoms(ctx, pd, cos, da, cr))
+                    }
+                    _ => None,
                 };
-                state.sd = Some(result);
             }
             Stage::ImpactAnalysis => {
-                let result = {
-                    let fallback_cos = CorrelatedOperatorsResult::default();
-                    let fallback_da = DependencyAnalysisResult::default();
-                    let fallback_cr = RecordCountResult::default();
-                    let fallback_sd = SymptomsResult::default();
-                    let cos = state.cos.as_ref().unwrap_or(&fallback_cos);
-                    let da = state.da.as_ref().unwrap_or(&fallback_da);
-                    let cr = state.cr.as_ref().unwrap_or(&fallback_cr);
-                    let sd = state.sd.as_ref().unwrap_or(&fallback_sd);
-                    workflow.impact_analysis(ctx, cos, da, cr, sd)
+                state.ia = match (&state.cos, &state.da, &state.cr, &state.sd) {
+                    (Some(cos), Some(da), Some(cr), Some(sd)) => {
+                        Some(workflow.impact_analysis(ctx, cos, da, cr, sd))
+                    }
+                    _ => None,
                 };
-                state.ia = Some(result);
             }
         }
     }
@@ -377,7 +361,7 @@ impl Stage {
 
 /// The typed vocabulary of the pipeline's streaming event bus — what every
 /// execution path (batch, engine warm/cold, incremental replay, interactive
-/// session) emits to its [`EventSink`]s, in a pinned per-stage order:
+/// session) emits to its [`EventSink`], in a pinned per-stage order:
 /// `StageStarted` → `StageCompleted` (→ `CausesRanked` after SD), repeated per
 /// stage, then exactly one terminal `RunCompleted` or `Cancelled`. The service
 /// loop adds `RemediationPlanned` after a run it plans remediation for.
@@ -475,34 +459,25 @@ impl CancelToken {
     }
 }
 
-/// The emission context one run threads through its stage loop: the pipeline's
-/// registered sinks, an optional extra per-run sink (the engine's `*_streamed`
-/// entry points), and the effective cancel token. Borrow-only and crate-internal;
+/// The emission context one run threads through its stage loop: the run's one
+/// optional sink (the pipeline's, or the one handed to the engine's `*_streamed`
+/// entry points) and the effective cancel token. Borrow-only and crate-internal;
 /// the public surface is [`EventSink`]/[`CancelToken`].
 pub(crate) struct Emitter<'a> {
-    sinks: &'a [Box<dyn EventSink>],
-    extra: Option<&'a dyn EventSink>,
+    sink: Option<&'a dyn EventSink>,
     cancel: Option<&'a CancelToken>,
 }
 
 impl<'a> Emitter<'a> {
-    pub(crate) fn new(
-        sinks: &'a [Box<dyn EventSink>],
-        extra: Option<&'a dyn EventSink>,
-        cancel: Option<&'a CancelToken>,
-    ) -> Self {
-        Emitter { sinks, extra, cancel }
+    pub(crate) fn new(sink: Option<&'a dyn EventSink>, cancel: Option<&'a CancelToken>) -> Self {
+        Emitter { sink, cancel }
     }
 
-    /// Delivers the event `make` builds to every sink; `make` runs only when there
+    /// Delivers the event `make` builds to the sink; `make` runs only when there
     /// is a sink, so unobserved runs never clone payloads.
     fn emit(&self, state: &DiagnosisState, make: impl FnOnce() -> PipelineEvent) {
-        if self.sinks.is_empty() && self.extra.is_none() {
-            return;
-        }
-        let event = make();
-        for sink in self.sinks.iter().map(Box::as_ref).chain(self.extra) {
-            sink.on_event(&event, state);
+        if let Some(sink) = self.sink {
+            sink.on_event(&make(), state);
         }
     }
 
@@ -525,11 +500,11 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    pub(crate) fn run_completed(&self, report: &DiagnosisReport, state: &DiagnosisState) {
+    fn run_completed(&self, report: &DiagnosisReport, state: &DiagnosisState) {
         self.emit(state, || PipelineEvent::RunCompleted { report: report.clone() });
     }
 
-    pub(crate) fn cancelled(&self, at_stage: &str, state: &DiagnosisState) {
+    fn cancelled(&self, at_stage: &str, state: &DiagnosisState) {
         self.emit(state, || PipelineEvent::Cancelled { at_stage: at_stage.to_string() });
     }
 }
@@ -563,14 +538,14 @@ impl ContextSource<'_, '_> {
 }
 
 /// The diagnosis pipeline: the paper's Figure-2 stage sequence over a workflow
-/// (whose module methods the stages call), with event sinks and an optional
-/// cancel token.
+/// (whose module methods the stages call), with an optional event sink and an
+/// optional cancel token.
 ///
 /// It is bit-identical to the pre-pipeline monolithic workflow (all golden pins
 /// unchanged).
 pub struct DiagnosisPipeline {
     workflow: DiagnosisWorkflow,
-    sinks: Vec<Box<dyn EventSink>>,
+    sink: Option<Box<dyn EventSink>>,
     cancel: Option<CancelToken>,
 }
 
@@ -589,20 +564,21 @@ impl DiagnosisPipeline {
 
     /// The stage sequence over a given workflow (e.g. the unpruned ablation).
     pub fn with_workflow(workflow: DiagnosisWorkflow) -> Self {
-        DiagnosisPipeline { workflow, sinks: Vec::new(), cancel: None }
+        DiagnosisPipeline { workflow, sink: None, cancel: None }
     }
 
-    /// The emission context for a run of this pipeline: its registered sinks plus
-    /// its cancel token.
+    /// The emission context for a run of this pipeline: its sink plus its cancel
+    /// token.
     pub(crate) fn emitter(&self) -> Emitter<'_> {
-        Emitter::new(&self.sinks, None, self.cancel.as_ref())
+        Emitter::new(self.sink.as_deref(), self.cancel.as_ref())
     }
 
-    /// Registers an [`EventSink`] receiving every [`PipelineEvent`] of every run of
-    /// this pipeline, on the diagnosing thread. Sinks do not change what a run
+    /// Sets the pipeline's one [`EventSink`], which receives every
+    /// [`PipelineEvent`] of every run of this pipeline, on the diagnosing thread;
+    /// a later call replaces the earlier sink. The sink does not change what a run
     /// computes.
     pub fn with_sink(mut self, sink: impl EventSink + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
+        self.sink = Some(Box::new(sink));
         self
     }
 
@@ -612,12 +588,6 @@ impl DiagnosisPipeline {
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    /// The cancel token attached with [`DiagnosisPipeline::with_cancel_token`],
-    /// if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// Runs the pipeline with a fresh private cache.
@@ -637,7 +607,8 @@ impl DiagnosisPipeline {
     /// ran.
     pub fn run_with_cache(&self, ctx: &DiagnosisContext<'_>, cache: &mut DiagnosisCache) -> DiagnosisReport {
         let source = ContextSource::Borrowed(ctx);
-        self.execute(&source, cache, &self.emitter(), None, None, DiagnosisProvenance::default()).0
+        let state = DiagnosisState::default();
+        self.execute(&source, cache, &self.emitter(), state, None, DiagnosisProvenance::default()).0
     }
 
     /// Executes one stage against an external ledger and cache, returning its
@@ -657,7 +628,7 @@ impl DiagnosisPipeline {
     /// trails) from the SD/IA slots, module summaries from the rest, and the given
     /// provenance. Missing slots read as empty results, so a cancelled run's
     /// partial ledger still produces a well-formed report.
-    pub(crate) fn assemble(
+    fn assemble(
         &self,
         ctx: &DiagnosisContext<'_>,
         state: &DiagnosisState,
@@ -676,35 +647,40 @@ impl DiagnosisPipeline {
         report
     }
 
-    /// The stage executor: walks `Stage::ALL` once and, for each stage, either
-    /// executes it or replays its slot out of `prior`. A stage replays
-    /// only when `prior` holds its slot, no input it reads changed between
-    /// `prior`'s stamped [`LedgerInputs`] and `inputs`, and no stage it depends on
-    /// ([`Stage::staleness_deps`]) produced a result different from `prior`'s.
-    /// The caller's `cache` must already reflect `inputs`, which is what makes a
-    /// mixed run bit-identical to one that executes everything.
+    /// The stage executor: walks `Stage::ALL` once from the ledger `state` and,
+    /// for each stage whose slot is still empty, either executes it or replays its
+    /// slot out of `prior`. A filled slot is skipped with no event and no
+    /// provenance entry. A stage replays only when `prior` holds its slot, no
+    /// input it reads changed between `prior`'s stamped [`LedgerInputs`] and this
+    /// run's (`state.inputs`), and no stage it depends on
+    /// ([`Stage::staleness_deps`]) produced a result different from `prior`'s. The
+    /// caller's `cache` must already reflect this run's inputs, which is what makes
+    /// a mixed run bit-identical to one that executes everything.
     ///
-    /// `provenance` arrives with the caller's engine fields set; the executor adds
-    /// the stage trail and any cancellation point, then emits `RunCompleted`
-    /// unless cancelled. A completed run's ledger is stamped with `inputs`; a
-    /// cancelled one stays unstamped, so a partial ledger never seeds a replay.
-    /// When no stage executed, `prior`'s findings come back with the new
-    /// provenance instead of being re-assembled.
+    /// `provenance` arrives with the caller's engine fields and stage trail so far;
+    /// the executor extends the trail, records any cancellation point, then emits
+    /// `RunCompleted` unless cancelled. `state.inputs` is lifted off the ledger for
+    /// the run and stamped back only onto a completed one, so a partial ledger
+    /// never seeds a replay. When no stage executed, `prior`'s findings come back
+    /// with the new provenance instead of being re-assembled.
     pub(crate) fn execute(
         &self,
         ctx: &ContextSource<'_, '_>,
         cache: &mut DiagnosisCache,
         emitter: &Emitter<'_>,
+        mut state: DiagnosisState,
         mut prior: Option<Evidence>,
-        inputs: Option<LedgerInputs>,
         mut provenance: DiagnosisProvenance,
     ) -> (DiagnosisReport, DiagnosisState) {
+        let inputs = state.inputs.take();
         let replayable = inputs.zip(prior.as_ref().and_then(|p| p.state.inputs));
-        let mut state = DiagnosisState::default();
         let mut changed = [false; Stage::ALL.len()];
         let mut executed = false;
         provenance.stages.reserve(Stage::ALL.len());
         for stage in Stage::ALL {
+            if state.is_complete(stage) {
+                continue;
+            }
             if emitter.is_cancelled() {
                 let at_stage = stage.name().to_string();
                 emitter.cancelled(&at_stage, &state);
@@ -843,5 +819,30 @@ mod tests {
         assert!(!state.is_complete(Stage::DependencyAnalysis));
         state.pd = Some(PlanDiffResult { same_plan: false, ..missing_pd() });
         assert!(state.plan_changed());
+    }
+
+    #[test]
+    fn a_stage_with_an_empty_upstream_slot_leaves_its_own_slot_empty() {
+        use crate::testbed::Testbed;
+        use diads_inject::scenarios::{scenario_1, ScenarioTimeline};
+
+        let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
+        let (apg, events) = (outcome.apg(), outcome.testbed.all_events());
+        let ctx = outcome.context(&apg, &events);
+        let pipeline = DiagnosisPipeline::standard();
+        let mut cache = DiagnosisCache::new();
+        let mut state = DiagnosisState::default();
+        let downstream =
+            [Stage::DependencyAnalysis, Stage::RecordCounts, Stage::Symptoms, Stage::ImpactAnalysis];
+        for stage in downstream {
+            let provenance = pipeline.run_stage(stage, &ctx, &mut cache, &mut state);
+            assert_eq!(provenance.stage, stage.name());
+        }
+        assert!(state.completed().is_empty(), "no stand-in fills a slot: {:?}", state.completed());
+
+        for stage in Stage::ALL {
+            pipeline.run_stage(stage, &ctx, &mut cache, &mut state);
+        }
+        assert_eq!(state.completed(), vec!["PD", "CO", "DA", "CR", "SD", "IA"]);
     }
 }

@@ -5,17 +5,18 @@
 //! administrator inspect and edit intermediate results, and re-executes downstream
 //! modules on the edited inputs. [`WorkflowSession`] implements exactly that over
 //! the pipeline's six stages: it owns the [`DiagnosisState`] evidence ledger, runs
-//! any stage (after the unmet stages it depends on) on demand, invalidates downstream slots
-//! on edits, and [`WorkflowSession::finish`] completes the remaining stages and
-//! assembles the same provenance-carrying report batch diagnosis produces —
-//! interactive and batch share one execution path. A stage counts as complete when
-//! its ledger slot is filled.
+//! any stage (after the unmet stages it depends on) on demand, and invalidates
+//! downstream slots on edits. [`WorkflowSession::finish`] hands the ledger, the
+//! cache and the stage trail to the pipeline's one stage executor, which runs the
+//! stages whose slots are still empty and assembles the same provenance-carrying
+//! report batch diagnosis produces — interactive and batch share one execution
+//! path. A stage counts as complete when its ledger slot is filled.
 //!
 //! A session scores through its own [`DiagnosisCache`], so re-executed stages
 //! reuse the fits of earlier executions; the fits die with the session.
 
 use crate::diagnosis::{DiagnosisProvenance, DiagnosisReport, StageProvenance};
-use crate::pipeline::{CancelToken, DiagnosisPipeline, DiagnosisState, Stage};
+use crate::pipeline::{ContextSource, DiagnosisPipeline, DiagnosisState, Stage};
 use crate::workflow::{
     CorrelatedOperatorsResult, DependencyAnalysisResult, DiagnosisCache, DiagnosisContext, DiagnosisWorkflow,
     ImpactResult, PlanDiffResult, RecordCountResult, SymptomsResult,
@@ -42,7 +43,7 @@ impl<'a> WorkflowSession<'a> {
         Self::with_pipeline(DiagnosisPipeline::with_workflow(workflow), ctx)
     }
 
-    /// Starts a session over a pipeline carrying event sinks or a cancel token.
+    /// Starts a session over a pipeline carrying an event sink or a cancel token.
     pub fn with_pipeline(pipeline: DiagnosisPipeline, ctx: DiagnosisContext<'a>) -> Self {
         WorkflowSession {
             pipeline,
@@ -94,8 +95,12 @@ impl<'a> WorkflowSession<'a> {
     }
 
     /// Replaces the correlated-operator set (the administrator editing module CO's
-    /// result before the next module runs); downstream results are invalidated.
+    /// result before the next module runs), running CO and its unmet dependencies
+    /// first when CO has not run; downstream results are invalidated.
     pub fn edit_correlated_operators(&mut self, operators: Vec<OperatorId>) {
+        if !self.state.is_complete(Stage::CorrelatedOperators) {
+            self.run_stage(Stage::CorrelatedOperators);
+        }
         if let Some(cos) = &mut self.state.cos {
             cos.correlated = operators;
         }
@@ -140,41 +145,29 @@ impl<'a> WorkflowSession<'a> {
         self.state.ia.as_ref().expect("a stage run fills its slot")
     }
 
-    /// Finishes the session: runs every incomplete stage (in workflow order) and
-    /// assembles the report, with the session's full stage trail as provenance.
+    /// Finishes the session through the pipeline's stage executor: runs every
+    /// incomplete stage (in workflow order) and assembles the report, with the
+    /// session's full stage trail as provenance.
     ///
-    /// Honours the pipeline's [`CancelToken`] between stages: a cancelled finish
-    /// stops before the first incomplete stage it reaches, emits
+    /// Honours the pipeline's [`crate::pipeline::CancelToken`] between stages: a
+    /// cancelled finish stops before the first incomplete stage it reaches, emits
     /// [`crate::pipeline::PipelineEvent::Cancelled`] and assembles the partial,
     /// consistent ledger (provenance `cancelled_at` names the stopped stage).
     /// Filled slots stay filled, so resetting the token and calling `finish`
     /// again re-runs **only** the cancelled stages.
     pub fn finish(&mut self) -> DiagnosisReport {
-        let mut cancelled_at = None;
-        for stage in Stage::ALL {
-            if self.state.is_complete(stage) {
-                continue;
-            }
-            if self.pipeline.cancel_token().is_some_and(CancelToken::is_cancelled) {
-                let at_stage = stage.name().to_string();
-                self.pipeline.emitter().cancelled(&at_stage, &self.state);
-                cancelled_at = Some(at_stage);
-                break;
-            }
-            self.run_stage(stage);
-        }
-        let report = self.pipeline.assemble(
-            &self.ctx,
-            &self.state,
-            DiagnosisProvenance {
-                stages: self.trail.clone(),
-                cancelled_at,
-                ..DiagnosisProvenance::default()
-            },
+        let provenance =
+            DiagnosisProvenance { stages: std::mem::take(&mut self.trail), ..DiagnosisProvenance::default() };
+        let (report, state) = self.pipeline.execute(
+            &ContextSource::Borrowed(&self.ctx),
+            &mut self.cache,
+            &self.pipeline.emitter(),
+            std::mem::take(&mut self.state),
+            None,
+            provenance,
         );
-        if report.provenance.cancelled_at.is_none() {
-            self.pipeline.emitter().run_completed(&report, &self.state);
-        }
+        self.state = state;
+        self.trail = report.provenance.stages.clone();
         report
     }
 }

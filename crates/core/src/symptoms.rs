@@ -175,11 +175,6 @@ pub struct SymptomsDatabase {
 }
 
 impl SymptomsDatabase {
-    /// An empty database (DIADS still narrows the search space without one, as §5 notes).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// The built-in database developed for query-slowdown diagnosis: entries for the
     /// root causes the evaluation scenarios inject plus common distractors
     /// (buffer-pool misconfiguration, CPU saturation, disk failure, RAID rebuild).
@@ -439,7 +434,7 @@ mod tests {
 
     #[test]
     fn empty_database_scores_nothing() {
-        let db = SymptomsDatabase::empty();
+        let db = SymptomsDatabase::default();
         assert!(db.evaluate(&scenario1_symptoms()).is_empty());
     }
 

@@ -48,11 +48,6 @@ impl CostModel {
         CostModel { config }
     }
 
-    /// The configuration the model prices with.
-    pub fn config(&self) -> &DbConfig {
-        &self.config
-    }
-
     /// Cost of a single operator (excluding its children), using `stats` for
     /// cardinalities and `catalog` for physical properties (page counts, clustering).
     pub(crate) fn operator_cost(

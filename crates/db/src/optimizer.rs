@@ -41,11 +41,6 @@ impl Optimizer {
         Optimizer { config }
     }
 
-    /// The configuration used for planning.
-    pub fn config(&self) -> &DbConfig {
-        &self.config
-    }
-
     /// Whether a candidate plan is feasible under the current catalog and configuration:
     /// every scanned table and used index must exist, and disabled operator families
     /// (index scans, hash joins, nested loops) must not appear.

@@ -3,26 +3,31 @@
 //!
 //! * Cold, warm and incremental runs (including the all-replay run, which moves
 //!   every stage's recorded slot through the stage executor instead of
-//!   re-computing it, emitting each stage's events as it goes) emit the same
-//!   pinned sequence: `StageStarted`/`StageCompleted` pairs in `PD → CO → DA →
-//!   CR → SD → IA` order, `CausesRanked` immediately after SD, and exactly one
-//!   terminal `RunCompleted`.
+//!   re-computing it, emitting each stage's events as it goes), a batch
+//!   pipeline run and a session's `finish` emit the same pinned sequence:
+//!   `StageStarted`/`StageCompleted` pairs in `PD → CO → DA → CR → SD → IA`
+//!   order, `CausesRanked` immediately after SD, and exactly one terminal
+//!   `RunCompleted`. A session's `finish` narrates only the stages it runs.
 //! * The service's bounded MPSC fan-out never blocks a diagnosis: a subscriber
 //!   that stops draining loses events — counted, not silently — while the
 //!   diagnosis itself stays bit-identical to a one-shot batch run.
 
 use std::cell::RefCell;
+use std::rc::Rc;
 
-use diads::core::{DiagnosisState, EventSink, PipelineEvent, ScenarioOutcome, Testbed};
+use diads::core::{
+    DiagnosisPipeline, DiagnosisState, EventSink, PipelineEvent, ScenarioOutcome, Testbed, WorkflowSession,
+};
 use diads::inject::scenarios::{all_scenarios, scenario_2, ScenarioTimeline};
 use diads::monitor::{ComponentId, Duration, MetricName};
 use diads::service::{DiagnosisService, ServiceConfig};
 
 /// Records each event as a compact trace token: `started:PD`,
 /// `completed:PD[run|reused|redrilled]`, `causes_ranked`, `run_completed`, …
-#[derive(Default)]
+/// Clones share one trace, so a clone can be handed to a pipeline.
+#[derive(Default, Clone)]
 struct TraceSink {
-    trace: RefCell<Vec<String>>,
+    trace: Rc<RefCell<Vec<String>>>,
 }
 
 impl TraceSink {
@@ -150,6 +155,30 @@ fn cold_warm_and_incremental_streams_share_one_pinned_skeleton() {
         // through the event bus: same inputs ⇒ same findings AND same story.
         let batch = outcome.diagnose();
         assert_eq!(incr_report, batch, "{}: streamed incremental == batch", scenario.id);
+
+        // A batch pipeline carrying the sink.
+        let apg = outcome.apg();
+        let events = outcome.testbed.all_events();
+        let ctx = outcome.context(&apg, &events);
+        let piped = || DiagnosisPipeline::standard().with_sink(sink.clone());
+        let pipeline_report = piped().run(&ctx);
+        assert_eq!(skeleton(&sink.take()), PINNED_SKELETON, "{}: batch pipeline skeleton", scenario.id);
+        assert_eq!(pipeline_report, batch, "{}: batch pipeline findings", scenario.id);
+
+        // A fresh session's finish runs every stage through the same executor.
+        WorkflowSession::with_pipeline(piped(), ctx).finish();
+        assert_eq!(skeleton(&sink.take()), PINNED_SKELETON, "{}: fresh session finish", scenario.id);
+
+        // A session that ran PD and CO narrates only the stages finish runs; a
+        // second finish on the full ledger runs none.
+        let mut session = WorkflowSession::with_pipeline(piped(), ctx);
+        session.run_plan_diffing();
+        session.run_correlated_operators();
+        sink.take();
+        session.finish();
+        assert_eq!(skeleton(&sink.take()), PINNED_SKELETON[4..], "{}: finish from DA on", scenario.id);
+        session.finish();
+        assert_eq!(sink.take(), ["run_completed"], "{}: finish on a full ledger", scenario.id);
     }
 }
 

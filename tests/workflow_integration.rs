@@ -112,6 +112,15 @@ fn interactive_session_supports_editing_and_reexecution() {
     assert_eq!(report.correlated_operators, vec!["O8".to_string(), "O22".to_string()]);
     assert_eq!(report.primary_cause().unwrap().cause_id, "san-misconfiguration-contention");
 
+    // An edit made before CO has run runs CO (and PD) first, then applies: the
+    // next stages see the edited set, not a fresh unedited CO.
+    let mut fresh = WorkflowSession::new(DiagnosisWorkflow::new(), ctx);
+    fresh.edit_correlated_operators(vec![diads::db::OperatorId(8), diads::db::OperatorId(22)]);
+    assert_eq!(fresh.completed_modules(), vec!["PD", "CO"]);
+    let fresh_report = fresh.finish();
+    assert_eq!(fresh_report.correlated_operators, vec!["O8".to_string(), "O22".to_string()]);
+    assert_eq!(fresh_report.primary_cause().unwrap().cause_id, "san-misconfiguration-contention");
+
     // The screens render without panicking and mention the key pieces.
     let screen = diads::core::screens::workflow_screen(&session);
     assert!(screen.contains("[IA*]"));
