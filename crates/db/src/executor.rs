@@ -96,9 +96,9 @@ impl QueryRunRecord {
     }
 
     /// Records the run's observations (operator metrics, instance metrics and a
-    /// simple CPU-usage figure for the database server) into the metric sink —
-    /// either the store directly, or a `&ShardedWriter` when the scenario engine
-    /// records database and SAN metrics concurrently.
+    /// simple CPU-usage figure for the database server) into the metric sink.
+    /// `Testbed::run_scenario` passes the scenario's `MetricStore`, once per run
+    /// and before it records the SAN's view of the timeline.
     pub fn record_metrics<S: MetricSink>(&self, store: &mut S, db_instance: &str, db_server: &str) {
         let at = self.end;
         for op in &self.operators {

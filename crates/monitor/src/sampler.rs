@@ -12,11 +12,12 @@
 //! generator is seeded by `mix(mix(collector seed, series identity hash), interval
 //! start)`. A recorded value therefore depends only on *(series, sample index)* —
 //! never on how flushes of different series interleave, how the observed time range
-//! is chunked, or how many threads record. That is what lets simulators inside a
-//! single scenario record concurrently through [`MetricStore::sharded_writer`](crate::MetricStore::sharded_writer) (each
-//! worker owning its own sampler over a sub-range or component subset) and still
-//! produce stores bit-identical to one sequential collector. The identity hash comes
-//! from the shared [`crate::intern::Interner`], so the stream survives symbol
+//! is chunked, or how many threads record. A scenario records its SAN metrics
+//! through one sampler straight into its [`MetricStore`](crate::MetricStore); samplers
+//! with the same seed over disjoint sub-ranges or component subsets, recording from
+//! several threads through [`MetricStore::sharded_writer`](crate::MetricStore::sharded_writer),
+//! fill a store bit-identical to that one sequential collector. The identity hash
+//! comes from the shared [`crate::intern::Interner`], so the stream survives symbol
 //! renumbering across stores and processes.
 
 use crate::metric::MetricKey;
@@ -47,7 +48,7 @@ struct SeriesSlot {
 }
 
 /// Accumulates raw observations and flushes interval averages into a [`MetricSink`]
-/// (a [`MetricStore`](crate::MetricStore), or a sharded writer when recording concurrently).
+/// (a [`MetricStore`](crate::MetricStore), or any other sink).
 #[derive(Debug)]
 pub struct IntervalSampler {
     interval: Duration,
