@@ -10,9 +10,8 @@
 //!   vs. the shared `DiagnosisCache`.
 //! * **End-to-end diagnosis** — full scenario-1 batch diagnosis wall time, refit
 //!   baseline vs. the cached engine.
-//! * **Store recording** — direct `record_key` vs. the lock-per-shard writer,
-//!   single-threaded (lock overhead) and threaded. The threaded columns are
-//!   `null`, with a `multi_thread_reason`, when the host has one core.
+//! * **Store recording** — `MetricStore::record_key` over a 64-series matrix
+//!   (the one write path every recorder and the service ingest take).
 //! * **Scenario matrix** — the batch engine's hot path: simulate + diagnose a
 //!   matrix of injected-fault scenarios, plus warm re-diagnosis through the
 //!   testbed-level cache; and the post-PD re-drill hot path on
@@ -43,9 +42,6 @@ use diads_inject::scenarios::{
 use diads_monitor::{ComponentId, Duration, MetricKey, MetricName, MetricStore, Timestamp};
 use diads_stats::ScoringCache;
 use std::hint::black_box;
-
-/// Appended to a group whose threaded columns were skipped on a single core.
-const SINGLE_CORE_REASON: &str = ", \"multi_thread_reason\": \"available_parallelism() == 1\"";
 
 fn median_of(records: &[Record], group: &str, bench: &str) -> f64 {
     records.iter().find(|r| r.group == group && r.bench == bench).map(|r| r.median_ns).unwrap_or(f64::NAN)
@@ -126,25 +122,18 @@ fn main() {
         group.finish();
     }
 
-    // ----- Store recording: direct vs. the lock-per-shard writer -----
-    // The threaded passes need a second core to mean anything; on one core they
-    // are skipped and their columns written as null.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = (cores > 1).then(|| cores.min(8));
+    // ----- Store recording: the one write path -----
     const RECORD_COMPONENTS: usize = 64;
     const RECORD_POINTS_PER_KEY: usize = 200;
-    let intern_matrix = |store: &mut MetricStore| -> Vec<MetricKey> {
-        (0..RECORD_COMPONENTS)
-            .map(|i| store.intern(&ComponentId::volume(format!("V{i:02}")), &MetricName::WriteIo))
-            .collect()
-    };
     {
         let mut group = c.benchmark_group("store");
         group.sample_size(samples(15));
         group.bench_function("record_direct", |b| {
             b.iter(|| {
                 let mut store = MetricStore::new();
-                let keys = intern_matrix(&mut store);
+                let keys: Vec<MetricKey> = (0..RECORD_COMPONENTS)
+                    .map(|i| store.intern(&ComponentId::volume(format!("V{i:02}")), &MetricName::WriteIo))
+                    .collect();
                 for t in 0..RECORD_POINTS_PER_KEY as u64 {
                     for &key in &keys {
                         store.record_key(key, Timestamp::new(t * 60), t as f64);
@@ -153,90 +142,6 @@ fn main() {
                 black_box(store.point_count())
             })
         });
-        group.bench_function("record_sharded_1thread", |b| {
-            // Same stream through the writer on one thread: isolates the per-record
-            // uncontended lock cost.
-            b.iter(|| {
-                let mut store = MetricStore::new();
-                let keys = intern_matrix(&mut store);
-                {
-                    let writer = store.sharded_writer();
-                    for t in 0..RECORD_POINTS_PER_KEY as u64 {
-                        for &key in &keys {
-                            writer.record_key(key, Timestamp::new(t * 60), t as f64);
-                        }
-                    }
-                }
-                black_box(store.point_count())
-            })
-        });
-        group.bench_function("record_batched_1thread", |b| {
-            // Same stream through the batching front-end on one thread: the
-            // per-point lock is amortized over whole buffer flushes, which is what
-            // brings sharded single-thread recording back within reach of direct
-            // writes (the ≤1.3× satellite pin of PR 8).
-            b.iter(|| {
-                let mut store = MetricStore::new();
-                let keys = intern_matrix(&mut store);
-                {
-                    let writer = store.sharded_writer();
-                    let mut batched = writer.batched();
-                    for t in 0..RECORD_POINTS_PER_KEY as u64 {
-                        for &key in &keys {
-                            batched.record_key(key, Timestamp::new(t * 60), t as f64);
-                        }
-                    }
-                }
-                black_box(store.point_count())
-            })
-        });
-        if let Some(workers) = workers {
-            group.bench_function("record_sharded_threads", |b| {
-                b.iter(|| {
-                    let mut store = MetricStore::new();
-                    let keys = intern_matrix(&mut store);
-                    {
-                        let writer = store.sharded_writer();
-                        std::thread::scope(|scope| {
-                            for chunk in keys.chunks(RECORD_COMPONENTS.div_ceil(workers)) {
-                                let writer = &writer;
-                                scope.spawn(move || {
-                                    for t in 0..RECORD_POINTS_PER_KEY as u64 {
-                                        for &key in chunk {
-                                            writer.record_key(key, Timestamp::new(t * 60), t as f64);
-                                        }
-                                    }
-                                });
-                            }
-                        });
-                    }
-                    black_box(store.point_count())
-                })
-            });
-            group.bench_function("record_batched_threads", |b| {
-                b.iter(|| {
-                    let mut store = MetricStore::new();
-                    let keys = intern_matrix(&mut store);
-                    {
-                        let writer = store.sharded_writer();
-                        std::thread::scope(|scope| {
-                            for chunk in keys.chunks(RECORD_COMPONENTS.div_ceil(workers)) {
-                                let writer = &writer;
-                                scope.spawn(move || {
-                                    let mut batched = writer.batched();
-                                    for t in 0..RECORD_POINTS_PER_KEY as u64 {
-                                        for &key in chunk {
-                                            batched.record_key(key, Timestamp::new(t * 60), t as f64);
-                                        }
-                                    }
-                                });
-                            }
-                        });
-                    }
-                    black_box(store.point_count())
-                })
-            });
-        }
         group.finish();
     }
 
@@ -391,15 +296,6 @@ fn main() {
     let e2e = median_of(r, "end_to_end", "scenario1_diagnosis");
     let e2e_warm = median_of(r, "end_to_end", "scenario1_diagnosis_warm");
     let rec_direct = median_of(r, "store", "record_direct");
-    let rec_sharded = median_of(r, "store", "record_sharded_1thread");
-    let rec_batched = median_of(r, "store", "record_batched_1thread");
-    let threaded = |bench: &str| match workers {
-        Some(_) => format!("{:.1}", median_of(r, "store", bench)),
-        None => "null".to_string(),
-    };
-    let rec_threads = threaded("record_sharded_threads");
-    let rec_batched_threads = threaded("record_batched_threads");
-    let rec_threads_reason = if workers.is_none() { SINGLE_CORE_REASON } else { "" };
     let matrix_seq = median_of(r, "scenario_matrix", "sequential");
     let matrix_warm = median_of(r, "scenario_matrix", "rediagnose_warm");
     let cc_cold = median_of(r, "scenario_matrix", "compound_config_contention_cold");
@@ -414,6 +310,7 @@ fn main() {
     let gen_oracle = median_of(r, "generator", "oracle_cycle");
     let gen_candidates = median_of(r, "generator", "shrink_candidates");
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n  \"schema\": \"diads-bench-v1\",\n");
     json.push_str(&format!(
         "  \"environment\": {{\"threads\": {cores}, \"profile\": \"{}\"}},\n",
@@ -436,9 +333,8 @@ fn main() {
         e2e / e2e_warm
     ));
     json.push_str(&format!(
-        "  \"store_recording\": {{\"series\": {RECORD_COMPONENTS}, \"points_per_series\": {RECORD_POINTS_PER_KEY}, \"direct_ns\": {rec_direct:.1}, \"sharded_1thread_ns\": {rec_sharded:.1}, \"batched_1thread_ns\": {rec_batched:.1}, \"batched_points_per_sec\": {:.0}, \"batched_vs_direct\": {:.2}, \"sharded_threads_ns\": {rec_threads}, \"batched_threads_ns\": {rec_batched_threads}{rec_threads_reason}}},\n",
-        (RECORD_COMPONENTS * RECORD_POINTS_PER_KEY) as f64 / (rec_batched / 1e9),
-        rec_batched / rec_direct
+        "  \"store_recording\": {{\"series\": {RECORD_COMPONENTS}, \"points_per_series\": {RECORD_POINTS_PER_KEY}, \"direct_ns\": {rec_direct:.1}, \"direct_points_per_sec\": {:.0}}},\n",
+        (RECORD_COMPONENTS * RECORD_POINTS_PER_KEY) as f64 / (rec_direct / 1e9)
     ));
     json.push_str(&format!(
         "  \"scenario_matrix\": {{\"scenarios\": {}, \"timeline\": \"short\", \"sequential_ms\": {:.1}, \"rediagnose_warm_ms\": {:.3}, \"compound_config_contention\": {{\"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"incremental_ms\": {:.3}}}}},\n",

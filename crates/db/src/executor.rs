@@ -14,7 +14,7 @@
 //! analysis uses to attribute the slowdown to root causes.
 
 use diads_monitor::{
-    ComponentId, ComponentKind, Duration, MetricKey, MetricName, MetricSink, TimeRange, Timestamp,
+    ComponentId, ComponentKind, Duration, MetricKey, MetricName, MetricStore, TimeRange, Timestamp,
 };
 use diads_san::workload::IoProfile;
 use diads_san::{SanSimulator, VolumeLoad};
@@ -96,10 +96,10 @@ impl QueryRunRecord {
     }
 
     /// Records the run's observations (operator metrics, instance metrics and a
-    /// simple CPU-usage figure for the database server) into the metric sink.
-    /// `Testbed::run_scenario` passes the scenario's `MetricStore`, once per run
-    /// and before it records the SAN's view of the timeline.
-    pub fn record_metrics<S: MetricSink>(&self, store: &mut S, db_instance: &str, db_server: &str) {
+    /// simple CPU-usage figure for the database server) into `store`.
+    /// `Testbed::run_scenario` passes the scenario's store, once per run and
+    /// before it records the SAN's view of the timeline.
+    pub fn record_metrics(&self, store: &mut MetricStore, db_instance: &str, db_server: &str) {
         let at = self.end;
         for op in &self.operators {
             // One interning per operator; the four per-metric records are symbol-keyed.
@@ -115,7 +115,7 @@ impl QueryRunRecord {
         }
         let instance =
             store.intern_component(&ComponentId::new(ComponentKind::DatabaseInstance, db_instance));
-        let emit_instance = |store: &mut S, metric: &MetricName, value: f64| {
+        let emit_instance = |store: &mut MetricStore, metric: &MetricName, value: f64| {
             let key = MetricKey::new(instance, store.intern_metric(metric));
             store.record_key(key, at, value);
         };
@@ -127,7 +127,7 @@ impl QueryRunRecord {
         let cpu_secs: f64 = self.operators.iter().map(|o| o.cpu_secs).sum();
         let cpu_pct = (cpu_secs / self.elapsed_secs.max(1e-9) * 100.0).min(100.0);
         let server = store.intern_component(&ComponentId::server(db_server));
-        let emit_server = |store: &mut S, metric: &MetricName, value: f64| {
+        let emit_server = |store: &mut MetricStore, metric: &MetricName, value: f64| {
             let key = MetricKey::new(server, store.intern_metric(metric));
             store.record_key(key, at, value);
         };

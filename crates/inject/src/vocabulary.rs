@@ -164,11 +164,6 @@ impl Fault {
             )
         })
     }
-
-    /// The layer the fault injects into, from the vocabulary.
-    pub fn layer(&self) -> FaultLayer {
-        self.vocabulary().layer
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +230,7 @@ mod tests {
     fn layer_matches_the_legacy_classification() {
         for fault in sample_faults() {
             assert_eq!(
-                fault.layer() == FaultLayer::Database,
+                fault.vocabulary().layer == FaultLayer::Database,
                 fault.is_database_side(),
                 "{}: vocabulary layer and is_database_side disagree",
                 fault.label()

@@ -171,7 +171,6 @@ pub fn metrics_for_component(kind: ComponentKind) -> Vec<MetricName> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Layer;
 
     /// Every metric of the Figure-4 catalog, in layer order.
     fn all_metrics() -> Vec<MetricName> {
@@ -200,22 +199,6 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), before);
-    }
-
-    #[test]
-    fn every_metric_is_assigned_to_its_layer() {
-        for m in database_metrics() {
-            assert_eq!(m.layer(), Layer::Database, "{m}");
-        }
-        for m in server_metrics() {
-            assert_eq!(m.layer(), Layer::Server, "{m}");
-        }
-        for m in network_metrics() {
-            assert_eq!(m.layer(), Layer::Network, "{m}");
-        }
-        for m in storage_metrics() {
-            assert_eq!(m.layer(), Layer::Storage, "{m}");
-        }
     }
 
     #[test]

@@ -191,11 +191,6 @@ impl ComponentId {
     pub fn external_workload(name: impl Into<String>) -> Self {
         Self::new(ComponentKind::ExternalWorkload, name)
     }
-
-    /// The layer the component belongs to.
-    pub fn layer(&self) -> Layer {
-        self.kind.layer()
-    }
 }
 
 impl std::fmt::Display for ComponentId {
@@ -241,7 +236,7 @@ mod tests {
         assert_eq!(ComponentId::operator("O23").to_string(), "operator:O23");
         assert_eq!(ComponentId::disk("disk-07").to_string(), "disk:disk-07");
         assert_eq!(ComponentId::pool("P2").kind, ComponentKind::StoragePool);
-        assert_eq!(ComponentId::server("dbhost").layer(), Layer::Server);
+        assert_eq!(ComponentId::server("dbhost").kind, ComponentKind::Server);
         assert_eq!(ComponentId::tablespace("ts_part").kind, ComponentKind::Tablespace);
         assert_eq!(ComponentId::external_workload("batch-etl").kind, ComponentKind::ExternalWorkload);
     }

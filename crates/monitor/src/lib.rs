@@ -43,7 +43,7 @@ pub use intern::{ComponentSym, Interner, MetricSym};
 pub use metric::{MetricKey, MetricName};
 pub use sampler::IntervalSampler;
 pub use series::{DataPoint, TimeSeries};
-pub use store::{BatchedWriter, EpochId, MetricDelta, MetricSink, MetricStore, SealPolicy, ShardedWriter};
+pub use store::{EpochId, MetricDelta, MetricStore, SealPolicy};
 pub use time::{Duration, TimeRange, Timestamp};
 
 #[cfg(test)]

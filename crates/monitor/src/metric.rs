@@ -6,7 +6,6 @@
 //! metric with the component it was measured on, which is the key of the time-series
 //! store.
 
-use crate::ids::Layer;
 use crate::intern::{ComponentSym, MetricSym};
 
 /// A performance metric name, following Figure 4 of the paper.
@@ -127,56 +126,6 @@ pub enum MetricName {
 }
 
 impl MetricName {
-    /// The layer whose components usually report this metric.
-    pub fn layer(&self) -> Layer {
-        use MetricName::*;
-        match self {
-            OperatorElapsedTime
-            | OperatorSelfTime
-            | OperatorRecordCount
-            | OperatorEstimatedRecords
-            | PlanElapsedTime
-            | LocksHeld
-            | LockWaitTime
-            | SpaceUsage
-            | BlocksRead
-            | BufferHits
-            | BufferHitRatio
-            | IndexScans
-            | IndexReads
-            | IndexFetches
-            | SequentialScans
-            | RandomIos => Layer::Database,
-            CpuUsagePercent
-            | CpuUsageMhz
-            | Handles
-            | Threads
-            | Processes
-            | HeapMemoryKb
-            | PhysicalMemoryPercent
-            | KernelMemoryKb
-            | SwappedMemoryKb
-            | ReservedMemoryKb => Layer::Server,
-            BytesTransmitted | BytesReceived | PacketsTransmitted | PacketsReceived | LipCount | NosCount
-            | ErrorFrames | DumpedFrames | LinkFailures | CrcErrors | AddressErrors => Layer::Network,
-            BytesRead
-            | BytesWritten
-            | ContaminatingWrites
-            | ReadIo
-            | WriteIo
-            | ReadTime
-            | WriteTime
-            | ReadResponseTimeMs
-            | WriteResponseTimeMs
-            | SequentialReadHits
-            | SequentialReadRequests
-            | SequentialWriteRequests
-            | TotalIos
-            | Utilization => Layer::Storage,
-            Custom(_) => Layer::Workload,
-        }
-    }
-
     /// Canonical short name used in rendered tables (matches the paper's spelling where
     /// the paper names the metric, e.g. `writeIO` and `writeTime` in Table 2).
     ///
@@ -362,15 +311,6 @@ impl MetricKey {
 mod tests {
     use super::*;
     use crate::ids::{ComponentId, ComponentKind};
-
-    #[test]
-    fn metric_layers() {
-        assert_eq!(MetricName::BufferHits.layer(), Layer::Database);
-        assert_eq!(MetricName::CpuUsagePercent.layer(), Layer::Server);
-        assert_eq!(MetricName::CrcErrors.layer(), Layer::Network);
-        assert_eq!(MetricName::WriteTime.layer(), Layer::Storage);
-        assert_eq!(MetricName::Custom("x".into()).layer(), Layer::Workload);
-    }
 
     #[test]
     fn table2_metric_names_match_the_paper() {

@@ -12,18 +12,17 @@
 //! generator is seeded by `mix(mix(collector seed, series identity hash), interval
 //! start)`. A recorded value therefore depends only on *(series, sample index)* —
 //! never on how flushes of different series interleave, how the observed time range
-//! is chunked, or how many threads record. A scenario records its SAN metrics
-//! through one sampler straight into its [`MetricStore`](crate::MetricStore); samplers
-//! with the same seed over disjoint sub-ranges or component subsets, recording from
-//! several threads through [`MetricStore::sharded_writer`](crate::MetricStore::sharded_writer),
-//! fill a store bit-identical to that one sequential collector. The identity hash
-//! comes from the shared [`crate::intern::Interner`], so the stream survives symbol
-//! renumbering across stores and processes.
+//! is chunked, or how many collectors share the work. A scenario records its SAN
+//! metrics through one sampler straight into its [`MetricStore`]; samplers with the
+//! same seed over disjoint sub-ranges or component subsets fill a store
+//! bit-identical to that one collector. The identity hash comes from the shared
+//! [`crate::intern::Interner`], so the stream survives symbol renumbering across
+//! stores and processes.
 
 use crate::metric::MetricKey;
 use crate::noise::NoiseModel;
 use crate::rng::SplitMix64;
-use crate::store::MetricSink;
+use crate::store::MetricStore;
 use crate::time::{Duration, Timestamp};
 
 /// The currently open interval of one key.
@@ -47,8 +46,8 @@ struct SeriesSlot {
     open: Option<OpenInterval>,
 }
 
-/// Accumulates raw observations and flushes interval averages into a [`MetricSink`]
-/// (a [`MetricStore`](crate::MetricStore), or any other sink).
+/// Accumulates raw observations and flushes interval averages into a
+/// [`MetricStore`].
 #[derive(Debug)]
 pub struct IntervalSampler {
     interval: Duration,
@@ -76,11 +75,11 @@ impl IntervalSampler {
     }
 
     /// Feeds one raw observation; if the observation falls into a new interval for this
-    /// key, the previous interval is flushed into `sink` first.
+    /// key, the previous interval is flushed into `store` first.
     ///
     /// Keys are interned symbols (`Copy`), so steady-state observation performs no
     /// allocation at all.
-    pub fn observe<S: MetricSink>(&mut self, sink: &mut S, key: MetricKey, time: Timestamp, value: f64) {
+    pub fn observe(&mut self, store: &mut MetricStore, key: MetricKey, time: Timestamp, value: f64) {
         let bucket = self.bucket_start(time);
         let (ci, mi) = (key.component.index(), key.metric.index());
         if ci >= self.open.len() {
@@ -93,7 +92,7 @@ impl IntervalSampler {
         let slot = match &mut row[mi] {
             Some(slot) => slot,
             empty => empty.insert(SeriesSlot {
-                series_seed: SplitMix64::mix(self.seed, sink.key_hash(key)),
+                series_seed: SplitMix64::mix(self.seed, store.key_hash(key)),
                 open: None,
             }),
         };
@@ -108,19 +107,19 @@ impl IntervalSampler {
                 *open = OpenInterval { start: bucket, sum: value, count: 1 };
                 let avg =
                     perturb(&self.model, series_seed, flushed.start, flushed.sum / flushed.count as f64);
-                sink.record_key(key, Timestamp::new(flushed.start), avg);
+                store.record_key(key, Timestamp::new(flushed.start), avg);
             }
             open => *open = Some(OpenInterval { start: bucket, sum: value, count: 1 }),
         }
     }
 
-    /// Flushes every open interval into the sink (call at the end of a simulation, or
-    /// at the end of a worker's recording chunk).
+    /// Flushes every open interval into the store (call at the end of a simulation,
+    /// or at the end of a recording chunk).
     ///
     /// Flush order is (component, metric) symbol order, but each flushed value is a
     /// pure function of its (series, interval) — the order affects only the
     /// insertion sequence, which keyed, time-sorted series absorb.
-    pub fn flush<S: MetricSink>(&mut self, sink: &mut S) {
+    pub fn flush(&mut self, store: &mut MetricStore) {
         let open = std::mem::take(&mut self.open);
         for (ci, row) in open.into_iter().enumerate() {
             for (mi, slot) in row.into_iter().enumerate() {
@@ -128,7 +127,7 @@ impl IntervalSampler {
                 let key = MetricKey::from_indices(ci, mi);
                 let avg =
                     perturb(&self.model, series_seed, interval.start, interval.sum / interval.count as f64);
-                sink.record_key(key, Timestamp::new(interval.start), avg);
+                store.record_key(key, Timestamp::new(interval.start), avg);
             }
         }
     }
@@ -152,7 +151,6 @@ mod tests {
     use super::*;
     use crate::ids::ComponentId;
     use crate::metric::MetricName;
-    use crate::store::MetricStore;
     use crate::time::TimeRange;
 
     fn key(store: &mut MetricStore) -> MetricKey {

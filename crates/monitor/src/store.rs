@@ -11,16 +11,18 @@
 //! what lets fleet-level diagnosis caches compare keys across testbeds.
 //!
 //! Internally the series map is **sharded by [`ComponentSym`]**: every component's
-//! series live in exactly one of `MetricStore::SHARD_COUNT` sorted shards. Reads
-//! stay lock-free borrows (a key addresses its shard directly; full iteration is a
-//! deterministic k-way merge in key order, identical to the pre-sharding `BTreeMap`
-//! order), while [`MetricStore::sharded_writer`] temporarily splits the store into a
-//! lock-per-shard writer so N simulator threads can record concurrently — contention
-//! free as long as they touch different shards, and bit-identical to sequential
-//! recording as long as each key's observations keep their relative order.
+//! series live in exactly one of `MetricStore::SHARD_COUNT` sorted shards, and the
+//! one write path, [`MetricStore::record_key`], lands each observation in its
+//! shard. Every writer holds `&mut MetricStore`; the shards are there for two
+//! other reasons. Each insert looks its key up in a map that holds about a
+//! sixteenth of the store's series. And each shard keeps its own content hash, so
+//! a seal reuses the previous watermark snapshot of every shard that did not
+//! change, and [`MetricStore::delta_since`] skips those shards without scanning
+//! them. Reads address a key's shard directly; full iteration is a deterministic
+//! k-way merge in global key order.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::ids::{ComponentId, ComponentKind};
 use crate::intern::{ComponentSym, Interner, MetricSym};
@@ -42,9 +44,8 @@ struct Recorded {
 struct Shard {
     series: BTreeMap<MetricKey, Recorded>,
     /// Order-independent content hash of the shard: the wrapping sum of every
-    /// recorded observation's [`point_hash`]. Updated on each insert (under the
-    /// shard lock when recording through the sharded writer), so reading it is
-    /// O(1) and identical no matter how the writers interleaved.
+    /// recorded observation's [`point_hash`]. Updated on each insert, so reading
+    /// it is O(1) and identical whatever order the observations arrived in.
     content: u64,
     /// Set once the store seals its first epoch; from then on a non-tail insert can
     /// land *before* a recorded watermark.
@@ -298,7 +299,7 @@ impl MetricStore {
     /// of a hash of every recorded (key, time, value) observation. Two stores hold
     /// the same data **iff** their fingerprints match (modulo hash collisions),
     /// whichever interners they use and whatever order those interned in; the
-    /// value is independent of recording order, chunking and thread count.
+    /// value is independent of recording order and chunking.
     /// O(shards) to read — the per-observation work is done at record time.
     pub fn content_fingerprint(&self) -> u64 {
         self.shards.iter().fold(0u64, |acc, s| acc.wrapping_add(s.content))
@@ -403,23 +404,13 @@ impl MetricStore {
         Some(MetricDelta { entries })
     }
 
-    /// Splits the store into a lock-per-shard concurrent writer.
-    ///
-    /// Worker threads record through `&ShardedWriter` by interned key; each write
-    /// locks only the shard that owns the key's component, so threads recording
-    /// different components (different shards) never contend. Keys must be interned
-    /// up front — the interner is not part of the writer view.
-    ///
-    /// Dropping the writer re-unifies the store. The merged read view is
-    /// deterministic: as long as each key's observations keep their relative order
-    /// (e.g. one logical stream per component), the resulting store is bit-identical
-    /// to sequential recording, regardless of how the streams interleave across
-    /// threads.
-    pub fn sharded_writer(&mut self) -> ShardedWriter<'_> {
-        ShardedWriter {
-            interner: Arc::clone(&self.interner),
-            shards: self.shards.iter_mut().map(Mutex::new).collect(),
-        }
+    /// The ingest call chain `perfbench/` still spells
+    /// (`store.sharded_writer().batched().record_key(..)`), kept until the benchmark
+    /// calls [`Self::record_key`] itself. It holds no lock and no buffer: every call
+    /// records straight into the store.
+    #[doc(hidden)]
+    pub fn sharded_writer(&mut self) -> Ingest<'_> {
+        Ingest(self)
     }
 
     // ----- Lookups (hot path: no clones, no allocations, no locks) -----
@@ -568,204 +559,20 @@ impl<'a> Iterator for MergedIter<'a> {
     }
 }
 
-/// A destination for interned-key metric observations.
-///
-/// This is the seam that lets the simulators' recording paths (the SAN engine's
-/// [`crate::sampler::IntervalSampler`] feed, the database run recorder) write either
-/// into an exclusively-borrowed [`MetricStore`] — the sequential reference path — or
-/// through a shared [`&ShardedWriter`](ShardedWriter) from many threads inside one
-/// scenario. Both implementations intern through the same shared [`Interner`], so a
-/// key minted via one sink is valid in the other.
-pub trait MetricSink {
-    /// Interns a component (shared-interner backed, callable from any thread).
-    fn intern_component(&mut self, component: &ComponentId) -> ComponentSym;
-    /// Interns a metric name.
-    fn intern_metric(&mut self, metric: &MetricName) -> MetricSym;
-    /// Interns a (component, metric) pair into a key.
-    fn intern(&mut self, component: &ComponentId, metric: &MetricName) -> MetricKey {
-        MetricKey::new(self.intern_component(component), self.intern_metric(metric))
-    }
-    /// The stable identity hash of a key (see [`Interner::key_hash`]).
-    fn key_hash(&self, key: MetricKey) -> u64;
-    /// Records one observation by interned key.
-    fn record_key(&mut self, key: MetricKey, time: Timestamp, value: f64);
-}
-
-impl MetricSink for MetricStore {
-    fn intern_component(&mut self, component: &ComponentId) -> ComponentSym {
-        MetricStore::intern_component(self, component)
-    }
-
-    fn intern_metric(&mut self, metric: &MetricName) -> MetricSym {
-        MetricStore::intern_metric(self, metric)
-    }
-
-    fn key_hash(&self, key: MetricKey) -> u64 {
-        MetricStore::key_hash(self, key)
-    }
-
-    fn record_key(&mut self, key: MetricKey, time: Timestamp, value: f64) {
-        MetricStore::record_key(self, key, time, value);
-    }
-}
-
-/// The per-thread view of a sharded writer: `&ShardedWriter` is itself a sink, so
-/// each worker passes its own `&mut &writer` without coordinating with the others.
-impl MetricSink for &ShardedWriter<'_> {
-    fn intern_component(&mut self, component: &ComponentId) -> ComponentSym {
-        self.interner.intern_component(component)
-    }
-
-    fn intern_metric(&mut self, metric: &MetricName) -> MetricSym {
-        self.interner.intern_metric(metric)
-    }
-
-    fn key_hash(&self, key: MetricKey) -> u64 {
-        self.interner.key_hash(key)
-    }
-
-    fn record_key(&mut self, key: MetricKey, time: Timestamp, value: f64) {
-        ShardedWriter::record_key(self, key, time, value);
-    }
-}
-
-/// A lock-per-shard concurrent writer over a [`MetricStore`], created by
-/// [`MetricStore::sharded_writer`].
-///
-/// The writer borrows the store mutably, so no reads are possible while it lives —
-/// readers get the merged view back the moment it drops. Recording locks only the
-/// shard owning the key's component: threads recording disjoint components proceed
-/// without contention, and the final store contents are independent of the thread
-/// interleaving (each shard's map is keyed, and each series keeps its points
-/// time-sorted). The writer carries the store's shared [`Interner`], so workers can
-/// intern new identities mid-flight without a store borrow.
+/// See [`MetricStore::sharded_writer`].
+#[doc(hidden)]
 #[derive(Debug)]
-pub struct ShardedWriter<'a> {
-    interner: Arc<Interner>,
-    shards: Vec<Mutex<&'a mut Shard>>,
-}
+pub struct Ingest<'a>(&'a mut MetricStore);
 
-impl<'a> ShardedWriter<'a> {
-    /// Records one observation by interned key, locking only the owning shard.
-    pub fn record_key(&self, key: MetricKey, time: Timestamp, value: f64) {
-        let mut shard = self.shards[shard_index(key.component)].lock().expect("shard lock poisoned");
-        shard.push(&self.interner, key, time, value);
+impl Ingest<'_> {
+    /// Returns the same front-end: recording is already direct.
+    pub fn batched(self) -> Self {
+        self
     }
 
-    /// A thread-local batching view over this writer (default flush threshold).
-    ///
-    /// Each worker thread creates its own [`BatchedWriter`]; points accumulate in
-    /// per-shard buffers and each shard is locked once per flush instead of once
-    /// per point, which is what erases the per-point locking overhead of
-    /// [`ShardedWriter::record_key`] (see the `store_recording` benchmark group).
-    pub fn batched<'w>(&'w self) -> BatchedWriter<'w, 'a> {
-        self.batched_with_threshold(BatchedWriter::DEFAULT_THRESHOLD)
-    }
-
-    /// A batching view with an explicit per-shard flush threshold (points buffered
-    /// per shard before that shard's lock is taken). A threshold of 1 degenerates
-    /// to unbatched recording; the property tests use small thresholds to force
-    /// mid-stream flushes.
-    pub fn batched_with_threshold<'w>(&'w self, threshold: usize) -> BatchedWriter<'w, 'a> {
-        let threshold = threshold.max(1);
-        BatchedWriter {
-            writer: self,
-            // Pre-sized to the threshold: a buffer never grows past it, so the
-            // recording loop never reallocates.
-            buffers: (0..self.shards.len()).map(|_| Vec::with_capacity(threshold)).collect(),
-            threshold,
-        }
-    }
-}
-
-/// A thread-local batching front-end over a [`ShardedWriter`], created by
-/// [`ShardedWriter::batched`].
-///
-/// Observations buffer in per-shard vectors owned by this (single-threaded) value;
-/// when a shard's buffer reaches the flush threshold — or on [`BatchedWriter::flush`]
-/// or drop — the shard is locked **once** and the whole buffer drains into it. The
-/// merged store contents are bit-identical to sequential recording under the same
-/// precondition as the unbatched writer (each key's observations arrive through one
-/// logical stream in order): batching preserves the per-key order of each stream,
-/// points within a shard still land via the same keyed, time-sorted
-/// `Shard::push`, and cross-key interleaving never affects the merged view.
-///
-/// Dropping the batch writer flushes any residue, so scoping it is enough for
-/// correctness; call [`BatchedWriter::flush`] explicitly only to bound latency
-/// between recording and visibility (e.g. before a barrier).
-#[derive(Debug)]
-pub struct BatchedWriter<'w, 'a> {
-    writer: &'w ShardedWriter<'a>,
-    buffers: Vec<Vec<(MetricKey, Timestamp, f64)>>,
-    threshold: usize,
-}
-
-impl BatchedWriter<'_, '_> {
-    /// Default per-shard flush threshold: large enough to amortize a shard lock
-    /// over many points, small enough to keep buffers cache-resident.
-    pub(crate) const DEFAULT_THRESHOLD: usize = 256;
-
-    /// Records one observation by interned key into the owning shard's buffer,
-    /// flushing that shard if it reached the threshold.
+    /// Records one observation through [`MetricStore::record_key`].
     pub fn record_key(&mut self, key: MetricKey, time: Timestamp, value: f64) {
-        let index = shard_index(key.component);
-        let buffer = &mut self.buffers[index];
-        buffer.push((key, time, value));
-        if buffer.len() >= self.threshold {
-            self.flush_shard(index);
-        }
-    }
-
-    /// Number of points currently buffered (not yet visible in the store).
-    #[cfg(test)]
-    fn buffered(&self) -> usize {
-        self.buffers.iter().map(Vec::len).sum()
-    }
-
-    fn flush_shard(&mut self, index: usize) {
-        let buffer = &mut self.buffers[index];
-        if buffer.is_empty() {
-            return;
-        }
-        let mut shard = self.writer.shards[index].lock().expect("shard lock poisoned");
-        // Iterate + clear rather than drain: the drain iterator's per-item
-        // bookkeeping is measurable at fleet recording rates, a shared-slice walk
-        // is not, and clearing afterwards keeps the buffer's capacity.
-        for &(key, time, value) in buffer.iter() {
-            shard.push(&self.writer.interner, key, time, value);
-        }
-        buffer.clear();
-    }
-
-    /// Drains every buffered point into its shard (one lock per non-empty shard).
-    pub fn flush(&mut self) {
-        for index in 0..self.buffers.len() {
-            self.flush_shard(index);
-        }
-    }
-}
-
-impl Drop for BatchedWriter<'_, '_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-impl MetricSink for BatchedWriter<'_, '_> {
-    fn intern_component(&mut self, component: &ComponentId) -> ComponentSym {
-        self.writer.interner.intern_component(component)
-    }
-
-    fn intern_metric(&mut self, metric: &MetricName) -> MetricSym {
-        self.writer.interner.intern_metric(metric)
-    }
-
-    fn key_hash(&self, key: MetricKey) -> u64 {
-        self.writer.interner.key_hash(key)
-    }
-
-    fn record_key(&mut self, key: MetricKey, time: Timestamp, value: f64) {
-        BatchedWriter::record_key(self, key, time, value);
+        self.0.record_key(key, time, value);
     }
 }
 
@@ -914,150 +721,6 @@ mod tests {
         expect.dedup();
         assert_eq!(syms, expect);
         assert_eq!(syms.len(), 10);
-    }
-
-    #[test]
-    fn sharded_writer_matches_sequential_recording() {
-        // Build identical key sets in two stores, then record the same streams —
-        // sequentially in one, through the sharded writer (single-threaded here;
-        // threaded equivalence is covered by the property test) in the other.
-        let mut seq = MetricStore::new();
-        let mut par = MetricStore::new();
-        let keys: Vec<(MetricKey, MetricKey)> = (0..10)
-            .map(|i| {
-                let c = volume(&format!("V{i}"));
-                (seq.intern(&c, &MetricName::WriteIo), par.intern(&c, &MetricName::WriteIo))
-            })
-            .collect();
-        for t in 0..50u64 {
-            let (ks, _) = keys[(t % 10) as usize];
-            seq.record_key(ks, Timestamp::new(t), t as f64);
-        }
-        {
-            let writer = par.sharded_writer();
-            for t in 0..50u64 {
-                let (_, kp) = keys[(t % 10) as usize];
-                writer.record_key(kp, Timestamp::new(t), t as f64);
-            }
-        }
-        assert_eq!(seq.series_count(), par.series_count());
-        for ((ks, kp), _) in keys.iter().zip(0..) {
-            assert_eq!(seq.series_by_key(*ks).unwrap().points(), par.series_by_key(*kp).unwrap().points());
-        }
-    }
-
-    #[test]
-    fn sharded_writer_records_from_real_threads() {
-        let mut store = MetricStore::new();
-        let keys: Vec<MetricKey> =
-            (0..8).map(|i| store.intern(&volume(&format!("V{i}")), &MetricName::WriteIo)).collect();
-        {
-            let writer = store.sharded_writer();
-            std::thread::scope(|scope| {
-                for chunk in keys.chunks(2) {
-                    let writer = &writer;
-                    scope.spawn(move || {
-                        for &key in chunk {
-                            for t in 0..100u64 {
-                                writer.record_key(key, Timestamp::new(t), t as f64);
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        assert_eq!(store.series_count(), 8);
-        assert_eq!(store.point_count(), 800);
-        for key in keys {
-            let points = store.series_by_key(key).unwrap().points();
-            assert_eq!(points.len(), 100);
-            assert!(points.windows(2).all(|w| w[0].time <= w[1].time));
-        }
-    }
-
-    #[test]
-    fn batched_writer_matches_sequential_recording() {
-        // Same streams through a sequential store and through a batched writer with
-        // a small threshold (forces mid-stream flushes): merged contents and the
-        // content fingerprint must be bit-identical.
-        let mut seq = MetricStore::new();
-        let mut par = MetricStore::new();
-        let keys: Vec<(MetricKey, MetricKey)> = (0..10)
-            .map(|i| {
-                let c = volume(&format!("V{i}"));
-                (seq.intern(&c, &MetricName::WriteIo), par.intern(&c, &MetricName::WriteIo))
-            })
-            .collect();
-        for t in 0..200u64 {
-            let (ks, _) = keys[(t % 10) as usize];
-            seq.record_key(ks, Timestamp::new(t), t as f64);
-        }
-        {
-            let writer = par.sharded_writer();
-            let mut batched = writer.batched_with_threshold(7);
-            for t in 0..200u64 {
-                let (_, kp) = keys[(t % 10) as usize];
-                batched.record_key(kp, Timestamp::new(t), t as f64);
-            }
-            // Residue below the threshold flushes on drop.
-            assert!(batched.buffered() < 10 * 7);
-        }
-        assert_eq!(seq.series_count(), par.series_count());
-        assert_eq!(seq.content_fingerprint(), par.content_fingerprint());
-        for (ks, kp) in &keys {
-            assert_eq!(seq.series_by_key(*ks).unwrap().points(), par.series_by_key(*kp).unwrap().points());
-        }
-    }
-
-    #[test]
-    fn batched_writer_flushes_on_explicit_flush_and_drop() {
-        let mut store = MetricStore::new();
-        let key = store.intern(&volume("V1"), &MetricName::WriteIo);
-        {
-            let writer = store.sharded_writer();
-            let mut batched = writer.batched(); // default threshold: nothing auto-flushes here
-            batched.record_key(key, Timestamp::new(1), 1.0);
-            batched.record_key(key, Timestamp::new(2), 2.0);
-            assert_eq!(batched.buffered(), 2);
-            batched.flush();
-            assert_eq!(batched.buffered(), 0);
-            batched.record_key(key, Timestamp::new(3), 3.0);
-            assert_eq!(batched.buffered(), 1);
-            // The last point rides the drop flush.
-        }
-        assert_eq!(store.series_by_key(key).unwrap().points().len(), 3);
-    }
-
-    #[test]
-    fn batched_writers_record_from_real_threads() {
-        // One batched front-end per thread over one shared sharded writer; each key
-        // is written by exactly one thread (the bit-identity precondition).
-        let mut store = MetricStore::new();
-        let keys: Vec<MetricKey> =
-            (0..8).map(|i| store.intern(&volume(&format!("V{i}")), &MetricName::WriteIo)).collect();
-        {
-            let writer = store.sharded_writer();
-            std::thread::scope(|scope| {
-                for chunk in keys.chunks(2) {
-                    let writer = &writer;
-                    scope.spawn(move || {
-                        let mut batched = writer.batched_with_threshold(13);
-                        for &key in chunk {
-                            for t in 0..100u64 {
-                                batched.record_key(key, Timestamp::new(t), t as f64);
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        assert_eq!(store.series_count(), 8);
-        assert_eq!(store.point_count(), 800);
-        for key in keys {
-            let points = store.series_by_key(key).unwrap().points();
-            assert_eq!(points.len(), 100);
-            assert!(points.windows(2).all(|w| w[0].time <= w[1].time));
-        }
     }
 
     #[test]

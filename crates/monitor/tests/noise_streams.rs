@@ -1,9 +1,9 @@
 //! Property tests for the per-series noise streams: a recorded value depends only on
 //! (series identity, interval index) — never on how observation streams of different
 //! series interleave, how the observed time range is chunked across collectors, or
-//! how many threads record through the sharded writer.
+//! how many collectors split the series between them.
 //!
-//! Like `sharded_store.rs`, the cases are driven by a deterministic splitmix64
+//! Like `store_properties.rs`, the cases are driven by a deterministic splitmix64
 //! generator (`proptest` is not vendored), so failures are reproducible.
 
 use diads_monitor::noise::NoiseModel;
@@ -118,66 +118,38 @@ fn record_round_robin(case: &Case) -> MetricStore {
     store
 }
 
-/// Threaded recording, partitioned by series: each worker owns a private sampler for
-/// its series subset and records through the lock-per-shard writer.
-fn record_threaded_by_series(case: &Case, threads: usize) -> MetricStore {
+/// Recording split by series: each of `parts` fresh samplers observes its own
+/// series subset, and all of them write into one store.
+fn record_partitioned_by_series(case: &Case, parts: usize) -> MetricStore {
     let mut store = MetricStore::new();
     let keys = intern_keys(&mut store, case);
-    {
-        let writer = store.sharded_writer();
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let writer = &writer;
-                let keys = &keys;
-                let streams = &case.streams;
-                let mut s = sampler(case);
-                scope.spawn(move || {
-                    let mut sink = writer;
-                    for (i, stream) in streams.iter().enumerate() {
-                        if i % threads != worker {
-                            continue;
-                        }
-                        for &(t, v) in stream {
-                            s.observe(&mut sink, keys[i], t, v);
-                        }
-                    }
-                    s.flush(&mut sink);
-                });
+    for part in 0..parts {
+        let mut s = sampler(case);
+        for (i, stream) in case.streams.iter().enumerate().filter(|(i, _)| i % parts == part) {
+            for &(t, v) in stream {
+                s.observe(&mut store, keys[i], t, v);
             }
-        });
+        }
+        s.flush(&mut store);
     }
     store
 }
 
-/// Threaded recording, partitioned by interval-aligned time chunks: every worker
-/// observes *all* series over its own chunk with a private sampler.
-fn record_threaded_by_time(case: &Case, threads: usize) -> MetricStore {
+/// Recording split by interval-aligned time chunks: each of `parts` fresh samplers
+/// observes *all* series over its own chunk, and all of them write into one store.
+fn record_partitioned_by_time(case: &Case, parts: usize) -> MetricStore {
     let mut store = MetricStore::new();
     let keys = intern_keys(&mut store, case);
-    let chunk_len = (case.end / threads as u64).div_ceil(INTERVAL_SECS).max(1) * INTERVAL_SECS;
-    {
-        let writer = store.sharded_writer();
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let writer = &writer;
-                let keys = &keys;
-                let streams = &case.streams;
-                let mut s = sampler(case);
-                let lo = chunk_len * worker as u64;
-                let hi = lo + chunk_len;
-                scope.spawn(move || {
-                    let mut sink = writer;
-                    for (i, stream) in streams.iter().enumerate() {
-                        for &(t, v) in stream {
-                            if t.as_secs() >= lo && t.as_secs() < hi {
-                                s.observe(&mut sink, keys[i], t, v);
-                            }
-                        }
-                    }
-                    s.flush(&mut sink);
-                });
+    let chunk_len = (case.end / parts as u64).div_ceil(INTERVAL_SECS).max(1) * INTERVAL_SECS;
+    for part in 0..parts as u64 {
+        let mut s = sampler(case);
+        let chunk = chunk_len * part..chunk_len * (part + 1);
+        for (key, stream) in keys.iter().zip(&case.streams) {
+            for &(t, v) in stream.iter().filter(|(t, _)| chunk.contains(&t.as_secs())) {
+                s.observe(&mut store, *key, t, v);
             }
-        });
+        }
+        s.flush(&mut store);
     }
     store
 }
@@ -213,16 +185,16 @@ fn recorded_values_are_independent_of_interleaving_and_thread_count() {
             &record_round_robin(&case),
             &format!("case {case_no}, round-robin interleaving"),
         );
-        for threads in [2, 3, 5] {
+        for parts in [2, 3, 5] {
             assert_stores_identical(
                 &reference,
-                &record_threaded_by_series(&case, threads),
-                &format!("case {case_no}, {threads} threads by series"),
+                &record_partitioned_by_series(&case, parts),
+                &format!("case {case_no}, {parts} samplers by series"),
             );
             assert_stores_identical(
                 &reference,
-                &record_threaded_by_time(&case, threads),
-                &format!("case {case_no}, {threads} threads by time chunk"),
+                &record_partitioned_by_time(&case, parts),
+                &format!("case {case_no}, {parts} samplers by time chunk"),
             );
         }
     }

@@ -39,7 +39,7 @@
 use std::ops::Range;
 
 use diads_monitor::{
-    ComponentId, ComponentKind, Duration, IntervalSampler, MetricKey, MetricName, MetricSink, TimeRange,
+    ComponentId, ComponentKind, Duration, IntervalSampler, MetricKey, MetricName, MetricStore, TimeRange,
     Timestamp,
 };
 
@@ -209,20 +209,20 @@ impl SanSimulator {
     }
 
     /// Steps through a time range and records raw performance samples for every SAN
-    /// component into the sink. `extra` carries the database's own I/O windows so
+    /// component into `store`. `extra` carries the database's own I/O windows so
     /// the stored metrics reflect the full offered load.
     ///
     /// `Testbed::run_scenario` calls this once per scenario, after its runs, with
-    /// the scenario's `MetricStore` as the sink and every run's loads as `extra`;
+    /// the scenario's store and every run's loads as `extra`;
     /// the sampler averages the raw samples into the stored intervals. Every series'
     /// key is interned before the first step, so a step is arithmetic plus one
     /// `observe` per series. An empty range interns and records nothing.
-    pub fn record_metrics<S: MetricSink>(
+    pub fn record_metrics(
         &self,
         range: TimeRange,
         extra: &[VolumeLoad],
         sampler: &mut IntervalSampler,
-        store: &mut S,
+        store: &mut MetricStore,
     ) {
         if range.start >= range.end {
             return;
@@ -410,29 +410,29 @@ impl<'a> ModelIndex<'a> {
 
     /// Interns the key of every series a recording step samples, in emission
     /// order: each component, then its metrics.
-    fn keys<S: MetricSink>(&self, store: &mut S) -> Vec<MetricKey> {
+    fn keys(&self, store: &MetricStore) -> Vec<MetricKey> {
         let mut keys = Vec::new();
-        let mut series = |store: &mut S, component: ComponentId, metrics: &[MetricName]| {
+        let mut series = |component: ComponentId, metrics: &[MetricName]| {
             let component = store.intern_component(&component);
             keys.extend(metrics.iter().map(|m| MetricKey::new(component, store.intern_metric(m))));
         };
         for (volume, _) in &self.volumes {
-            series(store, ComponentId::volume(&volume.name), &VOLUME_METRICS);
+            series(ComponentId::volume(&volume.name), &VOLUME_METRICS);
         }
         for pool in &self.pools {
-            series(store, ComponentId::pool(&pool.pool.name), &BACK_END_METRICS);
+            series(ComponentId::pool(&pool.pool.name), &BACK_END_METRICS);
             for &(disk, _) in self.live_disks(pool) {
-                series(store, ComponentId::disk(disk), &BACK_END_METRICS);
+                series(ComponentId::disk(disk), &BACK_END_METRICS);
             }
         }
         for &name in &self.subsystems {
-            series(store, ComponentId::new(ComponentKind::StorageSubsystem, name), &SUBSYSTEM_METRICS);
+            series(ComponentId::new(ComponentKind::StorageSubsystem, name), &SUBSYSTEM_METRICS);
         }
         for &name in &self.switches {
-            series(store, ComponentId::new(ComponentKind::FcSwitch, name), &FABRIC_METRICS);
+            series(ComponentId::new(ComponentKind::FcSwitch, name), &FABRIC_METRICS);
         }
         for &(name, _) in &self.hbas {
-            series(store, ComponentId::new(ComponentKind::Hba, name), &FABRIC_METRICS[..6]);
+            series(ComponentId::new(ComponentKind::Hba, name), &FABRIC_METRICS[..6]);
         }
         keys
     }
@@ -626,7 +626,7 @@ mod tests {
     use crate::topology::paper_testbed;
     use crate::workload::BurstPattern;
     use diads_monitor::noise::NoiseModel;
-    use diads_monitor::{Interner, MetricStore};
+    use diads_monitor::Interner;
     use std::sync::Arc;
 
     fn window(start: u64, secs: u64) -> TimeRange {

@@ -8,7 +8,7 @@
 //! shape of the paper's deployment (Figure 5), grown on top of the batch
 //! pipeline rather than beside it.
 //!
-//! The loop per tenant cycle: **batched-sharded ingest** →
+//! The loop per tenant cycle: **probe ingest** →
 //! **[`diads_monitor::SealPolicy`] watermark check** → **incremental
 //! re-diagnosis** (streamed, cancellable) → **remediation planning** →
 //! **re-seal**. Every diagnosis streams its typed

@@ -1,5 +1,5 @@
 //! The continuous re-diagnosis loop: K tenant testbeds, one shared engine,
-//! cycles of batched-sharded ingest → watermark-policy seal →
+//! cycles of probe ingest → watermark-policy seal →
 //! incremental re-diagnosis → remediation planning, with every pipeline event
 //! streamed onto the service bus.
 
@@ -66,9 +66,8 @@ struct TenantState {
 ///
 /// One tenant cycle:
 ///
-/// 1. **ingest** — append a batch of probe observations through the store's
-///    batched sharded writer (simulated time advances by
-///    [`ServiceConfig::probe_interval`]);
+/// 1. **ingest** — append a batch of probe observations to the store
+///    (simulated time advances by [`ServiceConfig::probe_interval`]);
 /// 2. **policy** — consult the [`SealPolicy`] over the store's open point count
 ///    and the simulated time since the last seal; an unmet policy skips the
 ///    rest of the cycle (staleness accumulates, counted when next diagnosed);
@@ -226,18 +225,15 @@ impl DiagnosisService {
     /// planning, re-seal. `force` (the pass's final cycle) overrides the policy.
     fn run_tenant_cycle(&self, index: usize, cycle: u64, force: bool, tenant: &mut TenantState) {
         let config = self.config;
-        // --- ingest: one probe batch through the batched sharded writer.
+        // --- ingest: one probe batch, recorded straight into the store.
         tenant.probe_time = tenant.probe_time.plus(config.probe_interval);
         let step = Duration::from_secs(
             (config.probe_interval.as_secs() / config.probes_per_cycle.max(1) as u64).max(1),
         );
-        {
-            let writer = tenant.outcome.testbed.store.sharded_writer();
-            let mut batched = writer.batched();
-            for p in 0..config.probes_per_cycle {
-                let t = tenant.probe_time.plus(step.scale(p as f64));
-                batched.record_key(tenant.probe_key, t, (cycle * 1000 + p as u64) as f64);
-            }
+        let store = &mut tenant.outcome.testbed.store;
+        for p in 0..config.probes_per_cycle {
+            let t = tenant.probe_time.plus(step.scale(p as f64));
+            store.record_key(tenant.probe_key, t, (cycle * 1000 + p as u64) as f64);
         }
         self.points_ingested.fetch_add(config.probes_per_cycle as u64, Ordering::Relaxed);
         tenant.pending_since.get_or_insert_with(Instant::now);

@@ -3,7 +3,7 @@
 //! cancellation round-trip.
 //!
 //! The service owns one shared engine and K tenant testbeds; each
-//! cycle ingests a probe batch through the batched sharded writer, consults the
+//! cycle records a probe batch into the tenant's metric store, consults the
 //! watermark policy, streams an incremental re-diagnosis through the bounded
 //! event channel, derives remediation candidates, and re-seals. A subscriber
 //! sees every tenant's `StageStarted`/`StageCompleted`/`CausesRanked`/
