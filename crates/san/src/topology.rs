@@ -179,16 +179,6 @@ impl SanTopology {
         self.switches.keys().cloned().collect()
     }
 
-    /// All subsystem names.
-    pub fn subsystem_names(&self) -> Vec<String> {
-        self.subsystems.keys().cloned().collect()
-    }
-
-    /// All HBA names.
-    pub fn hba_names(&self) -> Vec<String> {
-        self.hbas.keys().cloned().collect()
-    }
-
     /// All volumes, in name order.
     pub(crate) fn volumes(&self) -> impl Iterator<Item = &StorageVolume> {
         self.volumes.values()

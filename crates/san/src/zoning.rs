@@ -66,11 +66,6 @@ impl LunMapping {
         self.map.get(volume).is_some_and(|s| s.contains(server))
     }
 
-    /// All volumes a server is mapped to.
-    pub fn volumes_for(&self, server: &str) -> Vec<String> {
-        self.volumes_of(server).map(str::to_string).collect()
-    }
-
     /// The volumes a server is mapped to, borrowed, in name order.
     pub(crate) fn volumes_of<'a>(&'a self, server: &'a str) -> impl Iterator<Item = &'a str> {
         self.map.iter().filter(move |(_, servers)| servers.contains(server)).map(|(v, _)| v.as_str())
@@ -168,6 +163,6 @@ mod tests {
     #[test]
     fn mapping_lookups() {
         let cfg = config();
-        assert_eq!(cfg.lun_mapping.volumes_for("db-server"), vec!["V1".to_string(), "V2".to_string()]);
+        assert_eq!(cfg.lun_mapping.volumes_of("db-server").collect::<Vec<_>>(), ["V1", "V2"]);
     }
 }

@@ -14,30 +14,26 @@
 //!
 //! * [`kde::Kde`] — Gaussian kernel density estimation with Silverman/Scott bandwidth
 //!   selection, closed-form CDF evaluation and the paper's anomaly score.
-//! * [`anomaly`] — a common [`anomaly::AnomalyDetector`] trait with KDE, z-score,
-//!   percentile-threshold and MAD implementations (the non-KDE detectors are the
-//!   ablation baselines used by the `kde_vs_baseline` experiment).
-//! * [`bayes::GaussianNaiveBayes`] — the simple parametric "advanced model" comparator
-//!   for the paper's observation that KDE needs only a few tens of samples.
-//! * [`summary`], [`robust`] — descriptive statistics shared by the detectors and
-//!   the KDE bandwidth selectors.
+//! * [`cache::ScoringCache`] — memoised KDE fits keyed by the caller's variable, so
+//!   re-executions over one context fit each satisfactory sample once.
+//! * [`summary`], [`dist`] — descriptive statistics (Welford summaries, quantiles) for
+//!   the bandwidth selectors, and the normal-distribution functions behind the CDF.
 //! * [`spectrum::LatencySpectrum`] — exact nearest-rank percentile reporting
 //!   (p50/p99/p999) for the service loop's latency and staleness statistics.
+//!
+//! The KDE anomaly score is the only scorer: operators, record counts and SAN metrics
+//! are all scored by it. The z-score, percentile and naive-Bayes comparators of the
+//! paper's §5 observation are local to the `kde_vs_baseline` experiment in `diads-bench`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod anomaly;
-pub mod bayes;
 pub mod cache;
 pub mod dist;
 pub mod kde;
-pub mod robust;
 pub mod spectrum;
 pub mod summary;
 
-pub use anomaly::{AnomalyDetector, KdeDetector, MadDetector, PercentileDetector, ZScoreDetector};
-pub use bayes::GaussianNaiveBayes;
 pub use cache::ScoringCache;
 pub use kde::{Bandwidth, Kde};
 pub use spectrum::LatencySpectrum;
@@ -48,22 +44,8 @@ pub use summary::Summary;
 pub enum StatsError {
     /// The input sample was empty but the operation requires at least one observation.
     EmptySample,
-    /// The input sample had fewer observations than the operation requires.
-    NotEnoughSamples {
-        /// Number of observations required.
-        required: usize,
-        /// Number of observations provided.
-        got: usize,
-    },
     /// The input contained a NaN or infinite value.
     NonFiniteValue,
-    /// Two paired samples had different lengths.
-    LengthMismatch {
-        /// Length of the first sample.
-        left: usize,
-        /// Length of the second sample.
-        right: usize,
-    },
     /// A provided parameter was outside its valid domain (e.g. non-positive bandwidth).
     InvalidParameter(&'static str),
 }
@@ -72,13 +54,7 @@ impl std::fmt::Display for StatsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StatsError::EmptySample => write!(f, "sample is empty"),
-            StatsError::NotEnoughSamples { required, got } => {
-                write!(f, "need at least {required} samples, got {got}")
-            }
             StatsError::NonFiniteValue => write!(f, "sample contains NaN or infinite values"),
-            StatsError::LengthMismatch { left, right } => {
-                write!(f, "paired samples have different lengths ({left} vs {right})")
-            }
             StatsError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
         }
     }
@@ -104,14 +80,7 @@ mod tests {
     #[test]
     fn error_display_is_readable() {
         assert_eq!(StatsError::EmptySample.to_string(), "sample is empty");
-        assert_eq!(
-            StatsError::NotEnoughSamples { required: 3, got: 1 }.to_string(),
-            "need at least 3 samples, got 1"
-        );
-        assert_eq!(
-            StatsError::LengthMismatch { left: 2, right: 5 }.to_string(),
-            "paired samples have different lengths (2 vs 5)"
-        );
+        assert_eq!(StatsError::NonFiniteValue.to_string(), "sample contains NaN or infinite values");
         assert!(StatsError::InvalidParameter("bandwidth").to_string().contains("bandwidth"));
     }
 

@@ -105,18 +105,6 @@ pub fn mean(sample: &[f64]) -> Result<f64> {
     Ok(sample.iter().sum::<f64>() / sample.len() as f64)
 }
 
-/// Sample standard deviation (n-1 denominator).
-///
-/// # Errors
-/// Returns [`StatsError::NotEnoughSamples`] if fewer than 2 observations are given.
-pub fn std_dev(sample: &[f64]) -> Result<f64> {
-    if sample.len() < 2 {
-        return Err(StatsError::NotEnoughSamples { required: 2, got: sample.len() });
-    }
-    let s = Summary::from_sample(sample)?;
-    Ok(s.std_dev().expect("at least two samples"))
-}
-
 /// Linear-interpolation quantile (`q` in `[0, 1]`) of a sample.
 ///
 /// # Errors
@@ -143,11 +131,6 @@ pub(crate) fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// Median of a sample (50th percentile).
-pub fn median(sample: &[f64]) -> Result<f64> {
-    quantile(sample, 0.5)
 }
 
 /// Interquartile range (Q3 - Q1).
@@ -184,9 +167,9 @@ mod tests {
     fn mean_and_std_dev_functions() {
         assert!((mean(&[1.0, 2.0, 3.0]).unwrap() - 2.0).abs() < 1e-12);
         assert!(mean(&[]).is_err());
-        let sd = std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((sd - (32.0_f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert!(std_dev(&[1.0]).is_err());
+        let s = Summary::from_sample(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
+        assert!((s.std_dev().unwrap() - (32.0_f64 / 7.0).sqrt()).abs() < 1e-12);
+        assert_eq!(Summary::from_sample(&[1.0]).unwrap().std_dev(), None);
     }
 
     #[test]
@@ -194,10 +177,10 @@ mod tests {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert_eq!(quantile(&data, 0.0).unwrap(), 1.0);
         assert_eq!(quantile(&data, 1.0).unwrap(), 5.0);
-        assert_eq!(median(&data).unwrap(), 3.0);
         assert_eq!(quantile(&data, 0.25).unwrap(), 2.0);
+        assert_eq!(quantile(&data, 0.5).unwrap(), 3.0);
         // Interpolated quantile on even-sized sample.
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]).unwrap(), 2.5);
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.5).unwrap(), 2.5);
         assert!((iqr(&data).unwrap() - 2.0).abs() < 1e-12);
         assert!(quantile(&data, 1.5).is_err());
         assert!(quantile(&[], 0.5).is_err());

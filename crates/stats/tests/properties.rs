@@ -1,6 +1,7 @@
 //! Property-based tests for the statistics layer invariants the diagnosis workflow
-//! relies on: anomaly scores are probabilities, CDFs are monotone, detectors are
-//! monotone in the observation, summaries and quantiles stay within the sample's range.
+//! relies on: anomaly scores are probabilities, CDFs (and so anomaly scores) are
+//! monotone, batch scoring matches per-call scoring, summary means stay within the
+//! sample's range and quantiles are monotone in `q`.
 //!
 //! `proptest` is not vendored in this environment, so the properties are driven by a
 //! deterministic splitmix64 case generator: every property is checked over a few
@@ -8,8 +9,7 @@
 
 use diads_monitor::rng::SplitMix64;
 use diads_stats::kde::Kde;
-use diads_stats::summary::{median, quantile, Summary};
-use diads_stats::{AnomalyDetector, KdeDetector, MadDetector, ZScoreDetector};
+use diads_stats::summary::{quantile, Summary};
 
 /// Deterministic case generator over the workspace's shared splitmix64 PRNG.
 struct Gen {
@@ -39,10 +39,6 @@ const CASES: usize = 200;
 
 fn finite_sample(g: &mut Gen, min_len: usize) -> Vec<f64> {
     g.sample(min_len, 60, -1.0e6, 1.0e6)
-}
-
-fn positive_sample(g: &mut Gen, min_len: usize) -> Vec<f64> {
-    g.sample(min_len, 60, 0.0, 1.0e6)
 }
 
 #[test]
@@ -99,25 +95,6 @@ fn kde_score_many_matches_per_call_scores() {
 }
 
 #[test]
-fn detectors_are_monotone_in_the_observation() {
-    let mut g = Gen::new(4);
-    for _ in 0..CASES {
-        let sample = positive_sample(&mut g, 3);
-        let x = g.f64_in(0.0, 1.0e6);
-        let delta = g.f64_in(0.0, 1.0e6);
-        let mut kde = KdeDetector::new();
-        let mut z = ZScoreDetector::new();
-        let mut m = MadDetector::new();
-        kde.fit(&sample).unwrap();
-        z.fit(&sample).unwrap();
-        m.fit(&sample).unwrap();
-        for d in [&kde as &dyn AnomalyDetector, &z, &m] {
-            assert!(d.score(x) <= d.score(x + delta) + 1e-9, "{} not monotone", d.name());
-        }
-    }
-}
-
-#[test]
 fn summary_mean_is_within_min_max() {
     let mut g = Gen::new(8);
     for _ in 0..CASES {
@@ -141,17 +118,5 @@ fn quantiles_are_monotone_in_q() {
         let q2 = g.f64_in(0.0, 1.0);
         let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
         assert!(quantile(&sample, lo).unwrap() <= quantile(&sample, hi).unwrap() + 1e-9);
-    }
-}
-
-#[test]
-fn median_is_between_min_and_max() {
-    let mut g = Gen::new(10);
-    for _ in 0..CASES {
-        let sample = finite_sample(&mut g, 1);
-        let m = median(&sample).unwrap();
-        let min = sample.iter().cloned().fold(f64::MAX, f64::min);
-        let max = sample.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(m >= min - 1e-9 && m <= max + 1e-9);
     }
 }
