@@ -7,7 +7,8 @@
 //! * **KDE scoring throughput** — re-fitting per score (the pre-cache workflow
 //!   behaviour) vs. fitting once and batch-scoring with `score_many`.
 //! * **Module DA latency** — the component×metric scoring loop with per-call refits
-//!   vs. the shared `DiagnosisCache`.
+//!   vs. the shared `DiagnosisCache`, and the cold path (a fresh cache per call,
+//!   cycled over every `all_scenarios()` outcome).
 //! * **End-to-end diagnosis** — full scenario-1 batch diagnosis wall time, refit
 //!   baseline vs. the cached engine.
 //! * **Store recording** — `MetricStore::record_key` over a 64-series matrix
@@ -36,8 +37,8 @@ use diads_core::workflow::DiagnosisCache;
 use diads_core::{DiagnosisEngine, DiagnosisPipeline, DiagnosisWorkflow, Testbed};
 use diads_gen::{check_plan, shrink_candidates, Generator, TimelineKind};
 use diads_inject::scenarios::{
-    compound_config_and_contention_scenario, compound_lock_and_interloper_scenario, scenario_1, scenario_3,
-    scenario_5, ScenarioTimeline,
+    all_scenarios, compound_config_and_contention_scenario, compound_lock_and_interloper_scenario,
+    scenario_1, scenario_3, scenario_5, ScenarioTimeline,
 };
 use diads_monitor::{ComponentId, Duration, MetricKey, MetricName, MetricStore, Timestamp};
 use diads_stats::ScoringCache;
@@ -99,6 +100,27 @@ fn main() {
         group.bench_function("cached", |b| {
             let mut cache = DiagnosisCache::new();
             b.iter(|| black_box(workflow.dependency_analysis(&ctx, &cos, &mut cache)))
+        });
+        // The cold path a fresh diagnosis takes: a new cache per call, so every key
+        // fits. Each call diagnoses the next outcome of the full scenario matrix, so
+        // no one context's series stay cache-hot; the figure is the mean per call.
+        let matrix_outcomes = Testbed::run_scenarios(&all_scenarios());
+        let matrix_parts: Vec<_> =
+            matrix_outcomes.iter().map(|o| (o, o.apg(), o.testbed.all_events())).collect();
+        let matrix_da: Vec<_> = matrix_parts
+            .iter()
+            .map(|(o, apg, events)| {
+                let ctx = o.context(apg, events);
+                (ctx, workflow.correlated_operators(&ctx, &mut DiagnosisCache::new()))
+            })
+            .collect();
+        let mut next = 0;
+        group.bench_function("cold", |b| {
+            b.iter(|| {
+                let (ctx, cos) = &matrix_da[next % matrix_da.len()];
+                next += 1;
+                black_box(workflow.dependency_analysis(ctx, cos, &mut DiagnosisCache::new()))
+            })
         });
         group.finish();
     }
@@ -292,6 +314,7 @@ fn main() {
     let kde_cached = median_of(r, "kde", "cached_score_many");
     let da_refit = median_of(r, "da", "refit_baseline");
     let da_cached = median_of(r, "da", "cached");
+    let da_cold = median_of(r, "da", "cold");
     let e2e_refit = median_of(r, "end_to_end", "scenario1_refit_baseline");
     let e2e = median_of(r, "end_to_end", "scenario1_diagnosis");
     let e2e_warm = median_of(r, "end_to_end", "scenario1_diagnosis_warm");
@@ -322,7 +345,7 @@ fn main() {
         kde_refit / kde_cached
     ));
     json.push_str(&format!(
-        "  \"dependency_analysis\": {{\"refit_baseline_ns\": {da_refit:.1}, \"cached_ns\": {da_cached:.1}, \"cached_speedup\": {:.2}}},\n",
+        "  \"dependency_analysis\": {{\"refit_baseline_ns\": {da_refit:.1}, \"cached_ns\": {da_cached:.1}, \"cached_speedup\": {:.2}, \"cold_ns\": {da_cold:.1}}},\n",
         da_refit / da_cached
     ));
     json.push_str(&format!(

@@ -29,6 +29,7 @@
 use std::collections::BTreeMap;
 
 use diads_db::{Catalog, DbConfig, OperatorId};
+use diads_monitor::series::TimeSeries;
 use diads_monitor::{
     ComponentId, ComponentKind, Duration, EventKind, EventStore, MetricKey, MetricName, MetricStore,
     TimeRange, Timestamp,
@@ -433,6 +434,7 @@ impl DiagnosisWorkflow {
     }
 
     /// The DA scoring loop: scores every component in order against `satisfactory`.
+    /// The windows both samples read are built once, for every component.
     fn score_components(
         &self,
         ctx: &DiagnosisContext<'_>,
@@ -440,12 +442,11 @@ impl DiagnosisWorkflow {
         satisfactory: &[&LabeledRun],
         cache: &mut DiagnosisCache,
     ) -> DependencyAnalysisResult {
-        let unsatisfactory = ctx.unsatisfactory_runs();
+        let windows = DaWindows::new(ctx.history, satisfactory, &ctx.unsatisfactory_runs());
         let mut metric_scores = Vec::new();
         let mut correlated_components = Vec::new();
         for component in components {
-            let (scores, flagged) =
-                self.score_component(ctx, &component, satisfactory, &unsatisfactory, cache);
+            let (scores, flagged) = self.score_component(ctx, &component, &windows, cache);
             metric_scores.extend(scores);
             if flagged {
                 correlated_components.push(component);
@@ -454,16 +455,17 @@ impl DiagnosisWorkflow {
         DependencyAnalysisResult { metric_scores, correlated_components }
     }
 
-    /// Scores every metric of one component. Zero-copy: the component's series are
-    /// walked by interned key (a contiguous range scan), per-run means are computed
-    /// straight off borrowed slices, and the satisfactory sample is materialised only
-    /// when the cache has no fit for it yet.
+    /// Scores every metric of one component. The component's series are walked by
+    /// interned key (a contiguous range scan) and per-run means are computed straight
+    /// off borrowed slices. A key the cache has never seen reads both samples in one
+    /// forward walk over the series, and its miss fits the baseline sample from that
+    /// walk; a key the cache already holds walks only the unsatisfactory windows,
+    /// since its baseline fit (or its "not scoreable" entry) is reused.
     fn score_component(
         &self,
         ctx: &DiagnosisContext<'_>,
         component: &ComponentId,
-        satisfactory: &[&LabeledRun],
-        unsatisfactory: &[&LabeledRun],
+        windows: &DaWindows,
         cache: &mut DiagnosisCache,
     ) -> (Vec<ComponentMetricScore>, bool) {
         let store = ctx.store;
@@ -474,18 +476,16 @@ impl DiagnosisWorkflow {
         let mut out = Vec::new();
         let mut flagged = false;
         for key in store.keys_of(sym) {
-            let unsat = per_run_metric_means_by_key(store, key, unsatisfactory);
+            let Some(series) = store.series_by_key(key) else { continue };
+            let score_key = ScoreKey::Metric(key);
+            // Only a key with no entry can miss: a disabled cache holds no entries,
+            // so every lookup it refits reads the baseline here too.
+            let (unsat, baseline) = windows.means(series, cache.probe(&score_key).is_none());
             if unsat.is_empty() {
                 continue;
             }
             let metric = store.resolve(key).1;
-            let score = cached_score(
-                cache,
-                ScoreKey::Metric(key),
-                || per_run_metric_means_by_key(store, key, satisfactory),
-                &unsat,
-                !metric.higher_is_worse(),
-            );
+            let score = cached_score(cache, score_key, || baseline, &unsat, !metric.higher_is_worse());
             let Some(score) = score else {
                 // Fewer than MIN_SATISFACTORY_SAMPLES satisfactory observations: the
                 // variable is not scoreable (the pre-refactor loop `continue`d here).
@@ -1033,14 +1033,71 @@ fn per_run_metric_means(
 }
 
 /// [`per_run_metric_means`] by interned key. The series is looked up once and
-/// walked once by [`TimeSeries::means_in`](diads_monitor::series::TimeSeries::means_in):
-/// the runs come in history order, so their padded windows start in time order and
-/// the cursor only moves forward; a run that started before its predecessor costs
-/// a restart from the front, never a different mean.
+/// walked once by [`TimeSeries::means_in`]: the runs come in history order, so their
+/// padded windows start in time order and the cursor only moves forward; a run that
+/// started before its predecessor costs a restart from the front, never a different
+/// mean. Module DA does not call this: it reads both of its samples in one walk
+/// through [`DaWindows::means`]. The symptoms checks and the incremental extension
+/// pass, which each read one set of runs, do.
 fn per_run_metric_means_by_key(store: &MetricStore, key: MetricKey, runs: &[&LabeledRun]) -> Vec<f64> {
     store.series_by_key(key).map_or_else(Vec::new, |series| {
         series.means_in(runs.iter().map(|r| run_window(r))).flatten().collect()
     })
+}
+
+/// The run windows module DA reads: the padded [`run_window`] of every baseline and
+/// every unsatisfactory run, in history order, each tagged with the sample it
+/// belongs to.
+///
+/// Both samples are order-preserving filters of the history, so one pass over
+/// `history.runs` tags them, and each sample's windows keep that sample's order.
+/// One [`TimeSeries::means_in`] walk over all the windows then yields both samples,
+/// each bit-identical to walking its runs alone (see [`per_run_metric_means_by_key`]).
+struct DaWindows {
+    /// `(window, unsatisfactory)` in history order.
+    tagged: Vec<(TimeRange, bool)>,
+    unsatisfactory: usize,
+}
+
+impl DaWindows {
+    fn new(history: &RunHistory, baseline: &[&LabeledRun], unsatisfactory: &[&LabeledRun]) -> Self {
+        let mut baseline = baseline.iter().peekable();
+        let mut unsat = unsatisfactory.iter().peekable();
+        let mut tagged = Vec::with_capacity(baseline.len() + unsat.len());
+        for run in &history.runs {
+            if baseline.next_if(|r| std::ptr::eq(**r, run)).is_some() {
+                tagged.push((run_window(run), false));
+            } else if unsat.next_if(|r| std::ptr::eq(**r, run)).is_some() {
+                tagged.push((run_window(run), true));
+            }
+        }
+        debug_assert!(
+            baseline.peek().is_none() && unsat.peek().is_none(),
+            "DA's run sets must be filters of the history, in its order"
+        );
+        DaWindows { tagged, unsatisfactory: unsatisfactory.len() }
+    }
+
+    /// The per-run means of `series` as `(unsatisfactory, baseline)`, skipping runs
+    /// whose window holds no points. With `with_baseline` unset only the
+    /// unsatisfactory windows are walked and the baseline sample is empty.
+    fn means(&self, series: &TimeSeries, with_baseline: bool) -> (Vec<f64>, Vec<f64>) {
+        let mut unsat = Vec::with_capacity(self.unsatisfactory);
+        let mut baseline =
+            Vec::with_capacity(if with_baseline { self.tagged.len() - self.unsatisfactory } else { 0 });
+        let walked = self.tagged.iter().filter(|(_, unsatisfactory)| with_baseline || *unsatisfactory);
+        let means = series.means_in(walked.clone().map(|(window, _)| *window));
+        for ((_, unsatisfactory), mean) in walked.zip(means) {
+            if let Some(mean) = mean {
+                if *unsatisfactory {
+                    unsat.push(mean)
+                } else {
+                    baseline.push(mean)
+                }
+            }
+        }
+        (unsat, baseline)
+    }
 }
 
 /// Mean with the workflow's "no evidence reads as zero" convention. The underlying

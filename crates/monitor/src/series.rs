@@ -92,13 +92,14 @@ impl TimeSeries {
     /// The [`TimeSeries::mean_in`] of every window, in the order given, from one
     /// forward walk over the series.
     ///
-    /// A cursor stays on the first point of the previous window and gallops forward
-    /// to each window's start and end, so windows given in start order (a run
-    /// history's padded run windows) cost O(log gap) each instead of two binary
-    /// searches over the whole series. A window that starts before the previous one
-    /// restarts the cursor from the front, so any order is correct, just slower.
-    /// Each mean sums the same slice in the same order as `mean_in`: the values are
-    /// bit-identical to calling it per window.
+    /// A cursor stays on the first point of the previous window and moves forward to
+    /// each window's start and end: first by a short linear scan, which is where the
+    /// next of a run history's padded run windows usually begins, then by galloping
+    /// past a longer gap. Windows given in start order therefore cost a few reads or
+    /// O(log gap) each instead of two binary searches over the whole series. A window
+    /// that starts before the previous one restarts the cursor from the front, so any
+    /// order is correct, just slower. Each mean sums the same slice in the same order
+    /// as `mean_in`: the values are bit-identical to calling it per window.
     pub fn means_in<'a, I>(&'a self, windows: I) -> impl Iterator<Item = Option<f64>> + use<'a, I>
     where
         I: IntoIterator<Item = TimeRange>,
@@ -126,11 +127,23 @@ fn mean_of(points: &[DataPoint]) -> Option<f64> {
     Some(points.iter().map(|p| p.value).sum::<f64>() / points.len() as f64)
 }
 
-/// The first index at or after `from` whose point is not before `time`, found by
-/// galloping: probe `from`, `from + 1`, `from + 3`, … until a probe reaches `time`,
-/// then binary-search the last doubling. Requires every point before `from` to be
+/// How many points `seek` reads one by one before it gallops. Consecutive padded
+/// run windows start about nine points apart in a DIADS run history, so a short
+/// linear scan finds most targets in the cache lines it has already loaded, where a
+/// gallop's later probes would each wait on memory.
+const SCAN_SPAN: usize = 32;
+
+/// The first index at or after `from` whose point is not before `time`. It scans up
+/// to `SCAN_SPAN` points forward; past that it gallops from the first unscanned
+/// index `i`: probe `i`, `i + 1`, `i + 3`, … until a probe reaches `time`, then
+/// binary-search the last doubling. Requires every point before `from` to be
 /// before `time`.
 fn seek(points: &[DataPoint], from: usize, time: Timestamp) -> usize {
+    let scanned = &points[from..points.len().min(from + SCAN_SPAN)];
+    if let Some(offset) = scanned.iter().position(|p| p.time >= time) {
+        return from + offset;
+    }
+    let from = from + scanned.len();
     let rest = &points[from..];
     let mut end = 1;
     while end < rest.len() && rest[end - 1].time < time {

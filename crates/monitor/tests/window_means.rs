@@ -1,6 +1,6 @@
-//! Property test: `TimeSeries::means_in` — one galloping walk over a series — is
-//! bit-identical to calling `TimeSeries::mean_in` once per window, whatever the
-//! window list looks like.
+//! Property test: `TimeSeries::means_in` — one forward walk over a series, which
+//! scans a few points and gallops past longer gaps — is bit-identical to calling
+//! `TimeSeries::mean_in` once per window, whatever the window list looks like.
 //!
 //! Cases come from the workspace's splitmix64 PRNG with fixed seeds, so a failure
 //! reproduces from the printed seed.
@@ -85,6 +85,34 @@ fn means_in_handles_overlapping_run_windows() {
             .collect();
         assert_walk_matches(&s, &windows, seed, "overlapping");
     }
+}
+
+#[test]
+fn means_in_matches_mean_in_on_both_sides_of_the_scan_span() {
+    // Consecutive windows start 1, 31, 32, 33 and 500 points apart, so a seek lands
+    // inside the linear scan, just past it and far past it. Widths vary the same way
+    // for the seek to each window's end.
+    let mut rng = SplitMix64::new(0x5ca7);
+    let mut s = TimeSeries::new();
+    for i in 0..2_400 {
+        s.push(Timestamp::new(i * 10), rng.next_normal(50.0, 20.0));
+    }
+    let gaps = [1, 31, 32, 33, 500];
+    let widths = [0, 1, 3, 31, 32, 33, 40];
+    let mut windows = Vec::new();
+    let mut point = 0;
+    for k in 0.. {
+        point += gaps[k % gaps.len()];
+        if point >= s.len() as u64 {
+            break;
+        }
+        // Every other window starts between two points rather than on one.
+        let start = point * 10 - (k as u64 % 2) * 5;
+        let end = start + widths[k % widths.len()] * 10;
+        windows.push(TimeRange::new(Timestamp::new(start), Timestamp::new(end)));
+    }
+    assert!(windows.len() >= 20, "{} windows", windows.len());
+    assert_walk_matches(&s, &windows, 0x5ca7, "scan-span");
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::kde::Kde;
+use crate::kde::{Bandwidth, Kde};
 
 /// A cache of fitted KDEs keyed by the caller's variable identity.
 ///
@@ -103,13 +103,13 @@ impl<K: Eq + Hash> ScoringCache<K> {
     pub fn fit_or_insert_with(&mut self, key: K, samples: impl FnOnce() -> Option<Vec<f64>>) -> Option<&Kde> {
         if !self.enabled {
             self.misses += 1;
-            self.scratch = samples().and_then(|s| Kde::fit(&s).ok());
+            self.scratch = samples().and_then(fit);
             return self.scratch.as_ref();
         }
         let mut missed = false;
         let entry = self.entries.entry(key).or_insert_with(|| {
             missed = true;
-            samples().and_then(|s| Kde::fit(&s).ok())
+            samples().and_then(fit)
         });
         if missed {
             self.misses += 1;
@@ -175,6 +175,12 @@ impl<K: Eq + Hash> ScoringCache<K> {
             Err(_) => false,
         }
     }
+}
+
+/// A miss's fit: [`Kde::fit`] of the closure's sample, sorting that `Vec` in place
+/// instead of a copy of it.
+fn fit(samples: Vec<f64>) -> Option<Kde> {
+    Kde::fit_with(samples, Bandwidth::Silverman).ok()
 }
 
 #[cfg(test)]

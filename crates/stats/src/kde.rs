@@ -61,28 +61,28 @@ impl Kde {
     /// # Errors
     /// Returns an error if the sample is empty or contains non-finite values.
     pub fn fit(samples: &[f64]) -> Result<Self> {
-        Self::fit_with(samples, Bandwidth::Silverman)
+        Self::fit_with(samples.to_vec(), Bandwidth::Silverman)
     }
 
-    /// Fits a KDE with an explicit bandwidth strategy.
+    /// Fits a KDE with an explicit bandwidth strategy, sorting `samples` in place
+    /// to become the estimate's sample.
     ///
     /// # Errors
     /// Returns an error if the sample is empty, contains non-finite values, or a
     /// non-positive fixed bandwidth is supplied.
-    pub(crate) fn fit_with(samples: &[f64], bandwidth: Bandwidth) -> Result<Self> {
+    pub(crate) fn fit_with(mut samples: Vec<f64>, bandwidth: Bandwidth) -> Result<Self> {
         if samples.is_empty() {
             return Err(StatsError::EmptySample);
         }
-        ensure_finite(samples)?;
+        ensure_finite(&samples)?;
         // Canonicalise *before* bandwidth selection: the data-driven rules run a
         // Welford pass whose floating-point result is sensitive to input order in
         // the last ULPs. Deriving them from the sorted sample makes a fit a pure
         // function of the sample multiset — the property that lets an incremental
         // merge-extension ([`Kde::extended`]) reproduce a cold fit bit for bit.
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable_by(f64::total_cmp);
-        let h = resolve_bandwidth(&sorted, bandwidth)?;
-        Ok(Kde { samples: sorted, bandwidth: h })
+        sort_total_order(&mut samples);
+        let h = resolve_bandwidth(&samples, bandwidth)?;
+        Ok(Kde { samples, bandwidth: h })
     }
 
     /// Rebuilds an estimate from a previously fitted (sorted ascending) sample and
@@ -119,7 +119,7 @@ impl Kde {
     /// re-deriving the bandwidth over the merged sample: O(new log new + n) instead
     /// of the O((n+new) log (n+new)) full re-sort.
     ///
-    /// **Bit-identical to `Kde::fit_with(&concat, rule)`** over the concatenated
+    /// **Bit-identical to `Kde::fit_with(concat, rule)`** over the concatenated
     /// sample: a `total_cmp` merge of two `total_cmp`-sorted halves yields the same
     /// vector as sorting the concatenation (equal keys have equal bit patterns),
     /// and the bandwidth is re-derived exactly over that vector — when the
@@ -135,7 +135,7 @@ impl Kde {
             return Ok(self.clone());
         }
         let mut sorted_delta = delta.to_vec();
-        sorted_delta.sort_unstable_by(f64::total_cmp);
+        sort_total_order(&mut sorted_delta);
         let mut merged = Vec::with_capacity(self.samples.len() + sorted_delta.len());
         let (mut i, mut j) = (0, 0);
         while i < self.samples.len() && j < sorted_delta.len() {
@@ -257,6 +257,24 @@ impl Kde {
     }
 }
 
+/// Sorts `values` ascending by [`f64::total_cmp`], leaving the same vector as
+/// `sort_unstable_by(f64::total_cmp)` (values with equal keys have equal bits), but
+/// comparing plain integers instead of calling the comparator.
+///
+/// `to_total_order_key` maps each value's bits to an `i64` whose signed order is
+/// the total order, and is its own inverse. The keys are stored in the slice itself
+/// as `f64` bit patterns, sorted by those bits and mapped back, so nothing is
+/// allocated and no float arithmetic touches the intermediate values.
+fn sort_total_order(values: &mut [f64]) {
+    fn to_total_order_key(value: &mut f64) {
+        let bits = value.to_bits() as i64;
+        *value = f64::from_bits((bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64);
+    }
+    values.iter_mut().for_each(to_total_order_key);
+    values.sort_unstable_by_key(|key| key.to_bits() as i64);
+    values.iter_mut().for_each(to_total_order_key);
+}
+
 /// Resolves a [`Bandwidth`] strategy over an already-canonicalised (sorted) sample,
 /// applying the degenerate-sample floor. The single bandwidth path shared by cold
 /// fits and incremental extensions — both must agree bit for bit.
@@ -323,8 +341,8 @@ mod tests {
     fn fit_rejects_bad_input() {
         assert!(Kde::fit(&[]).is_err());
         assert!(Kde::fit(&[1.0, f64::NAN]).is_err());
-        assert!(Kde::fit_with(&[1.0, 2.0], Bandwidth::Fixed(0.0)).is_err());
-        assert!(Kde::fit_with(&[1.0, 2.0], Bandwidth::Fixed(-1.0)).is_err());
+        assert!(Kde::fit_with(vec![1.0, 2.0], Bandwidth::Fixed(0.0)).is_err());
+        assert!(Kde::fit_with(vec![1.0, 2.0], Bandwidth::Fixed(-1.0)).is_err());
     }
 
     #[test]
@@ -386,8 +404,8 @@ mod tests {
     #[test]
     fn bandwidth_rules_are_positive_and_ordered() {
         let s = sample_normal_like();
-        let h_silverman = Kde::fit_with(&s, Bandwidth::Silverman).unwrap().bandwidth();
-        let h_scott = Kde::fit_with(&s, Bandwidth::Scott).unwrap().bandwidth();
+        let h_silverman = Kde::fit_with(s.clone(), Bandwidth::Silverman).unwrap().bandwidth();
+        let h_scott = Kde::fit_with(s.clone(), Bandwidth::Scott).unwrap().bandwidth();
         assert!(h_silverman > 0.0 && h_scott > 0.0);
         // Scott uses sd with a larger constant; Silverman uses min(sd, iqr/1.34) * 0.9.
         assert!(h_scott >= h_silverman);
@@ -421,13 +439,14 @@ mod tests {
     }
 
     /// The reference the sorted-input quartiles must match: Silverman's rule with
-    /// moments over the sorted copy and quartiles through the public (copying,
-    /// re-sorting) `iqr`.
-    fn silverman_via_public_iqr(samples: &[f64]) -> f64 {
+    /// moments over a `total_cmp`-sorted copy and quartiles through the public
+    /// (copying, re-sorting) `quantile`.
+    fn silverman_via_public_quantiles(samples: &[f64]) -> f64 {
         let mut sorted = samples.to_vec();
         sorted.sort_unstable_by(f64::total_cmp);
         let sd = Summary::from_sample(&sorted).ok().and_then(|s| s.std_dev()).unwrap_or(0.0);
-        let iqr = crate::summary::iqr(&sorted).unwrap_or(0.0) / 1.34;
+        let quartile = |q| crate::summary::quantile(&sorted, q).expect("non-empty finite sample");
+        let iqr = (quartile(0.75) - quartile(0.25)) / 1.34;
         let spread = match (sd > 0.0, iqr > 0.0) {
             (true, true) => sd.min(iqr),
             (true, false) => sd,
@@ -459,12 +478,59 @@ mod tests {
         ];
         for unsorted in &samples {
             let floor = |h: f64| h.max(bandwidth_floor(unsorted));
-            let expected = floor(silverman_via_public_iqr(unsorted)).to_bits();
+            let expected = floor(silverman_via_public_quantiles(unsorted)).to_bits();
             assert_eq!(Kde::fit(unsorted).unwrap().bandwidth().to_bits(), expected, "fit {unsorted:?}");
             for split in 1..unsorted.len() {
                 let (head, tail) = unsorted.split_at(split);
                 let extended = Kde::fit(head).unwrap().extended(tail).unwrap();
                 assert_eq!(extended.bandwidth().to_bits(), expected, "extended at {split}: {unsorted:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_key_sort_matches_total_cmp_bit_for_bit() {
+        use diads_monitor::rng::SplitMix64;
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let mut rng = SplitMix64::new(0x50f7);
+        for len in 0..=64 {
+            for _ in 0..4 {
+                let mut sample: Vec<f64> = Vec::with_capacity(len);
+                for _ in 0..len {
+                    let value = match rng.next_u64() % 4 {
+                        0 => specials[(rng.next_u64() % specials.len() as u64) as usize],
+                        1 if !sample.is_empty() => sample[(rng.next_u64() % sample.len() as u64) as usize],
+                        _ => rng.next_normal(0.0, 100.0),
+                    };
+                    sample.push(value);
+                }
+                let mut expected = sample.clone();
+                expected.sort_unstable_by(f64::total_cmp);
+                let mut sorted = sample.clone();
+                sort_total_order(&mut sorted);
+                assert_eq!(bits(&sorted), bits(&expected), "{sample:?}");
+                if sample.is_empty() {
+                    continue;
+                }
+                // A fixed bandwidth, so only the sample is validated.
+                let valid = |kde: &Kde| Kde::from_parts(kde.samples().to_vec(), 1.0).is_ok();
+                let fitted = Kde::fit(&sample).unwrap();
+                assert_eq!(bits(fitted.samples()), bits(&expected), "fit {sample:?}");
+                assert!(valid(&fitted), "fit {sample:?}");
+                let (head, tail) = sample.split_at(len / 2 + 1);
+                let extended = Kde::fit(head).unwrap().extended(tail).unwrap();
+                assert_eq!(bits(extended.samples()), bits(&expected), "extended {sample:?}");
+                assert!(valid(&extended), "extended {sample:?}");
             }
         }
     }
@@ -484,7 +550,7 @@ mod tests {
 
     #[test]
     fn fixed_bandwidth_is_respected() {
-        let kde = Kde::fit_with(&sample_normal_like(), Bandwidth::Fixed(2.5)).unwrap();
+        let kde = Kde::fit_with(sample_normal_like(), Bandwidth::Fixed(2.5)).unwrap();
         assert!((kde.bandwidth() - 2.5).abs() < 1e-12);
     }
 

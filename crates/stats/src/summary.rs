@@ -133,11 +133,6 @@ pub(crate) fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
-/// Interquartile range (Q3 - Q1).
-pub fn iqr(sample: &[f64]) -> Result<f64> {
-    Ok(quantile(sample, 0.75)? - quantile(sample, 0.25)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +176,6 @@ mod tests {
         assert_eq!(quantile(&data, 0.5).unwrap(), 3.0);
         // Interpolated quantile on even-sized sample.
         assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.5).unwrap(), 2.5);
-        assert!((iqr(&data).unwrap() - 2.0).abs() < 1e-12);
         assert!(quantile(&data, 1.5).is_err());
         assert!(quantile(&[], 0.5).is_err());
     }

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use diads::core::workflow::CorrelatedOperatorsResult;
+use diads::core::workflow::{CorrelatedOperatorsResult, DependencyAnalysisResult};
 use diads::core::{
     DiagnosisCache, DiagnosisContext, DiagnosisPipeline, DiagnosisReport, DiagnosisState, DiagnosisWorkflow,
     EventSink, PipelineEvent, StageProvenance, Testbed, WorkflowSession,
@@ -109,6 +109,56 @@ fn refit_baseline_matches_cached_pipeline_over_all_scenarios() {
         );
         assert_eq!(cached, warm, "{}: warm-cache report drifted from the cold one", scenario.id);
     }
+}
+
+/// DA's metric scores as `(component, metric, score bits)`: `==` on f64 cannot tell
+/// `-0.0` from `0.0`, bits can.
+fn da_score_bits(da: &DependencyAnalysisResult) -> Vec<(String, String, u64)> {
+    da.metric_scores
+        .iter()
+        .map(|s| (s.component.to_string(), s.metric.to_string(), s.anomaly_score.to_bits()))
+        .collect()
+}
+
+/// One DA entry point over a fixed context, given the cache to score through.
+type DaCall<'a> = &'a dyn Fn(&mut DiagnosisCache) -> DependencyAnalysisResult;
+
+/// Both DA entry points score bit-identically on all three of their paths: a fresh
+/// cache (every key misses, and one walk per series reads both samples), a cache
+/// warmed by one earlier call (every key hits, and only the unsatisfactory windows
+/// are walked), and a disabled cache (every lookup refits).
+#[test]
+fn dependency_analysis_is_bit_identical_on_the_cold_warm_and_refit_paths() {
+    let workflow = DiagnosisWorkflow::new();
+    let mut scored = 0;
+    for scenario in all_scenarios() {
+        let outcome = Testbed::run_scenario(&scenario);
+        let apg = outcome.apg();
+        let events = outcome.testbed.all_events();
+        let ctx = outcome.context(&apg, &events);
+        let cos = workflow.correlated_operators(&ctx, &mut DiagnosisCache::new());
+        let entry_points: [(&str, DaCall<'_>); 2] = [
+            ("dependency_analysis", &|cache| workflow.dependency_analysis(&ctx, &cos, cache)),
+            ("dependency_analysis_redrill", &|cache| workflow.dependency_analysis_redrill(&ctx, cache)),
+        ];
+        for (name, da) in entry_points {
+            let cold = da(&mut DiagnosisCache::new());
+            let mut warmed = DiagnosisCache::new();
+            da(&mut warmed);
+            let misses = warmed.misses();
+            let warm = da(&mut warmed);
+            assert_eq!(warmed.misses(), misses, "{} {name}: the warm call must not fit", scenario.id);
+            let refit = da(&mut DiagnosisCache::disabled());
+
+            scored += cold.metric_scores.len();
+            let bits = da_score_bits(&cold);
+            assert_eq!(da_score_bits(&warm), bits, "{} {name}: warm drifted from cold", scenario.id);
+            assert_eq!(da_score_bits(&refit), bits, "{} {name}: refit drifted from cold", scenario.id);
+            assert_eq!(warm.correlated_components, cold.correlated_components, "{} {name}", scenario.id);
+            assert_eq!(refit.correlated_components, cold.correlated_components, "{} {name}", scenario.id);
+        }
+    }
+    assert!(scored > 1_000, "DA scored only {scored} metrics over the matrix");
 }
 
 /// Observers stream per-stage progress: every stage reports in order, with the
